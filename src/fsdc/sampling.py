@@ -54,7 +54,10 @@ def cholesky_psd(cov, jitter: float = 1e-6):
         raise DimensionError("covariance must be square")
     if not np.isfinite(s).all():
         raise DataError("covariance must be finite")
-    if not np.allclose(s, s.T, rtol=1e-10, atol=1e-12):
+    # the exact comparison settles the usual, exactly symmetric case at a
+    # fraction of the cost of allclose
+    if not (np.array_equal(s, s.T)
+            or np.allclose(s, s.T, rtol=1e-10, atol=1e-12)):
         raise DataError("covariance must be symmetric")
     if not jitter > 0:
         raise SpecError("jitter must be positive")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fsdc import classifiers
 from fsdc.calibration import CalibratedDistribution
 from fsdc.classifiers import (LinearModel, MaxLikelihoodScorer, OptimizerConfig,
                               TrainSet, hinge_loss_grad, max_likelihood_classify,
@@ -119,6 +120,84 @@ def test_analytic_gradients_match_finite_differences(loss_grad):
     numeric = _numeric_grad(lambda wv, bv: loss_grad(wv, bv, x, y, 0.01)[0], w, b)
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
     assert np.max(np.abs(analytic - numeric) / denom) < 1e-5
+
+
+# ------------------------------------------------- class-major bit identity
+
+def _row_major_softmax_loss_grad(weights, bias, features, labels, l2):
+    """The (n, C) formulation the class-major gradient must match bit for bit."""
+    m = features.shape[0]
+    scores = features @ weights.T + bias
+    scores = scores - scores.max(axis=1, keepdims=True)
+    exp = np.exp(scores)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    rows = np.arange(m)
+    loss = float(-np.log(probs[rows, labels]).mean()
+                 + 0.5 * l2 * (weights * weights).sum())
+    grad_scores = probs
+    grad_scores[rows, labels] -= 1.0
+    grad_scores /= m
+    grad_w = grad_scores.T @ features + l2 * weights
+    grad_b = grad_scores.sum(axis=0)
+    return loss, grad_w, grad_b
+
+
+def _softmax_problem(num_classes, n, d, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    y = rng.integers(0, num_classes, size=n)
+    w = 0.5 * rng.normal(size=(num_classes, d))
+    b = 0.5 * rng.normal(size=num_classes)
+    return w, b, x, y
+
+
+def _assert_bitwise_equal(got, expected):
+    loss, grad_w, grad_b = got
+    assert loss == expected[0]
+    assert np.array_equal(grad_w, expected[1])
+    assert np.array_equal(grad_b, expected[2])
+
+
+@pytest.mark.parametrize("num_classes", [2, 5, 20])
+@pytest.mark.parametrize("n", [1, 37, 3755])
+@pytest.mark.parametrize("d", [1, 4, 16, 64])
+def test_softmax_grad_bitwise_equals_row_major(num_classes, n, d):
+    w, b, x, y = _softmax_problem(num_classes, n, d)
+    _assert_bitwise_equal(softmax_loss_grad(w, b, x, y, 1e-3),
+                          _row_major_softmax_loss_grad(w, b, x, y, 1e-3))
+
+
+@pytest.mark.parametrize("as_labels", [
+    lambda y: y.astype(np.int64), lambda y: y.astype(np.int32),
+    lambda y: [int(v) for v in y]], ids=["int64", "int32", "list"])
+def test_softmax_grad_label_types(as_labels):
+    w, b, x, y = _softmax_problem(5, 101, 16, seed=1)
+    expected = _row_major_softmax_loss_grad(w, b, x, y, 1e-3)
+    _assert_bitwise_equal(softmax_loss_grad(w, b, x, as_labels(y), 1e-3),
+                          expected)
+
+
+def test_softmax_grad_leaves_inputs_alone():
+    w, b, x, y = _softmax_problem(5, 101, 16, seed=2)
+    before = [a.copy() for a in (w, b, x, y)]
+    softmax_loss_grad(w, b, x, y, 1e-3)
+    for arr, copy in zip((w, b, x, y), before):
+        assert np.array_equal(arr, copy)
+
+
+def test_training_bitwise_equals_row_major_gradient(monkeypatch):
+    rng = np.random.default_rng(4)
+    centers = 2.0 * rng.normal(size=(5, 16))
+    x = np.concatenate([c + rng.normal(size=(151, 16)) for c in centers])
+    ts = TrainSet(x, np.repeat(np.arange(5), 151), class_map=range(5))
+    config = OptimizerConfig(epochs=50)
+    got = train_logistic(ts, config)
+    monkeypatch.setattr(classifiers, "softmax_loss_grad",
+                        _row_major_softmax_loss_grad)
+    expected = train_logistic(ts, config)
+    assert got.loss_history == expected.loss_history
+    assert np.array_equal(got.weights, expected.weights)
+    assert np.array_equal(got.bias, expected.bias)
 
 
 # ----------------------------------------------------------------- prediction

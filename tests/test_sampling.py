@@ -42,6 +42,14 @@ def test_cholesky_gives_up_eventually():
         cholesky_psd(s, jitter=1e-6)
 
 
+def test_cholesky_accepts_rounding_level_asymmetry():
+    s = np.array([[4.0, 2.0], [2.0 * (1 + 1e-14), 3.0]])
+    assert not np.array_equal(s, s.T)
+    L, shift = cholesky_psd(s)
+    assert shift == 0.0
+    assert np.allclose(L @ L.T, s, atol=1e-12)
+
+
 def test_cholesky_input_validation():
     with pytest.raises(DataError):
         cholesky_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
