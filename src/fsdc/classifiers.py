@@ -20,29 +20,22 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DataError, DimensionError, DivergenceError, SpecError
-from .rng import PortableRng, derive_key
 from .sampling import cholesky_psd
-
-_DOM_SHUFFLE = 0x42
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Gradient descent settings; ``batch_size`` 0 means full batch."""
+    """Full-batch gradient descent settings."""
 
     learning_rate: float = 0.1
     epochs: int = 300
-    batch_size: int = 0
     l2: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.learning_rate > 0:
             raise SpecError("learning_rate must be positive")
         if self.epochs < 1:
             raise SpecError("epochs must be at least 1")
-        if self.batch_size < 0:
-            raise SpecError("batch_size must be 0 (full batch) or positive")
         if self.l2 < 0:
             raise SpecError("l2 must be non-negative")
 
@@ -169,32 +162,16 @@ def hinge_loss_grad(weights, bias, features, labels, l2):
 def _fit(train: TrainSet, config: OptimizerConfig, loss_grad, kind: str) -> LinearModel:
     x = train.features
     y = train.labels
-    n = x.shape[0]
     weights = np.zeros((train.num_classes, x.shape[1]))
     bias = np.zeros(train.num_classes)
     lr = config.learning_rate
-    batch = config.batch_size or n
-    shuffle_rng = None
-    if batch < n:
-        shuffle_rng = PortableRng(derive_key(config.seed, _DOM_SHUFFLE))
     history = []
     for epoch in range(config.epochs):
-        if batch >= n:
-            loss, grad_w, grad_b = loss_grad(weights, bias, x, y, config.l2)
-            _check_finite(loss, grad_w, grad_b, epoch)
-            weights = weights - lr * grad_w
-            bias = bias - lr * grad_b
-            history.append(loss)
-        else:
-            order = np.asarray(shuffle_rng.permutation_prefix(n, n))
-            for start in range(0, n, batch):
-                idx = order[start:start + batch]
-                loss, grad_w, grad_b = loss_grad(weights, bias, x[idx], y[idx],
-                                                 config.l2)
-                _check_finite(loss, grad_w, grad_b, epoch)
-                weights = weights - lr * grad_w
-                bias = bias - lr * grad_b
-            history.append(loss_grad(weights, bias, x, y, config.l2)[0])
+        loss, grad_w, grad_b = loss_grad(weights, bias, x, y, config.l2)
+        _check_finite(loss, grad_w, grad_b, epoch)
+        weights = weights - lr * grad_w
+        bias = bias - lr * grad_b
+        history.append(loss)
     return LinearModel(kind=kind, weights=weights, bias=bias,
                        loss_history=tuple(history))
 
@@ -206,7 +183,7 @@ def _check_finite(loss, grad_w, grad_b, epoch: int) -> None:
 
 
 def train_logistic(train: TrainSet, config: OptimizerConfig = OptimizerConfig()) -> LinearModel:
-    """Multinomial logistic regression by (mini)batch gradient descent."""
+    """Multinomial logistic regression by full-batch gradient descent."""
     # a diverging run can overflow exp or hit log(0) in its final epoch; the
     # finite check turns that into DivergenceError, so keep numpy quiet here
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

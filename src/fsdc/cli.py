@@ -53,9 +53,7 @@ _SETTINGS = {
     "sampler.jitter": ("jitter", float, 1e-6),
     "optimizer.learning_rate": ("learning_rate", float, 0.1),
     "optimizer.epochs": ("opt_epochs", int, 300),
-    "optimizer.batch_size": ("batch_size", int, 0),
     "optimizer.l2": ("l2", float, 1e-3),
-    "optimizer.seed": ("opt_seed", int, 0),
     "classifier": ("classifier", str, "logistic"),
     "ml_aggregate": ("ml_aggregate", str, "max"),
     "baseline": ("baseline", str, "none"),
@@ -64,7 +62,7 @@ _SETTINGS = {
 }
 
 _OPTIMIZER_KEYS = ("optimizer.learning_rate", "optimizer.epochs",
-                   "optimizer.batch_size", "optimizer.l2", "optimizer.seed")
+                   "optimizer.l2")
 
 
 def _check_config_value(key: str, value, expected):
@@ -156,9 +154,7 @@ def _pipeline_from(settings: dict) -> PipelineConfig:
         optimizer=OptimizerConfig(
             learning_rate=settings["optimizer.learning_rate"],
             epochs=settings["optimizer.epochs"],
-            batch_size=settings["optimizer.batch_size"],
-            l2=settings["optimizer.l2"],
-            seed=settings["optimizer.seed"]),
+            l2=settings["optimizer.l2"]),
         use_tukey=settings["use_tukey"],
         use_generation=settings["use_generation"],
         classifier=settings["classifier"],
@@ -245,13 +241,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_stats(args) -> int:
     settings, _ = _gather_settings(args)
-    ds = load_dataset(args.dataset, format=args.format)
-    split = load_split(args.split)
-    tukey = None
-    if settings["tukey_base"]:
-        tukey = TukeyParams(lam=settings["tukey.lambda"],
-                            log_epsilon=settings["tukey.log_epsilon"])
-    table = build_base_stats(ds, split, tukey=tukey)
+    _, _, table = _load_world(args, settings)
     save_stats(table, args.out)
     for cid in table.class_ids():
         print(f"class {cid}: {table.entry(cid).count} records")
@@ -334,17 +324,16 @@ def _cmd_project(args) -> int:
                         f"[0, {spec.num_episodes})")
     ep = sample_episode(ds, split, spec, args.episode_index)
     features, class_ids, roles = collect_episode_features(
-        ep, table, _pipeline_from(settings))
+        ep, table, _pipeline_from(settings), base_data=ds)
     coords = project_2d(features)
     lines = ["x,y,class_id,role"]
     for (x, y), cid, role in zip(coords, class_ids, roles):
         lines.append(f"{x:.6f},{y:.6f},{cid},{role}")
     atomic_write_text(args.out, "\n".join(lines) + "\n")
-    counts = {role: roles.count(role) for role in ("support", "query",
-                                                   "generated")}
+    summary = " / ".join(f"{roles.count(role)} {role}"
+                         for role in dict.fromkeys(roles))
     print(f"episode {args.episode_index}: classes {list(ep.class_ids)}, "
-          f"{counts['support']} support / {counts['query']} query / "
-          f"{counts['generated']} generated rows -> {args.out}")
+          f"{summary} rows -> {args.out}")
     return 0
 
 
@@ -406,10 +395,7 @@ def _add_pipeline_flags(parser):
                              "base features instead of generated ones")
     parser.add_argument("--lr", dest="learning_rate", type=float)
     parser.add_argument("--opt-epochs", dest="opt_epochs", type=int)
-    parser.add_argument("--batch-size", dest="batch_size", type=int,
-                        help="0 for full batch")
     parser.add_argument("--l2", dest="l2", type=float)
-    parser.add_argument("--opt-seed", dest="opt_seed", type=int)
     parser.add_argument("--workers", dest="workers", type=int,
                         help="episode worker processes "
                              "(default: FSDC_WORKERS or 1)")

@@ -31,7 +31,6 @@ from .transform import TukeyParams, tukey_transform
 _DOM_EPISODE: Final = 0x45
 _DOM_GEN: Final = 0x47
 _DOM_RETRIEVE: Final = 0x52
-_DOM_OPT: Final = 0x4D
 
 SWEEPABLE_PARAMS: Final = ("lambda", "k", "alpha", "num_generated", "nearest_m")
 
@@ -98,9 +97,7 @@ class PipelineConfig:
                         "jitter": self.sampler.jitter},
             "optimizer": {"learning_rate": self.optimizer.learning_rate,
                           "epochs": self.optimizer.epochs,
-                          "batch_size": self.optimizer.batch_size,
-                          "l2": self.optimizer.l2,
-                          "seed": self.optimizer.seed},
+                          "l2": self.optimizer.l2},
             "classifier": self.classifier,
             "ml_aggregate": self.ml_aggregate,
             "baseline": {"kind": self.baseline, "m": self.baseline_m},
@@ -190,26 +187,27 @@ def run_episode(ep: Episode, stats: BaseStatsTable, cfg: PipelineConfig,
         raise type(exc)(f"episode {ep.index}: {exc}") from exc
 
 
-def _run_episode(ep: Episode, stats: BaseStatsTable, cfg: PipelineConfig,
-                 base_data: Dataset | None) -> float:
-    support_x = ep.support_x
-    query_x = ep.query_x
-    if cfg.use_tukey:
-        support_x = tukey_transform(support_x, cfg.tukey)
-        query_x = tukey_transform(query_x, cfg.tukey)
+def _transformed(ep: Episode, cfg: PipelineConfig):
+    """The episode's support and query features in pipeline space."""
+    if not cfg.use_tukey:
+        return ep.support_x, ep.query_x
+    return (tukey_transform(ep.support_x, cfg.tukey),
+            tukey_transform(ep.query_x, cfg.tukey))
 
-    if cfg.classifier == "max_likelihood":
-        dists = calibrate_support_set(support_x, ep.support_y, stats, cfg.calib)
-        scorer = MaxLikelihoodScorer(dists, jitter=cfg.sampler.jitter,
-                                     aggregate=cfg.ml_aggregate)
-        predicted = scorer.classify(query_x)
-        return float((predicted == ep.query_y).mean())
 
-    feature_blocks = [support_x]
-    label_blocks = [ep.support_y]
+def _extra_rows(ep: Episode, support_x, stats: BaseStatsTable,
+                cfg: PipelineConfig, base_data: Dataset | None):
+    """The rows a classifier trains on besides the support set, and their
+    task labels.
+
+    These are ``baseline_m`` base rows retrieved per support feature under
+    the retrieval baseline, features drawn from the calibrated Gaussians
+    when generation is on, and no rows otherwise.
+    """
     if cfg.baseline == "nearest_class":
         if base_data is None:
             raise SpecError("the retrieval baseline needs the base dataset")
+        blocks = []
         for i in range(support_x.shape[0]):
             rng = PortableRng(derive_key(cfg.sampler.seed, _DOM_RETRIEVE,
                                          ep.index, i))
@@ -217,27 +215,31 @@ def _run_episode(ep: Episode, stats: BaseStatsTable, cfg: PipelineConfig,
                                                   stats, cfg.baseline_m, rng)
             if cfg.use_tukey:
                 raw = tukey_transform(raw, cfg.tukey)
-            feature_blocks.append(raw)
-            label_blocks.append(np.full(cfg.baseline_m, ep.support_y[i],
-                                        dtype=np.int64))
-    elif cfg.use_generation and cfg.sampler.total_per_class > 0:
+            blocks.append(raw)
+        return np.concatenate(blocks), np.repeat(ep.support_y, cfg.baseline_m)
+    if cfg.use_generation and cfg.sampler.total_per_class > 0:
         dists = calibrate_support_set(support_x, ep.support_y, stats, cfg.calib)
         sampler = replace(cfg.sampler,
                           seed=derive_key(cfg.sampler.seed, _DOM_GEN, ep.index))
-        generated_x, generated_y = sample_features(dists, sampler)
-        feature_blocks.append(generated_x)
-        label_blocks.append(generated_y)
+        return sample_features(dists, sampler)
+    return np.empty((0, support_x.shape[1])), np.empty(0, dtype=np.int64)
 
-    train = TrainSet(np.concatenate(feature_blocks),
-                     np.concatenate(label_blocks),
-                     class_map=ep.class_ids)
-    optimizer = replace(cfg.optimizer,
-                        seed=derive_key(cfg.optimizer.seed, _DOM_OPT, ep.index))
-    if cfg.classifier == "logistic":
-        model = train_logistic(train, optimizer)
+
+def _run_episode(ep: Episode, stats: BaseStatsTable, cfg: PipelineConfig,
+                 base_data: Dataset | None) -> float:
+    support_x, query_x = _transformed(ep, cfg)
+    if cfg.classifier == "max_likelihood":
+        dists = calibrate_support_set(support_x, ep.support_y, stats, cfg.calib)
+        scorer = MaxLikelihoodScorer(dists, jitter=cfg.sampler.jitter,
+                                     aggregate=cfg.ml_aggregate)
+        predicted = scorer.classify(query_x)
     else:
-        model = train_svm(train, optimizer)
-    predicted = predict(model, query_x)
+        extra_x, extra_y = _extra_rows(ep, support_x, stats, cfg, base_data)
+        train = TrainSet(np.concatenate([support_x, extra_x]),
+                         np.concatenate([ep.support_y, extra_y]),
+                         class_map=ep.class_ids)
+        fit = train_logistic if cfg.classifier == "logistic" else train_svm
+        predicted = predict(fit(train, cfg.optimizer), query_x)
     return float((predicted == ep.query_y).mean())
 
 
@@ -325,32 +327,24 @@ def sweep(ds: Dataset, split: SplitManifest, stats: BaseStatsTable,
 
 
 def collect_episode_features(ep: Episode, stats: BaseStatsTable,
-                             cfg: PipelineConfig):
+                             cfg: PipelineConfig,
+                             base_data: Dataset | None = None):
     """Gather one episode's features in pipeline space for inspection.
 
-    Returns ``(features, class_ids, roles)``: stacked support, query, and
-    generated rows (transformed when the pipeline transforms), the original
-    class id of each row, and a role string per row ("support", "query",
-    "generated").
+    Returns ``(features, class_ids, roles)``: the stacked support, query and
+    extra rows that :func:`run_episode` uses, the original class id of each
+    row, and a role string per row ("support", "query", and "retrieved"
+    under the retrieval baseline or "generated" otherwise).  ``base_data``
+    is only required for the retrieval baseline.
     """
-    support_x = ep.support_x
-    query_x = ep.query_x
-    if cfg.use_tukey:
-        support_x = tukey_transform(support_x, cfg.tukey)
-        query_x = tukey_transform(query_x, cfg.tukey)
-    class_map = np.asarray(ep.class_ids, dtype=np.int64)
-    blocks = [support_x, query_x]
-    ids = [class_map[ep.support_y], class_map[ep.query_y]]
-    roles = ["support"] * support_x.shape[0] + ["query"] * query_x.shape[0]
-    if cfg.use_generation and cfg.sampler.total_per_class > 0:
-        dists = calibrate_support_set(support_x, ep.support_y, stats, cfg.calib)
-        sampler = replace(cfg.sampler,
-                          seed=derive_key(cfg.sampler.seed, _DOM_GEN, ep.index))
-        generated_x, generated_y = sample_features(dists, sampler)
-        blocks.append(generated_x)
-        ids.append(class_map[generated_y])
-        roles.extend(["generated"] * generated_x.shape[0])
-    return np.concatenate(blocks), np.concatenate(ids), roles
+    support_x, query_x = _transformed(ep, cfg)
+    extra_x, extra_y = _extra_rows(ep, support_x, stats, cfg, base_data)
+    extra_role = "retrieved" if cfg.baseline == "nearest_class" else "generated"
+    roles = (["support"] * support_x.shape[0] + ["query"] * query_x.shape[0]
+             + [extra_role] * extra_x.shape[0])
+    labels = np.concatenate([ep.support_y, ep.query_y, extra_y])
+    return (np.concatenate([support_x, query_x, extra_x]),
+            np.asarray(ep.class_ids, dtype=np.int64)[labels], roles)
 
 
 def project_2d(features) -> np.ndarray:

@@ -59,14 +59,6 @@ def test_full_batch_loss_is_monotone_at_small_lr():
     assert np.all(np.diff(losses) <= 1e-12)
 
 
-def test_minibatch_training_runs():
-    ts = blobs(7)
-    model = train_logistic(ts, OptimizerConfig(epochs=40, batch_size=16))
-    acc = (predict(model, ts.features) == ts.labels).mean()
-    assert acc > 0.95
-    assert len(model.loss_history) == 40
-
-
 def test_divergence_is_reported_with_epoch():
     ts = blobs(1)
     with pytest.raises(DivergenceError, match="epoch"):
@@ -249,8 +241,6 @@ def test_optimizer_config_validation():
         OptimizerConfig(learning_rate=0.0)
     with pytest.raises(SpecError):
         OptimizerConfig(epochs=0)
-    with pytest.raises(SpecError):
-        OptimizerConfig(batch_size=-1)
 
 
 # --------------------------------------------------------------- max likelihood

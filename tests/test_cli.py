@@ -225,20 +225,25 @@ def test_sweep_num_generated_accepts_zero(world, tmp_path):
 
 # -------------------------------------------------------------------- project
 
-def test_project_row_accounting(world, tmp_path):
+@pytest.mark.parametrize("extra, role, count", [
+    ((), "generated", 2 * 25),
+    (("--baseline", "nearest:4"), "retrieved", 2 * 4),
+], ids=["generated", "retrieved"])
+def test_project_row_accounting(world, tmp_path, capsys, extra, role, count):
     out = str(tmp_path / "proj.csv")
     rc = main(["project", "--dataset", world["dataset"], "--split",
                world["split"], "--episodes", "4", "--n-way", "2",
                "--queries", "6", "--num-generated", "25",
-               "--episode-index", "1", "--out", out])
+               "--episode-index", "1", "--out", out, *extra])
     assert rc == 0
     lines = open(out).read().strip().splitlines()
     assert lines[0] == "x,y,class_id,role"
-    assert len(lines) == 1 + 2 + 12 + 2 * 25
+    assert len(lines) == 1 + 2 + 12 + count
     roles = [line.split(",")[3] for line in lines[1:]]
     assert roles.count("support") == 2
     assert roles.count("query") == 12
-    assert roles.count("generated") == 50
+    assert roles.count(role) == count
+    assert f"2 support / 12 query / {count} {role} rows" in capsys.readouterr().out
 
 
 def test_project_index_out_of_range(world, tmp_path, capsys):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from fsdc.classifiers import OptimizerConfig
+from fsdc.classifiers import OptimizerConfig, train_logistic
 from fsdc.errors import (DataError, DimensionError, EpisodeError, SpecError)
 from fsdc.features_io import Dataset, SplitManifest, SyntheticSpec, generate_synthetic
 from fsdc.harness import (Episode, EpisodeSpec, EvalReport, PipelineConfig,
-                          apply_sweep_value, evaluate, project_2d, run_episode,
-                          sample_episode, sweep)
+                          apply_sweep_value, collect_episode_features,
+                          evaluate, project_2d, run_episode, sample_episode,
+                          sweep)
 from fsdc.sampling import SamplerConfig
 from fsdc.stats import build_base_stats
 from fsdc.transform import TukeyParams
@@ -132,6 +133,37 @@ def test_retrieval_baseline_runs():
     cfg = quick_cfg(baseline="nearest_class", baseline_m=5)
     acc = run_episode(ep, stats, cfg, base_data=ds)
     assert 0.0 <= acc <= 1.0
+
+
+@pytest.mark.parametrize("kw, k_shot", [
+    ({}, 1),
+    ({"use_generation": False}, 1),
+    ({"baseline": "nearest_class", "baseline_m": 3}, 1),
+    ({}, 2),
+], ids=["default", "no_generation", "retrieval", "two_shot"])
+def test_classifier_trains_on_the_collected_rows(monkeypatch, kw, k_shot):
+    # run_episode and collect_episode_features share one pipeline: the
+    # classifier sees exactly the support and non-query collected rows
+    ds, split, stats = make_world(num_classes=15)
+    spec = EpisodeSpec(n_way=3, k_shot=k_shot, q_queries=4, num_episodes=1,
+                       seed=2)
+    ep = sample_episode(ds, split, spec, 0)
+    cfg = quick_cfg(**kw)
+    seen = []
+
+    def capture(train, config):
+        seen.append(train)
+        return train_logistic(train, config)
+
+    monkeypatch.setattr("fsdc.harness.train_logistic", capture)
+    run_episode(ep, stats, cfg, base_data=ds)
+    features, class_ids, roles = collect_episode_features(ep, stats, cfg,
+                                                          base_data=ds)
+    trained = np.array([role != "query" for role in roles])
+    (train,) = seen
+    assert np.array_equal(train.features, features[trained])
+    assert np.array_equal(np.asarray(train.class_map)[train.labels],
+                          class_ids[trained])
 
 
 def test_pipeline_config_validation():
