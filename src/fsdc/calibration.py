@@ -7,9 +7,7 @@ then has
     mean       = (sum of neighbor means + x) / (k + 1)
     covariance = (sum of neighbor covariances) / k, plus a spread constant
 
-The spread constant alpha is added to every element of the covariance by
-default; ``alpha_diagonal`` restricts it to the diagonal, which keeps the
-matrix closer to the raw average but loosens inter-feature coupling less.
+The spread constant alpha is added to every element of the covariance.
 One calibrated distribution is produced per support feature, so a class with
 K shots contributes K distributions.
 """
@@ -33,7 +31,6 @@ class CalibrationParams:
     k: int = 2
     alpha: float = 0.21
     use_novel_feature: bool = True
-    alpha_diagonal: bool = False
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -99,12 +96,7 @@ def calibrate(x, table: BaseStatsTable, params: CalibrationParams,
         mean = (mean_sum + xv) / (params.k + 1)
     else:
         mean = mean_sum / params.k
-    cov = cov_sum / params.k
-    if params.alpha_diagonal:
-        cov = cov.copy()
-        np.fill_diagonal(cov, np.diag(cov) + params.alpha)
-    else:
-        cov = cov + params.alpha
+    cov = cov_sum / params.k + params.alpha
     return CalibratedDistribution(mean=mean, covariance=cov,
                                  source_support_index=source_index,
                                  neighbor_class_ids=tuple(neighbors))

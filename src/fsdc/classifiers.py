@@ -215,18 +215,14 @@ class MaxLikelihoodScorer:
     """Classify queries by Gaussian log-density under calibrated
     distributions, no training involved.
 
-    A class with several distributions aggregates their log densities with
-    ``max`` (default) or ``mean``.  Ties go to the lowest label because
-    labels are scored in ascending order.
+    A class with several distributions scores the largest of their log
+    densities.  Ties go to the lowest label because labels are scored in
+    ascending order.
     """
 
-    def __init__(self, distributions, jitter: float = 1e-6,
-                 aggregate: str = "max") -> None:
-        if aggregate not in ("max", "mean"):
-            raise SpecError(f"unknown aggregate {aggregate!r}")
+    def __init__(self, distributions, jitter: float = 1e-6) -> None:
         if not distributions:
             raise SpecError("no distributions to score against")
-        self.aggregate = aggregate
         self.labels = sorted(int(label) for label in distributions)
         self._per_label = []
         for label in self.labels:
@@ -242,7 +238,7 @@ class MaxLikelihoodScorer:
         self.dim = self._per_label[0][0][0].shape[0]
 
     def log_densities(self, features) -> np.ndarray:
-        """(n, num_labels) matrix of aggregated log densities."""
+        """(n, num_labels) matrix of per-class best log densities."""
         x = np.asarray(features, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise DimensionError("query features do not match the distributions")
@@ -254,10 +250,7 @@ class MaxLikelihoodScorer:
                 z = solve_triangular(factor, (x - mean).T, lower=True)
                 quad = (z * z).sum(axis=0)
                 scores[:, j] = const - 0.5 * log_det - 0.5 * quad
-            if self.aggregate == "max":
-                columns.append(scores.max(axis=1))
-            else:
-                columns.append(scores.mean(axis=1))
+            columns.append(scores.max(axis=1))
         return np.stack(columns, axis=1)
 
     def classify(self, features) -> np.ndarray:
@@ -268,13 +261,12 @@ class MaxLikelihoodScorer:
         return label_array[picks]
 
 
-def max_likelihood_classify(x, distributions, jitter: float = 1e-6,
-                            aggregate: str = "max"):
+def max_likelihood_classify(x, distributions, jitter: float = 1e-6):
     """Label of the distribution family most likely to have produced ``x``.
 
     A 1-D input yields an int, a 2-D input an int64 array.
     """
-    scorer = MaxLikelihoodScorer(distributions, jitter=jitter, aggregate=aggregate)
+    scorer = MaxLikelihoodScorer(distributions, jitter=jitter)
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
         return int(scorer.classify(arr[None, :])[0])

@@ -20,61 +20,65 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
-from .classifiers import OptimizerConfig
-from .calibration import CalibrationParams
 from .errors import FsdcError, SpecError
 from .features_io import (SyntheticSpec, atomic_write_text, generate_synthetic,
                           load_dataset, load_split, save_dataset, save_split)
 from .harness import (EpisodeSpec, PipelineConfig, SWEEPABLE_PARAMS,
-                      collect_episode_features, evaluate, project_2d,
-                      sample_episode, sweep)
-from .sampling import SamplerConfig
+                      apply_sweep_value, collect_episode_features, evaluate,
+                      project_2d, sample_episode, sweep)
 from .stats import build_base_stats, class_similarity, load_stats, save_stats
-from .transform import TukeyParams
 
-# dotted config key -> (argparse dest, expected type, default)
+# dotted config key -> (flag, what the flag takes, help).  What the flag
+# takes is a type, a tuple of choices, or the value a switch flag stores.
+# The key names a field of EpisodeSpec ("episode.") or of PipelineConfig
+# and its nested dataclasses, which hold every default; "tukey_base" and
+# "workers" belong to the command line alone.
 _SETTINGS = {
-    "episode.n_way": ("n_way", int, 5),
-    "episode.k_shot": ("k_shot", int, 1),
-    "episode.q_queries": ("q_queries", int, 15),
-    "episode.num_episodes": ("num_episodes", int, 2000),
-    "episode.seed": ("episode_seed", int, 42),
-    "use_tukey": ("use_tukey", bool, True),
-    "tukey.lambda": ("lam", float, 0.5),
-    "tukey.log_epsilon": ("log_epsilon", float, 1e-6),
-    "calib.k": ("k", int, 2),
-    "calib.alpha": ("alpha", float, 0.21),
-    "calib.use_novel_feature": ("use_novel_feature", bool, True),
-    "calib.alpha_diagonal": ("alpha_diagonal", bool, False),
-    "use_generation": ("use_generation", bool, True),
-    "sampler.total_per_class": ("num_generated", int, 750),
-    "sampler.seed": ("sample_seed", int, 0),
-    "sampler.jitter": ("jitter", float, 1e-6),
-    "optimizer.learning_rate": ("learning_rate", float, 0.1),
-    "optimizer.epochs": ("opt_epochs", int, 300),
-    "optimizer.l2": ("l2", float, 1e-3),
-    "classifier": ("classifier", str, "logistic"),
-    "ml_aggregate": ("ml_aggregate", str, "max"),
-    "baseline": ("baseline", str, "none"),
-    "tukey_base": ("tukey_base", bool, False),
-    "workers": ("workers", int, None),
+    "episode.n_way": ("--n-way", int, None),
+    "episode.k_shot": ("--k-shot", int, None),
+    "episode.q_queries": ("--queries", int, None),
+    "episode.num_episodes": ("--episodes", int, None),
+    "episode.seed": ("--seed", int, "episode sampling seed"),
+    "tukey.lambda": ("--lambda", float, "transform exponent"),
+    "tukey.log_epsilon": ("--log-epsilon", float, None),
+    "use_tukey": ("--no-tukey", False, "skip the power transform"),
+    "tukey_base": ("--tukey-base", True, "apply the transform to base "
+                   "features before computing statistics"),
+    "calib.k": ("--k", int, "number of borrowed base classes"),
+    "calib.alpha": ("--alpha", float, "covariance spread constant"),
+    "calib.use_novel_feature": ("--no-novel-feature", False,
+                                "calibrate means from base classes alone"),
+    "sampler.total_per_class": ("--num-generated", int,
+                                "generated features per class"),
+    "use_generation": ("--no-generation", False,
+                       "train on support features only"),
+    "sampler.seed": ("--sample-seed", int, None),
+    "sampler.jitter": ("--jitter", float, None),
+    "classifier": ("--classifier", ("logistic", "svm", "max_likelihood"),
+                   None),
+    "baseline": ("--baseline", str, "'none' or 'nearest:<m>' to train on "
+                 "retrieved base features instead of generated ones"),
+    "optimizer.learning_rate": ("--lr", float, None),
+    "optimizer.epochs": ("--opt-epochs", int, None),
+    "optimizer.l2": ("--l2", float, None),
+    "workers": ("--workers", int,
+                "episode worker processes (default: FSDC_WORKERS or 1)"),
 }
 
-_OPTIMIZER_KEYS = ("optimizer.learning_rate", "optimizer.epochs",
-                   "optimizer.l2")
 
-
-def _check_config_value(key: str, value, expected):
-    if expected is bool:
+def _check_config_value(key: str, value):
+    takes = _SETTINGS[key][1]
+    if isinstance(takes, bool):
         if not isinstance(value, bool):
             raise SpecError(f"config key {key!r} must be true or false")
         return value
-    if expected is int:
+    if takes is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise SpecError(f"config key {key!r} must be an integer")
         return value
-    if expected is float:
+    if takes is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SpecError(f"config key {key!r} must be a number")
         return float(value)
@@ -95,35 +99,19 @@ def _load_config(path) -> dict:
     for key, value in payload.items():
         if key not in _SETTINGS:
             raise SpecError(f"unknown config key {key!r}")
-        out[key] = _check_config_value(key, value, _SETTINGS[key][1])
+        out[key] = _check_config_value(key, value)
     return out
 
 
-def _gather_settings(args) -> tuple[dict, set]:
-    """Defaults, then config file, then flags.  Also returns the set of keys
-    that were explicitly provided by either source."""
-    settings = {key: spec[2] for key, spec in _SETTINGS.items()}
-    explicit = set()
-    if getattr(args, "config", None):
-        for key, value in _load_config(args.config).items():
-            settings[key] = value
-            explicit.add(key)
-    for key, (dest, _, _) in _SETTINGS.items():
-        value = getattr(args, dest, None)
+def _gather_settings(args) -> dict:
+    """The explicitly set keys: the config file's, then the flags', which
+    win.  Keys set by neither are absent and keep their dataclass default."""
+    settings = _load_config(args.config) if args.config else {}
+    for key in _SETTINGS:
+        value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-            explicit.add(key)
-    # negative flags override their positive setting
-    if getattr(args, "no_tukey", None):
-        settings["use_tukey"] = False
-        explicit.add("use_tukey")
-    if getattr(args, "no_generation", None):
-        settings["use_generation"] = False
-        explicit.add("use_generation")
-    if getattr(args, "no_novel_feature", None):
-        settings["calib.use_novel_feature"] = False
-        explicit.add("calib.use_novel_feature")
-    return settings, explicit
+    return settings
 
 
 def _parse_baseline(text: str) -> tuple[str, int]:
@@ -139,41 +127,33 @@ def _parse_baseline(text: str) -> tuple[str, int]:
     raise SpecError(f"unknown baseline {text!r}; use 'none' or 'nearest:<m>'")
 
 
-def _pipeline_from(settings: dict) -> PipelineConfig:
-    kind, m = _parse_baseline(settings["baseline"])
-    return PipelineConfig(
-        tukey=TukeyParams(lam=settings["tukey.lambda"],
-                          log_epsilon=settings["tukey.log_epsilon"]),
-        calib=CalibrationParams(
-            k=settings["calib.k"], alpha=settings["calib.alpha"],
-            use_novel_feature=settings["calib.use_novel_feature"],
-            alpha_diagonal=settings["calib.alpha_diagonal"]),
-        sampler=SamplerConfig(total_per_class=settings["sampler.total_per_class"],
-                              seed=settings["sampler.seed"],
-                              jitter=settings["sampler.jitter"]),
-        optimizer=OptimizerConfig(
-            learning_rate=settings["optimizer.learning_rate"],
-            epochs=settings["optimizer.epochs"],
-            l2=settings["optimizer.l2"]),
-        use_tukey=settings["use_tukey"],
-        use_generation=settings["use_generation"],
-        classifier=settings["classifier"],
-        ml_aggregate=settings["ml_aggregate"],
-        baseline=kind,
-        baseline_m=m,
-    )
+def _configs(settings: dict) -> tuple[EpisodeSpec, PipelineConfig]:
+    """``EpisodeSpec()`` and ``PipelineConfig()`` with the settings applied.
 
-
-def _episode_from(settings: dict) -> EpisodeSpec:
-    return EpisodeSpec(n_way=settings["episode.n_way"],
-                       k_shot=settings["episode.k_shot"],
-                       q_queries=settings["episode.q_queries"],
-                       num_episodes=settings["episode.num_episodes"],
-                       seed=settings["episode.seed"])
+    Key ``episode.name`` sets field ``name`` of the episode spec, key
+    ``section.name`` field ``name`` of the config's nested dataclass
+    ``section`` (``tukey.lambda`` sets ``lam``), and a key without a dot a
+    field of the config itself.
+    """
+    fields: dict[str, dict] = {}
+    for key, value in settings.items():
+        if key in ("tukey_base", "workers"):
+            continue
+        section, _, name = key.rpartition(".")
+        name = "lam" if name == "lambda" else name
+        fields.setdefault(section, {})[name] = value
+    top = fields.pop("", {})
+    if "baseline" in top:
+        top["baseline"], top["baseline_m"] = _parse_baseline(top["baseline"])
+    spec = replace(EpisodeSpec(), **fields.pop("episode", {}))
+    cfg = PipelineConfig()
+    nested = {name: replace(getattr(cfg, name), **fields.get(name, {}))
+              for name in ("tukey", "calib", "sampler", "optimizer")}
+    return spec, replace(cfg, **nested, **top)
 
 
 def _resolve_workers(settings: dict) -> int:
-    if settings["workers"] is not None:
+    if settings.get("workers") is not None:
         count = settings["workers"]
     else:
         env = os.environ.get("FSDC_WORKERS", "").strip()
@@ -190,27 +170,28 @@ def _resolve_workers(settings: dict) -> int:
     return count
 
 
-def _warn_ignored_optimizer(settings: dict, explicit: set) -> None:
-    if settings["classifier"] != "max_likelihood":
+def _warn_ignored_optimizer(settings: dict) -> None:
+    if settings.get("classifier") != "max_likelihood":
         return
-    ignored = sorted(key for key in _OPTIMIZER_KEYS if key in explicit)
+    ignored = sorted(key for key in settings if key.startswith("optimizer."))
     if ignored:
         print(f"warning: {', '.join(ignored)} ignored with the "
               f"max_likelihood classifier", file=sys.stderr)
 
 
-def _load_world(args, settings):
+def _base_table(args, settings, ds, split, cfg):
+    """The ``--stats`` table, or one built from the base classes, in the
+    space ``cfg.tukey`` transforms to under ``tukey_base``."""
+    if getattr(args, "stats", None):
+        return load_stats(args.stats)
+    tukey = cfg.tukey if settings.get("tukey_base") else None
+    return build_base_stats(ds, split, tukey=tukey)
+
+
+def _load_world(args, settings, cfg):
     ds = load_dataset(args.dataset, format=args.format)
     split = load_split(args.split)
-    if getattr(args, "stats", None):
-        table = load_stats(args.stats)
-    else:
-        tukey = None
-        if settings["tukey_base"]:
-            tukey = TukeyParams(lam=settings["tukey.lambda"],
-                                log_epsilon=settings["tukey.log_epsilon"])
-        table = build_base_stats(ds, split, tukey=tukey)
-    return ds, split, table
+    return ds, split, _base_table(args, settings, ds, split, cfg)
 
 
 # ------------------------------------------------------------------- commands
@@ -240,8 +221,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    settings, _ = _gather_settings(args)
-    _, _, table = _load_world(args, settings)
+    settings = _gather_settings(args)
+    _, cfg = _configs(settings)
+    _, _, table = _load_world(args, settings, cfg)
     save_stats(table, args.out)
     for cid in table.class_ids():
         print(f"class {cid}: {table.entry(cid).count} records")
@@ -261,11 +243,11 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    settings, explicit = _gather_settings(args)
-    _warn_ignored_optimizer(settings, explicit)
-    ds, split, table = _load_world(args, settings)
-    report = evaluate(ds, split, table, _episode_from(settings),
-                      _pipeline_from(settings),
+    settings = _gather_settings(args)
+    _warn_ignored_optimizer(settings)
+    spec, cfg = _configs(settings)
+    ds, split, table = _load_world(args, settings, cfg)
+    report = evaluate(ds, split, table, spec, cfg,
                       workers=_resolve_workers(settings))
     print(f"accuracy: {100 * report.mean_accuracy:.2f}% "
           f"± {100 * report.ci95:.2f}% "
@@ -291,13 +273,26 @@ def _parse_sweep_values(param: str, text: str):
 
 
 def _cmd_sweep(args) -> int:
-    settings, explicit = _gather_settings(args)
-    _warn_ignored_optimizer(settings, explicit)
+    settings = _gather_settings(args)
+    _warn_ignored_optimizer(settings)
     values = _parse_sweep_values(args.param, args.values)
-    ds, split, table = _load_world(args, settings)
-    results = sweep(ds, split, table, _episode_from(settings),
-                    _pipeline_from(settings), args.param, values,
-                    workers=_resolve_workers(settings))
+    spec, cfg = _configs(settings)
+    ds = load_dataset(args.dataset, format=args.format)
+    split = load_split(args.split)
+    workers = _resolve_workers(settings)
+    if (args.param == "lambda" and settings.get("tukey_base")
+            and not args.stats):
+        # a table built in the transformed space follows the swept exponent
+        results = []
+        for value in values:
+            table = _base_table(args, settings, ds, split,
+                                apply_sweep_value(cfg, "lambda", value))
+            results += sweep(ds, split, table, spec, cfg, "lambda", [value],
+                             workers=workers)
+    else:
+        table = _base_table(args, settings, ds, split, cfg)
+        results = sweep(ds, split, table, spec, cfg, args.param, values,
+                        workers=workers)
     csv_lines = ["value,mean_accuracy,ci95"]
     payload = []
     for value, report in results:
@@ -316,15 +311,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    settings, _ = _gather_settings(args)
-    ds, split, table = _load_world(args, settings)
-    spec = _episode_from(settings)
+    settings = _gather_settings(args)
+    spec, cfg = _configs(settings)
+    ds, split, table = _load_world(args, settings, cfg)
     if not 0 <= args.episode_index < spec.num_episodes:
         raise SpecError(f"episode index {args.episode_index} outside "
                         f"[0, {spec.num_episodes})")
     ep = sample_episode(ds, split, spec, args.episode_index)
     features, class_ids, roles = collect_episode_features(
-        ep, table, _pipeline_from(settings), base_data=ds)
+        ep, table, cfg, base_data=ds)
     coords = project_2d(features)
     lines = ["x,y,class_id,role"]
     for (x, y), cid, role in zip(coords, class_ids, roles):
@@ -350,55 +345,17 @@ def _add_io_flags(parser, stats_input=True):
     parser.add_argument("--config", help="JSON config file with dotted keys")
 
 
-def _add_episode_flags(parser):
-    parser.add_argument("--n-way", dest="n_way", type=int)
-    parser.add_argument("--k-shot", dest="k_shot", type=int)
-    parser.add_argument("--queries", dest="q_queries", type=int)
-    parser.add_argument("--episodes", dest="num_episodes", type=int)
-    parser.add_argument("--seed", dest="episode_seed", type=int,
-                        help="episode sampling seed")
-
-
-def _add_pipeline_flags(parser):
-    parser.add_argument("--lambda", dest="lam", type=float,
-                        help="transform exponent")
-    parser.add_argument("--log-epsilon", dest="log_epsilon", type=float)
-    parser.add_argument("--no-tukey", dest="no_tukey", action="store_const",
-                        const=True, help="skip the power transform")
-    parser.add_argument("--tukey-base", dest="tukey_base",
-                        action="store_const", const=True,
-                        help="apply the transform to base features before "
-                             "computing statistics")
-    parser.add_argument("--k", dest="k", type=int,
-                        help="number of borrowed base classes")
-    parser.add_argument("--alpha", dest="alpha", type=float,
-                        help="covariance spread constant")
-    parser.add_argument("--alpha-diagonal", dest="alpha_diagonal",
-                        action="store_const", const=True,
-                        help="add alpha to the diagonal only")
-    parser.add_argument("--no-novel-feature", dest="no_novel_feature",
-                        action="store_const", const=True,
-                        help="calibrate means from base classes alone")
-    parser.add_argument("--num-generated", dest="num_generated", type=int,
-                        help="generated features per class")
-    parser.add_argument("--no-generation", dest="no_generation",
-                        action="store_const", const=True,
-                        help="train on support features only")
-    parser.add_argument("--sample-seed", dest="sample_seed", type=int)
-    parser.add_argument("--jitter", dest="jitter", type=float)
-    parser.add_argument("--classifier", dest="classifier",
-                        choices=("logistic", "svm", "max_likelihood"))
-    parser.add_argument("--ml-aggregate", dest="ml_aggregate",
-                        choices=("max", "mean"))
-    parser.add_argument("--baseline", dest="baseline",
-                        help="'none' or 'nearest:<m>' to train on retrieved "
-                             "base features instead of generated ones")
-    parser.add_argument("--lr", dest="learning_rate", type=float)
-    parser.add_argument("--opt-epochs", dest="opt_epochs", type=int)
-    parser.add_argument("--l2", dest="l2", type=float)
-    parser.add_argument("--workers", dest="workers", type=int,
-                        help="episode worker processes "
-                             "(default: FSDC_WORKERS or 1)")
+def _add_setting_flags(parser, keys=tuple(_SETTINGS)):
+    """One flag per settings key, with the key as its destination."""
+    for key in keys:
+        flag, takes, help_text = _SETTINGS[key]
+        if isinstance(takes, bool):
+            parser.add_argument(flag, dest=key, action="store_const",
+                                const=takes, help=help_text)
+        elif isinstance(takes, tuple):
+            parser.add_argument(flag, dest=key, choices=takes, help=help_text)
+        else:
+            parser.add_argument(flag, dest=key, type=takes, help=help_text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -426,23 +383,19 @@ def _build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--out", required=True, help="output statistics path")
     stats.add_argument("--similarity-report", dest="similarity_report",
                        help="also write pairwise class similarities (CSV)")
-    stats.add_argument("--tukey-base", dest="tukey_base",
-                       action="store_const", const=True)
-    stats.add_argument("--lambda", dest="lam", type=float)
-    stats.add_argument("--log-epsilon", dest="log_epsilon", type=float)
+    _add_setting_flags(stats, ("tukey_base", "tukey.lambda",
+                               "tukey.log_epsilon"))
     stats.set_defaults(func=_cmd_stats)
 
     ev = sub.add_parser("eval", help="episodic evaluation")
     _add_io_flags(ev)
-    _add_episode_flags(ev)
-    _add_pipeline_flags(ev)
+    _add_setting_flags(ev)
     ev.add_argument("--out", help="write the full report (JSON)")
     ev.set_defaults(func=_cmd_eval)
 
     sw = sub.add_parser("sweep", help="evaluate one parameter across values")
     _add_io_flags(sw)
-    _add_episode_flags(sw)
-    _add_pipeline_flags(sw)
+    _add_setting_flags(sw)
     sw.add_argument("--param", required=True, choices=SWEEPABLE_PARAMS)
     sw.add_argument("--values", required=True,
                     help="comma-separated list, e.g. 0.2,0.5,1.0")
@@ -451,8 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     proj = sub.add_parser("project", help="2-D projection of one episode")
     _add_io_flags(proj)
-    _add_episode_flags(proj)
-    _add_pipeline_flags(proj)
+    _add_setting_flags(proj)
     proj.add_argument("--episode-index", dest="episode_index", type=int,
                       default=0)
     proj.add_argument("--out", required=True, help="output CSV path")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Final
 
 import numpy as np
@@ -51,9 +51,7 @@ class EpisodeSpec:
                 raise SpecError(f"{name} must be at least 1")
 
     def to_payload(self) -> dict:
-        return {"n_way": self.n_way, "k_shot": self.k_shot,
-                "q_queries": self.q_queries, "num_episodes": self.num_episodes,
-                "seed": self.seed}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -67,15 +65,12 @@ class PipelineConfig:
     use_tukey: bool = True
     use_generation: bool = True
     classifier: str = "logistic"
-    ml_aggregate: str = "max"
     baseline: str = "none"
     baseline_m: int = 1
 
     def __post_init__(self) -> None:
         if self.classifier not in ("logistic", "svm", "max_likelihood"):
             raise SpecError(f"unknown classifier {self.classifier!r}")
-        if self.ml_aggregate not in ("max", "mean"):
-            raise SpecError(f"unknown aggregate {self.ml_aggregate!r}")
         if self.baseline not in ("none", "nearest_class"):
             raise SpecError(f"unknown baseline {self.baseline!r}")
         if self.baseline_m < 1:
@@ -84,24 +79,12 @@ class PipelineConfig:
             raise SpecError("the retrieval baseline needs a trained classifier")
 
     def to_payload(self) -> dict:
-        return {
-            "use_tukey": self.use_tukey,
-            "tukey": {"lam": self.tukey.lam,
-                      "log_epsilon": self.tukey.log_epsilon},
-            "calib": {"k": self.calib.k, "alpha": self.calib.alpha,
-                      "use_novel_feature": self.calib.use_novel_feature,
-                      "alpha_diagonal": self.calib.alpha_diagonal},
-            "use_generation": self.use_generation,
-            "sampler": {"total_per_class": self.sampler.total_per_class,
-                        "seed": self.sampler.seed,
-                        "jitter": self.sampler.jitter},
-            "optimizer": {"learning_rate": self.optimizer.learning_rate,
-                          "epochs": self.optimizer.epochs,
-                          "l2": self.optimizer.l2},
-            "classifier": self.classifier,
-            "ml_aggregate": self.ml_aggregate,
-            "baseline": {"kind": self.baseline, "m": self.baseline_m},
-        }
+        """Every field under its own name, nested dataclasses as objects,
+        except that the baseline is one ``{"kind", "m"}`` object."""
+        payload = asdict(self)
+        payload["baseline"] = {"kind": payload["baseline"],
+                               "m": payload.pop("baseline_m")}
+        return payload
 
 
 @dataclass(frozen=True)
@@ -202,7 +185,8 @@ def _extra_rows(ep: Episode, support_x, stats: BaseStatsTable,
 
     These are ``baseline_m`` base rows retrieved per support feature under
     the retrieval baseline, features drawn from the calibrated Gaussians
-    when generation is on, and no rows otherwise.
+    when generation is on and the classifier is trained, and no rows
+    otherwise: the max-likelihood scorer trains on nothing.
     """
     if cfg.baseline == "nearest_class":
         if base_data is None:
@@ -217,7 +201,8 @@ def _extra_rows(ep: Episode, support_x, stats: BaseStatsTable,
                 raw = tukey_transform(raw, cfg.tukey)
             blocks.append(raw)
         return np.concatenate(blocks), np.repeat(ep.support_y, cfg.baseline_m)
-    if cfg.use_generation and cfg.sampler.total_per_class > 0:
+    if (cfg.use_generation and cfg.sampler.total_per_class > 0
+            and cfg.classifier != "max_likelihood"):
         dists = calibrate_support_set(support_x, ep.support_y, stats, cfg.calib)
         sampler = replace(cfg.sampler,
                           seed=derive_key(cfg.sampler.seed, _DOM_GEN, ep.index))
@@ -230,8 +215,7 @@ def _run_episode(ep: Episode, stats: BaseStatsTable, cfg: PipelineConfig,
     support_x, query_x = _transformed(ep, cfg)
     if cfg.classifier == "max_likelihood":
         dists = calibrate_support_set(support_x, ep.support_y, stats, cfg.calib)
-        scorer = MaxLikelihoodScorer(dists, jitter=cfg.sampler.jitter,
-                                     aggregate=cfg.ml_aggregate)
+        scorer = MaxLikelihoodScorer(dists, jitter=cfg.sampler.jitter)
         predicted = scorer.classify(query_x)
     else:
         extra_x, extra_y = _extra_rows(ep, support_x, stats, cfg, base_data)

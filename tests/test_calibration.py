@@ -76,13 +76,6 @@ def test_calibrate_alpha_adds_to_every_element():
     assert np.allclose(d.covariance, [[1.21, 0.21], [0.21, 2.21]])
 
 
-def test_calibrate_alpha_diagonal_variant():
-    t = table_from_means([[0.0, 0.0]], covs=[np.array([[1.0, 0.5], [0.5, 2.0]])])
-    d = calibrate([0.0, 0.0], t,
-                  CalibrationParams(k=1, alpha=0.21, alpha_diagonal=True))
-    assert np.allclose(d.covariance, [[1.21, 0.5], [0.5, 2.21]])
-
-
 def test_calibrate_k2_averages():
     t = table_from_means([[0.0, 0.0], [3.0, 0.0], [50.0, 50.0]],
                          covs=[np.eye(2) * 1.0, np.eye(2) * 3.0, np.eye(2) * 9.0])

@@ -296,11 +296,7 @@ def test_max_likelihood_aggregate_modes():
     dists = {0: [near, far], 1: [tight]}
     x = [[2.9]]
     # max aggregation ignores the far-away distribution of class 0
-    assert MaxLikelihoodScorer(dists, aggregate="max").classify(x)[0] == 1
-    # mean aggregation lets it drag the class 0 score down
-    assert MaxLikelihoodScorer(dists, aggregate="mean").classify(x)[0] == 1
-    with pytest.raises(SpecError):
-        MaxLikelihoodScorer(dists, aggregate="median")
+    assert MaxLikelihoodScorer(dists).classify(x)[0] == 1
 
 
 def test_max_likelihood_batch_shape():

@@ -1,10 +1,15 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fsdc import cli
 from fsdc.cli import main
 from fsdc.features_io import Dataset, SplitManifest, save_dataset, save_split
+from fsdc.harness import EpisodeSpec, PipelineConfig
 from fsdc.stats import load_stats
 
 
@@ -178,6 +183,88 @@ def test_config_rejects_wrong_type(world, tmp_path, capsys):
     assert "must be an integer" in capsys.readouterr().err
 
 
+# every settings key: its flag arguments, the value they set, and where that
+# value lands in the report (None for keys that only the command line has)
+SETTING_CASES = {
+    "episode.n_way": (["--n-way", "3"], 3, ("episode_spec", "n_way")),
+    "episode.k_shot": (["--k-shot", "2"], 2, ("episode_spec", "k_shot")),
+    "episode.q_queries": (["--queries", "4"], 4, ("episode_spec", "q_queries")),
+    "episode.num_episodes": (["--episodes", "9"], 9,
+                             ("episode_spec", "num_episodes")),
+    "episode.seed": (["--seed", "7"], 7, ("episode_spec", "seed")),
+    "tukey.lambda": (["--lambda", "0.75"], 0.75, ("pipeline", "tukey", "lam")),
+    "tukey.log_epsilon": (["--log-epsilon", "0.001"], 0.001,
+                          ("pipeline", "tukey", "log_epsilon")),
+    "use_tukey": (["--no-tukey"], False, ("pipeline", "use_tukey")),
+    "tukey_base": (["--tukey-base"], True, None),
+    "calib.k": (["--k", "3"], 3, ("pipeline", "calib", "k")),
+    "calib.alpha": (["--alpha", "0.5"], 0.5, ("pipeline", "calib", "alpha")),
+    "calib.use_novel_feature": (["--no-novel-feature"], False,
+                                ("pipeline", "calib", "use_novel_feature")),
+    "sampler.total_per_class": (["--num-generated", "20"], 20,
+                                ("pipeline", "sampler", "total_per_class")),
+    "use_generation": (["--no-generation"], False,
+                       ("pipeline", "use_generation")),
+    "sampler.seed": (["--sample-seed", "4"], 4, ("pipeline", "sampler", "seed")),
+    "sampler.jitter": (["--jitter", "1e-05"], 1e-05,
+                       ("pipeline", "sampler", "jitter")),
+    "classifier": (["--classifier", "svm"], "svm", ("pipeline", "classifier")),
+    "baseline": (["--baseline", "nearest:3"], "nearest:3",
+                 ("pipeline", "baseline")),
+    "optimizer.learning_rate": (["--lr", "0.3"], 0.3,
+                                ("pipeline", "optimizer", "learning_rate")),
+    "optimizer.epochs": (["--opt-epochs", "50"], 50,
+                         ("pipeline", "optimizer", "epochs")),
+    "optimizer.l2": (["--l2", "0.01"], 0.01, ("pipeline", "optimizer", "l2")),
+    "workers": (["--workers", "2"], 2, None),
+}
+
+
+def test_every_setting_has_a_case():
+    assert set(SETTING_CASES) == set(cli._SETTINGS)
+
+
+@pytest.mark.parametrize("key", sorted(SETTING_CASES))
+def test_config_key_and_flag_set_the_same_value(key, tmp_path):
+    argv, value, path = SETTING_CASES[key]
+    cfg_file = tmp_path / "one.json"
+    cfg_file.write_text(json.dumps({key: value}))
+    parser = cli._build_parser()
+    io = ["eval", "--dataset", "d.fsdc", "--split", "s.json"]
+    from_flag = cli._gather_settings(parser.parse_args(io + argv))
+    from_file = cli._gather_settings(
+        parser.parse_args(io + ["--config", str(cfg_file)]))
+    assert from_flag == from_file == {key: value}
+    configs = cli._configs(from_flag)
+    assert configs == cli._configs(from_file)
+    if path is None:
+        assert configs == cli._configs({})
+        return
+    payload = {"episode_spec": configs[0].to_payload(),
+               "pipeline": configs[1].to_payload()}
+    default = {"episode_spec": EpisodeSpec().to_payload(),
+               "pipeline": PipelineConfig().to_payload()}
+    for part in path:
+        payload, default = payload[part], default[part]
+    expected = ({"kind": "nearest_class", "m": 3} if key == "baseline"
+                else value)
+    assert payload == expected
+    assert default != expected
+
+
+def test_readme_lists_every_eval_flag():
+    # README's `eval` flag table is the one hand-kept copy of the flags
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("### `eval` flags", 1)[1].split("\n#", 1)[0]
+    listed = set(re.findall(r"`(--[a-z0-9-]+)", section))
+    eval_parser = next(action.choices["eval"]
+                       for action in cli._build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    options = {option for action in eval_parser._actions
+               for option in action.option_strings} - {"-h", "--help"}
+    assert listed == options
+
+
 def test_baseline_flag_parses(world, tmp_path):
     out = str(tmp_path / "r.json")
     assert main(eval_args(world, "--baseline", "nearest:5", "--out", out)) == 0
@@ -203,6 +290,23 @@ def test_sweep_writes_csv_and_json(world, tmp_path):
     assert [cell["value"] for cell in payload] == [0.5, 1.0]
 
 
+def test_sweep_lambda_with_tukey_base_matches_eval(world, tmp_path):
+    # base statistics built in the transformed space must follow the swept
+    # exponent, so a sweep cell equals the eval at the same exponent
+    prefix = str(tmp_path / "lam")
+    assert main(["sweep", *eval_args(world, "--tukey-base")[1:],
+                 "--param", "lambda", "--values", "0.5,1.0",
+                 "--out-prefix", prefix]) == 0
+    out = str(tmp_path / "eval.json")
+    assert main(eval_args(world, "--tukey-base", "--lambda", "1.0",
+                          "--out", out)) == 0
+    cell = json.loads(open(prefix + ".json").read())[1]
+    report = json.loads(open(out).read())
+    assert cell["value"] == 1.0
+    assert cell["report"]["episode_accuracies"] == report["episode_accuracies"]
+    assert cell["report"] == report
+
+
 def test_sweep_rejects_empty_values(world, tmp_path, capsys):
     rc = main(["sweep", "--dataset", world["dataset"], "--split",
                world["split"], "--param", "alpha", "--values", ",",
@@ -225,11 +329,12 @@ def test_sweep_num_generated_accepts_zero(world, tmp_path):
 
 # -------------------------------------------------------------------- project
 
-@pytest.mark.parametrize("extra, role, count", [
-    ((), "generated", 2 * 25),
-    (("--baseline", "nearest:4"), "retrieved", 2 * 4),
-], ids=["generated", "retrieved"])
-def test_project_row_accounting(world, tmp_path, capsys, extra, role, count):
+@pytest.mark.parametrize("extra, extra_rows", [
+    ((), {"generated": 2 * 25}),
+    (("--baseline", "nearest:4"), {"retrieved": 2 * 4}),
+    (("--classifier", "max_likelihood"), {}),
+], ids=["generated", "retrieved", "max_likelihood"])
+def test_project_row_accounting(world, tmp_path, capsys, extra, extra_rows):
     out = str(tmp_path / "proj.csv")
     rc = main(["project", "--dataset", world["dataset"], "--split",
                world["split"], "--episodes", "4", "--n-way", "2",
@@ -238,12 +343,11 @@ def test_project_row_accounting(world, tmp_path, capsys, extra, role, count):
     assert rc == 0
     lines = open(out).read().strip().splitlines()
     assert lines[0] == "x,y,class_id,role"
-    assert len(lines) == 1 + 2 + 12 + count
     roles = [line.split(",")[3] for line in lines[1:]]
-    assert roles.count("support") == 2
-    assert roles.count("query") == 12
-    assert roles.count(role) == count
-    assert f"2 support / 12 query / {count} {role} rows" in capsys.readouterr().out
+    expected = {"support": 2, "query": 12, **extra_rows}
+    assert {role: roles.count(role) for role in set(roles)} == expected
+    summary = " / ".join(f"{n} {role}" for role, n in expected.items())
+    assert f"{summary} rows" in capsys.readouterr().out
 
 
 def test_project_index_out_of_range(world, tmp_path, capsys):

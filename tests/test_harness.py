@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fsdc.calibration import CalibrationParams
 from fsdc.classifiers import OptimizerConfig, train_logistic
 from fsdc.errors import (DataError, DimensionError, EpisodeError, SpecError)
 from fsdc.features_io import Dataset, SplitManifest, SyntheticSpec, generate_synthetic
@@ -175,6 +176,31 @@ def test_pipeline_config_validation():
         PipelineConfig(baseline="nearest_class", classifier="max_likelihood")
     with pytest.raises(SpecError):
         PipelineConfig(baseline_m=0)
+
+
+def test_payloads_pin_the_report_format():
+    # the report is a file format: these literals fail if a field rename
+    # would silently rename a report key
+    spec = EpisodeSpec(n_way=3, k_shot=2, q_queries=7, num_episodes=11, seed=5)
+    assert spec.to_payload() == {"n_way": 3, "k_shot": 2, "q_queries": 7,
+                                 "num_episodes": 11, "seed": 5}
+    cfg = PipelineConfig(
+        tukey=TukeyParams(lam=0.25, log_epsilon=1e-4),
+        calib=CalibrationParams(k=3, alpha=0.5, use_novel_feature=False),
+        sampler=SamplerConfig(total_per_class=40, seed=9, jitter=1e-5),
+        optimizer=OptimizerConfig(learning_rate=0.2, epochs=12, l2=0.0),
+        use_tukey=False, use_generation=False, classifier="svm",
+        baseline="nearest_class", baseline_m=4)
+    assert cfg.to_payload() == {
+        "tukey": {"lam": 0.25, "log_epsilon": 1e-4},
+        "calib": {"k": 3, "alpha": 0.5, "use_novel_feature": False},
+        "sampler": {"total_per_class": 40, "seed": 9, "jitter": 1e-5},
+        "optimizer": {"learning_rate": 0.2, "epochs": 12, "l2": 0.0},
+        "use_tukey": False,
+        "use_generation": False,
+        "classifier": "svm",
+        "baseline": {"kind": "nearest_class", "m": 4},
+    }
 
 
 # ----------------------------------------------------------------- evaluation
