@@ -28,8 +28,7 @@ from .harness import (EpisodeSpec, EvalReport, PipelineConfig, evaluate,
 from .rng import PortableRng, derive_key, splitmix64
 from .sampling import SamplerConfig, cholesky_psd, sample_features
 from .stats import (BaseStatsTable, ClassStatistics, build_base_stats,
-                    class_covariance, class_mean, class_similarity,
-                    load_stats, save_stats)
+                    class_covariance, class_mean, class_similarity)
 from .transform import TukeyParams, sample_skewness, tukey_transform
 
 __version__ = "0.1.0"
@@ -46,10 +45,9 @@ __all__ = [
     "build_base_stats", "calibrate", "calibrate_support_set",
     "cholesky_psd", "class_covariance", "class_mean", "class_similarity",
     "derive_key", "evaluate", "generate_synthetic", "load_dataset",
-    "load_split", "load_stats", "max_likelihood_classify",
-    "nearest_base_classes", "predict", "project_2d",
-    "retrieve_nearest_class_features", "run_episode", "sample_episode",
-    "sample_features", "sample_skewness", "save_dataset", "save_split",
-    "save_stats", "splitmix64", "sweep", "train_logistic", "train_svm",
-    "tukey_transform",
+    "load_split", "max_likelihood_classify", "nearest_base_classes",
+    "predict", "project_2d", "retrieve_nearest_class_features",
+    "run_episode", "sample_episode", "sample_features", "sample_skewness",
+    "save_dataset", "save_split", "splitmix64", "sweep", "train_logistic",
+    "train_svm", "tukey_transform",
 ]

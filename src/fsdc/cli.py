@@ -3,15 +3,17 @@
 Subcommands:
 
 * ``synth``   generate a synthetic dataset with known ground truth
-* ``stats``   compute and store base-class statistics
+* ``stats``   print base-class record counts and pairwise similarities
 * ``eval``    run episodic evaluation and report accuracy
 * ``sweep``   evaluate one parameter over several values on paired episodes
 * ``project`` dump a 2-D projection of one episode's features
 
-Options can come from a JSON config file (flat, dotted keys such as
-``calib.k``) and from flags; a flag always wins over the file.  All outputs
-are written atomically.  Errors print ``error: <reason>`` to stderr; invalid
-settings exit with status 2, runtime failures with 1.
+Every command that reads a dataset builds its base-class statistics from it,
+from untransformed features.  Settings can come from a JSON config file
+(flat, dotted keys such as ``calib.k``) and from flags; a flag always wins
+over the file.  All outputs are written atomically.  Errors print
+``error: <reason>`` to stderr; invalid settings exit with status 2, runtime
+failures with 1.
 """
 
 from __future__ import annotations
@@ -20,21 +22,21 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .errors import FsdcError, SpecError
 from .features_io import (SyntheticSpec, atomic_write_text, generate_synthetic,
                           load_dataset, load_split, save_dataset, save_split)
 from .harness import (EpisodeSpec, PipelineConfig, SWEEPABLE_PARAMS,
-                      apply_sweep_value, collect_episode_features, evaluate,
-                      project_2d, sample_episode, sweep)
-from .stats import build_base_stats, class_similarity, load_stats, save_stats
+                      collect_episode_features, evaluate, project_2d,
+                      sample_episode, sweep)
+from .stats import build_base_stats, class_similarity
 
 # dotted config key -> (flag, what the flag takes, help).  What the flag
 # takes is a type, a tuple of choices, or the value a switch flag stores.
 # The key names a field of EpisodeSpec ("episode.") or of PipelineConfig
-# and its nested dataclasses, which hold every default; "tukey_base" and
-# "workers" belong to the command line alone.
+# and its nested dataclasses, which hold every default; "workers" belongs to
+# the command line alone.
 _SETTINGS = {
     "episode.n_way": ("--n-way", int, None),
     "episode.k_shot": ("--k-shot", int, None),
@@ -44,8 +46,6 @@ _SETTINGS = {
     "tukey.lambda": ("--lambda", float, "transform exponent"),
     "tukey.log_epsilon": ("--log-epsilon", float, None),
     "use_tukey": ("--no-tukey", False, "skip the power transform"),
-    "tukey_base": ("--tukey-base", True, "apply the transform to base "
-                   "features before computing statistics"),
     "calib.k": ("--k", int, "number of borrowed base classes"),
     "calib.alpha": ("--alpha", float, "covariance spread constant"),
     "calib.use_novel_feature": ("--no-novel-feature", False,
@@ -135,19 +135,19 @@ def _configs(settings: dict) -> tuple[EpisodeSpec, PipelineConfig]:
     ``section`` (``tukey.lambda`` sets ``lam``), and a key without a dot a
     field of the config itself.
     """
-    fields: dict[str, dict] = {}
+    by_section: dict[str, dict] = {}
     for key, value in settings.items():
-        if key in ("tukey_base", "workers"):
+        if key == "workers":
             continue
         section, _, name = key.rpartition(".")
         name = "lam" if name == "lambda" else name
-        fields.setdefault(section, {})[name] = value
-    top = fields.pop("", {})
+        by_section.setdefault(section, {})[name] = value
+    top = by_section.pop("", {})
     if "baseline" in top:
         top["baseline"], top["baseline_m"] = _parse_baseline(top["baseline"])
-    spec = replace(EpisodeSpec(), **fields.pop("episode", {}))
+    spec = replace(EpisodeSpec(), **by_section.pop("episode", {}))
     cfg = PipelineConfig()
-    nested = {name: replace(getattr(cfg, name), **fields.get(name, {}))
+    nested = {name: replace(getattr(cfg, name), **by_section.get(name, {}))
               for name in ("tukey", "calib", "sampler", "optimizer")}
     return spec, replace(cfg, **nested, **top)
 
@@ -179,30 +179,20 @@ def _warn_ignored_optimizer(settings: dict) -> None:
               f"max_likelihood classifier", file=sys.stderr)
 
 
-def _base_table(args, settings, ds, split, cfg):
-    """The ``--stats`` table, or one built from the base classes, in the
-    space ``cfg.tukey`` transforms to under ``tukey_base``."""
-    if getattr(args, "stats", None):
-        return load_stats(args.stats)
-    tukey = cfg.tukey if settings.get("tukey_base") else None
-    return build_base_stats(ds, split, tukey=tukey)
-
-
-def _load_world(args, settings, cfg):
+def _load_world(args):
     ds = load_dataset(args.dataset, format=args.format)
     split = load_split(args.split)
-    return ds, split, _base_table(args, settings, ds, split, cfg)
+    return ds, split, build_base_stats(ds, split)
 
 
 # ------------------------------------------------------------------- commands
 
 def _cmd_synth(args) -> int:
-    spec = SyntheticSpec(
-        num_classes=args.classes, dim=args.dim,
-        samples_per_class=args.per_class, skew_power=args.skew_power,
-        group_size=args.group_size, latent_level=args.level,
-        latent_sigma=args.sigma, group_separation=args.separation,
-        within_group_offset=args.offset, seed=args.seed)
+    # each flag's destination is a SyntheticSpec field; a flag left out
+    # keeps the field's default
+    spec = SyntheticSpec(**{f.name: getattr(args, f.name)
+                            for f in fields(SyntheticSpec)
+                            if getattr(args, f.name, None) is not None})
     ds, split, truth = generate_synthetic(spec)
     dataset_path = args.out_prefix + ".fsdc"
     split_path = args.out_prefix + ".split.json"
@@ -212,8 +202,8 @@ def _cmd_synth(args) -> int:
     atomic_write_text(truth_path,
                       json.dumps(truth.to_payload(), sort_keys=True, indent=2)
                       + "\n")
-    print(f"wrote {ds.count} records ({args.classes} classes x "
-          f"{args.per_class}, dim {args.dim}) to {dataset_path}")
+    print(f"wrote {ds.count} records ({spec.num_classes} classes x "
+          f"{spec.samples_per_class}, dim {spec.dim}) to {dataset_path}")
     print(f"split: {len(split.base_classes)} base / "
           f"{len(split.novel_classes)} novel -> {split_path}")
     print(f"ground truth -> {truth_path}")
@@ -221,14 +211,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    settings = _gather_settings(args)
-    _, cfg = _configs(settings)
-    _, _, table = _load_world(args, settings, cfg)
-    save_stats(table, args.out)
+    _, _, table = _load_world(args)
     for cid in table.class_ids():
         print(f"class {cid}: {table.entry(cid).count} records")
-    print(f"wrote statistics for {len(table)} classes (dim {table.dim}) "
-          f"to {args.out}")
+    print(f"{len(table)} base classes, dim {table.dim}")
     if args.similarity_report:
         lines = ["class_a,class_b,mean_cosine,variance_cosine"]
         ids = table.class_ids()
@@ -246,7 +232,7 @@ def _cmd_eval(args) -> int:
     settings = _gather_settings(args)
     _warn_ignored_optimizer(settings)
     spec, cfg = _configs(settings)
-    ds, split, table = _load_world(args, settings, cfg)
+    ds, split, table = _load_world(args)
     report = evaluate(ds, split, table, spec, cfg,
                       workers=_resolve_workers(settings))
     print(f"accuracy: {100 * report.mean_accuracy:.2f}% "
@@ -277,22 +263,9 @@ def _cmd_sweep(args) -> int:
     _warn_ignored_optimizer(settings)
     values = _parse_sweep_values(args.param, args.values)
     spec, cfg = _configs(settings)
-    ds = load_dataset(args.dataset, format=args.format)
-    split = load_split(args.split)
-    workers = _resolve_workers(settings)
-    if (args.param == "lambda" and settings.get("tukey_base")
-            and not args.stats):
-        # a table built in the transformed space follows the swept exponent
-        results = []
-        for value in values:
-            table = _base_table(args, settings, ds, split,
-                                apply_sweep_value(cfg, "lambda", value))
-            results += sweep(ds, split, table, spec, cfg, "lambda", [value],
-                             workers=workers)
-    else:
-        table = _base_table(args, settings, ds, split, cfg)
-        results = sweep(ds, split, table, spec, cfg, args.param, values,
-                        workers=workers)
+    ds, split, table = _load_world(args)
+    results = sweep(ds, split, table, spec, cfg, args.param, values,
+                    workers=_resolve_workers(settings))
     csv_lines = ["value,mean_accuracy,ci95"]
     payload = []
     for value, report in results:
@@ -313,7 +286,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_project(args) -> int:
     settings = _gather_settings(args)
     spec, cfg = _configs(settings)
-    ds, split, table = _load_world(args, settings, cfg)
+    ds, split, table = _load_world(args)
     if not 0 <= args.episode_index < spec.num_episodes:
         raise SpecError(f"episode index {args.episode_index} outside "
                         f"[0, {spec.num_episodes})")
@@ -334,21 +307,18 @@ def _cmd_project(args) -> int:
 
 # --------------------------------------------------------------------- parser
 
-def _add_io_flags(parser, stats_input=True):
+def _add_io_flags(parser):
     parser.add_argument("--dataset", required=True, help="feature dataset path")
     parser.add_argument("--split", required=True, help="split manifest path")
     parser.add_argument("--format", choices=("binary", "csv"),
                         default="binary", help="dataset file format")
-    if stats_input:
-        parser.add_argument("--stats", help="precomputed statistics table "
-                            "(built from the dataset when omitted)")
+
+
+def _add_setting_flags(parser):
+    """``--config`` and one flag per settings key, with the key as its
+    destination."""
     parser.add_argument("--config", help="JSON config file with dotted keys")
-
-
-def _add_setting_flags(parser, keys=tuple(_SETTINGS)):
-    """One flag per settings key, with the key as its destination."""
-    for key in keys:
-        flag, takes, help_text = _SETTINGS[key]
+    for key, (flag, takes, help_text) in _SETTINGS.items():
         if isinstance(takes, bool):
             parser.add_argument(flag, dest=key, action="store_const",
                                 const=takes, help=help_text)
@@ -365,26 +335,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     synth = sub.add_parser("synth", help="generate a synthetic dataset")
-    synth.add_argument("--classes", type=int, required=True)
+    synth.add_argument("--classes", dest="num_classes", type=int,
+                       required=True)
     synth.add_argument("--dim", type=int, required=True)
-    synth.add_argument("--per-class", dest="per_class", type=int, required=True)
-    synth.add_argument("--skew-power", dest="skew_power", type=float, default=2.0)
-    synth.add_argument("--group-size", dest="group_size", type=int, default=5)
-    synth.add_argument("--level", type=float, default=0.87)
-    synth.add_argument("--sigma", type=float, default=0.33)
-    synth.add_argument("--separation", type=float, default=0.8)
-    synth.add_argument("--offset", type=float, default=0.41)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--per-class", dest="samples_per_class", type=int,
+                       required=True)
+    synth.add_argument("--skew-power", dest="skew_power", type=float)
+    synth.add_argument("--group-size", dest="group_size", type=int)
+    synth.add_argument("--level", dest="latent_level", type=float)
+    synth.add_argument("--sigma", dest="latent_sigma", type=float)
+    synth.add_argument("--separation", dest="group_separation", type=float)
+    synth.add_argument("--offset", dest="within_group_offset", type=float)
+    synth.add_argument("--seed", type=int)
     synth.add_argument("--out-prefix", dest="out_prefix", required=True)
     synth.set_defaults(func=_cmd_synth)
 
-    stats = sub.add_parser("stats", help="compute base-class statistics")
-    _add_io_flags(stats, stats_input=False)
-    stats.add_argument("--out", required=True, help="output statistics path")
+    stats = sub.add_parser("stats", help="summarize the base classes")
+    _add_io_flags(stats)
     stats.add_argument("--similarity-report", dest="similarity_report",
                        help="also write pairwise class similarities (CSV)")
-    _add_setting_flags(stats, ("tukey_base", "tukey.lambda",
-                               "tukey.log_epsilon"))
     stats.set_defaults(func=_cmd_stats)
 
     ev = sub.add_parser("eval", help="episodic evaluation")

@@ -35,6 +35,7 @@ from .rng import PortableRng, derive_key
 _MAGIC: Final = b"FSDC"
 _VERSION: Final = 1
 _HEADER: Final = struct.Struct("<4sIII")
+_MAX_CLASS_ID: Final = 2 ** 32 - 1   # class ids are stored as u32
 
 _DOM_GROUP_DIR: Final = 0x47
 _DOM_CLASS_OFFSET: Final = 0x4F
@@ -86,11 +87,12 @@ class Dataset:
             raise SpecError("class ids must be integers")
         if ids.dtype.kind == "i" and (ids < 0).any():
             raise SpecError("class ids must be non-negative")
+        if (ids > _MAX_CLASS_ID).any():
+            raise SpecError("class ids must be below 2**32")
         self.class_ids = ids.astype(np.uint32)
         self.values = np.ascontiguousarray(vals, dtype=np.float32)
         if not np.isfinite(self.values).all():
             raise DataError("feature values must be finite")
-        self.nonneg = bool((self.values >= 0).all())
 
     @property
     def count(self) -> int:
@@ -173,6 +175,8 @@ def _decode_csv(text: str) -> Dataset:
             raise FormatError(f"line {lineno}: bad class id {cells[0]!r}") from None
         if cid < 0:
             raise FormatError(f"line {lineno}: negative class id")
+        if cid > _MAX_CLASS_ID:
+            raise FormatError(f"line {lineno}: class id {cid} is 2**32 or more")
         try:
             values = [float(c) for c in cells[1:]]
         except ValueError:
@@ -221,8 +225,8 @@ class SplitManifest:
         self.val_classes = frozenset(int(c) for c in val)
         self.novel_classes = frozenset(int(c) for c in novel)
         for part in (self.base_classes, self.val_classes, self.novel_classes):
-            if any(c < 0 for c in part):
-                raise SpecError("split class ids must be non-negative")
+            if any(not 0 <= c <= _MAX_CLASS_ID for c in part):
+                raise SpecError("split class ids must be in [0, 2**32)")
         if (self.base_classes & self.val_classes
                 or self.base_classes & self.novel_classes
                 or self.val_classes & self.novel_classes):
@@ -257,7 +261,8 @@ def load_split(path) -> SplitManifest:
         raise FormatError(f"split manifest missing keys: {sorted(missing)}")
     for key in ("base", "val", "novel"):
         part = payload[key]
-        if not isinstance(part, list) or not all(isinstance(c, int) for c in part):
+        if not isinstance(part, list) or not all(
+                isinstance(c, int) and not isinstance(c, bool) for c in part):
             raise FormatError(f"split manifest {key!r} must be a list of integers")
     return SplitManifest(payload["base"], payload["val"], payload["novel"])
 

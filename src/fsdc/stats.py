@@ -6,39 +6,21 @@ The covariance is the standard unbiased estimator
     cov = (1 / (n - 1)) * sum_j (x_j - mean) (x_j - mean)^T
 
 computed in float64 and symmetrized exactly (averaged with its transpose), so
-``cov == cov.T`` holds bitwise.  A statistics table can be serialized to a
-compact binary format::
-
-    magic       4 bytes  b"FSST"
-    version     u32      currently 1
-    num_classes u32
-    dim         u32
-    per class:
-        class_id u32
-        mean     dim * f64
-        cov      dim * dim * f64, row-major
-
-Everything is little-endian and float64, so save followed by load is
-bit-exact.
+``cov == cov.T`` holds bitwise.  The base table is built from the untransformed
+base features of the dataset being evaluated, every time it is needed; it is
+never stored, so it cannot come from another dataset or feature space.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import Final
 
 import numpy as np
 
-from .errors import (DataError, DimensionError, EmptyClassError, FormatError,
+from .errors import (DataError, DimensionError, EmptyClassError,
                      InsufficientSamplesError, MissingClassError,
                      UndefinedStatisticError)
-from .features_io import Dataset, SplitManifest, atomic_write_bytes
-from .transform import TukeyParams, tukey_transform
-
-_MAGIC: Final = b"FSST"
-_VERSION: Final = 1
-_HEADER: Final = struct.Struct("<4sIII")
+from .features_io import Dataset, SplitManifest
 
 
 def class_mean(features) -> np.ndarray:
@@ -143,14 +125,9 @@ class BaseStatsTable:
         return self._means
 
 
-def build_base_stats(ds: Dataset, split: SplitManifest,
-                     tukey: TukeyParams | None = None) -> BaseStatsTable:
-    """Compute mean and covariance for every base class in ``split``.
-
-    When ``tukey`` is given, features pass through the power transform before
-    the statistics are taken, so the table lives in the same space as
-    transformed support features.
-    """
+def build_base_stats(ds: Dataset, split: SplitManifest) -> BaseStatsTable:
+    """Compute mean, covariance and record count for every base class in
+    ``split``, from its untransformed features in ``ds``."""
     entries = []
     for cid in sorted(split.base_classes):
         feats = ds.features_for(cid)
@@ -159,8 +136,6 @@ def build_base_stats(ds: Dataset, split: SplitManifest,
         if feats.shape[0] < 2:
             raise InsufficientSamplesError(
                 f"base class {cid} has {feats.shape[0]} record; need at least 2")
-        if tukey is not None:
-            feats = tukey_transform(feats, tukey)
         mu = class_mean(feats)
         cov = class_covariance(feats, mu)
         entries.append(ClassStatistics(class_id=cid, mean=mu, covariance=cov,
@@ -188,48 +163,3 @@ def class_similarity(a: ClassStatistics, b: ClassStatistics) -> tuple[float, flo
     var_cos = _cosine(np.diag(a.covariance), np.diag(b.covariance))
     return mean_cos, var_cos
 
-
-def save_stats(table: BaseStatsTable, path) -> None:
-    """Serialize a statistics table atomically."""
-    parts = [_HEADER.pack(_MAGIC, _VERSION, len(table), table.dim)]
-    for cid in table.class_ids():
-        entry = table.entry(cid)
-        parts.append(struct.pack("<I", cid))
-        parts.append(entry.mean.astype("<f8").tobytes())
-        parts.append(np.ascontiguousarray(entry.covariance, dtype="<f8").tobytes())
-    atomic_write_bytes(path, b"".join(parts))
-
-
-def load_stats(path) -> BaseStatsTable:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER.size:
-        raise FormatError("file too short for a statistics header")
-    magic, version, num_classes, dim = _HEADER.unpack_from(data)
-    if magic != _MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    if version != _VERSION:
-        raise FormatError(f"unsupported statistics version {version}")
-    if dim == 0:
-        raise FormatError("statistics declare zero feature dimension")
-    record = 4 + 8 * dim + 8 * dim * dim
-    expected = _HEADER.size + num_classes * record
-    if len(data) != expected:
-        raise FormatError(f"expected {expected} bytes for {num_classes} classes "
-                          f"of dim {dim}, got {len(data)}")
-    entries = []
-    offset = _HEADER.size
-    for _ in range(num_classes):
-        (cid,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        mean = np.frombuffer(data, dtype="<f8", count=dim, offset=offset).copy()
-        offset += 8 * dim
-        cov = np.frombuffer(data, dtype="<f8", count=dim * dim,
-                            offset=offset).reshape(dim, dim).copy()
-        offset += 8 * dim * dim
-        if not np.isfinite(mean).all() or not np.isfinite(cov).all():
-            raise DataError(f"non-finite statistics for class {cid}")
-        # counts are not stored on disk; anything >= 2 satisfies the invariant
-        entries.append(ClassStatistics(class_id=int(cid), mean=mean,
-                                       covariance=cov, count=2))
-    return BaseStatsTable(dim, entries)

@@ -3,14 +3,13 @@ import json
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from fsdc import cli
 from fsdc.cli import main
-from fsdc.features_io import Dataset, SplitManifest, save_dataset, save_split
+from fsdc.features_io import (Dataset, SplitManifest, SyntheticSpec,
+                              generate_synthetic, save_dataset, save_split)
 from fsdc.harness import EpisodeSpec, PipelineConfig
-from fsdc.stats import load_stats
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +48,35 @@ def test_synth_outputs_and_determinism(world, tmp_path):
     assert len(truth["classes"]) == 10
 
 
+SYNTH_FLAGS = {"--skew-power": ("skew_power", 1.5),
+               "--group-size": ("group_size", 3),
+               "--level": ("latent_level", 0.6),
+               "--sigma": ("latent_sigma", 0.2),
+               "--separation": ("group_separation", 0.5),
+               "--offset": ("within_group_offset", 0.3),
+               "--seed": ("seed", 9)}
+
+
+@pytest.mark.parametrize("flags", [(), tuple(SYNTH_FLAGS)],
+                         ids=["required-only", "every-flag"])
+def test_synth_matches_the_spec(tmp_path, flags):
+    # a flag left out keeps the SyntheticSpec default; a flag given sets
+    # its field
+    argv = [arg for flag in flags for arg in (flag, str(SYNTH_FLAGS[flag][1]))]
+    prefix = str(tmp_path / "cli")
+    assert main(["synth", "--classes", "6", "--dim", "4", "--per-class", "10",
+                 "--out-prefix", prefix, *argv]) == 0
+    spec = SyntheticSpec(num_classes=6, dim=4, samples_per_class=10,
+                         **dict(SYNTH_FLAGS[flag] for flag in flags))
+    ds, split, _ = generate_synthetic(spec)
+    save_dataset(ds, tmp_path / "api.fsdc")
+    save_split(split, tmp_path / "api.split.json")
+    assert (tmp_path / "cli.fsdc").read_bytes() == \
+        (tmp_path / "api.fsdc").read_bytes()
+    assert (tmp_path / "cli.split.json").read_bytes() == \
+        (tmp_path / "api.split.json").read_bytes()
+
+
 def test_synth_rejects_bad_spec(tmp_path, capsys):
     rc = main(["synth", "--classes", "4", "--dim", "1", "--per-class", "5",
                "--out-prefix", str(tmp_path / "x")])
@@ -59,31 +87,21 @@ def test_synth_rejects_bad_spec(tmp_path, capsys):
 # ---------------------------------------------------------------------- stats
 
 def test_stats_writes_table_and_report(world, tmp_path, capsys):
-    out = str(tmp_path / "w.fsst")
     sim = str(tmp_path / "sim.csv")
     rc = main(["stats", "--dataset", world["dataset"], "--split",
-               world["split"], "--out", out, "--similarity-report", sim])
+               world["split"], "--similarity-report", sim])
     assert rc == 0
-    printed = capsys.readouterr().out
-    assert "class 0: 30 records" in printed
-    table = load_stats(out)
-    assert len(table) == 8
+    counts = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("class ")]
+    # 10 classes in groups of 5: classes 4 and 9 are novel
+    assert counts == [f"class {cid}: 30 records"
+                      for cid in (0, 1, 2, 3, 5, 6, 7, 8)]
     lines = open(sim).read().strip().splitlines()
     assert lines[0] == "class_a,class_b,mean_cosine,variance_cosine"
     assert len(lines) == 1 + 8 * 7 // 2
-
-
-def test_stats_tukey_base_changes_table(world, tmp_path):
-    plain = str(tmp_path / "plain.fsst")
-    powered = str(tmp_path / "powered.fsst")
-    assert main(["stats", "--dataset", world["dataset"], "--split",
-                 world["split"], "--out", plain]) == 0
-    assert main(["stats", "--dataset", world["dataset"], "--split",
-                 world["split"], "--out", powered, "--tukey-base"]) == 0
-    a = load_stats(plain)
-    b = load_stats(powered)
-    cid = a.class_ids()[0]
-    assert not np.allclose(a.entry(cid).mean, b.entry(cid).mean)
+    assert lines[1].startswith("0,1,")
+    assert all(-1 <= float(cell) <= 1
+               for line in lines[1:] for cell in line.split(",")[2:])
 
 
 def test_stats_reports_undersized_class(tmp_path, capsys):
@@ -91,8 +109,7 @@ def test_stats_reports_undersized_class(tmp_path, capsys):
     save_dataset(ds, tmp_path / "tiny.fsdc")
     save_split(SplitManifest(base=[0, 1]), tmp_path / "tiny.split.json")
     rc = main(["stats", "--dataset", str(tmp_path / "tiny.fsdc"), "--split",
-               str(tmp_path / "tiny.split.json"),
-               "--out", str(tmp_path / "t.fsst")])
+               str(tmp_path / "tiny.split.json")])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -119,13 +136,6 @@ def test_eval_reports_are_byte_identical(world, tmp_path):
     assert main(eval_args(world, "--out", a)) == 0
     assert main(eval_args(world, "--out", b)) == 0
     assert open(a, "rb").read() == open(b, "rb").read()
-
-
-def test_eval_accepts_precomputed_stats(world, tmp_path):
-    stats_path = str(tmp_path / "w.fsst")
-    assert main(["stats", "--dataset", world["dataset"], "--split",
-                 world["split"], "--out", stats_path]) == 0
-    assert main(eval_args(world, "--stats", stats_path)) == 0
 
 
 def test_eval_warns_on_ignored_optimizer_flags(world, capsys):
@@ -176,6 +186,14 @@ def test_config_rejects_unknown_key(world, tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_config_rejects_tukey_base_key(world, tmp_path, capsys):
+    # base statistics are always taken from untransformed features
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({"tukey_base": True}))
+    assert main(eval_args(world, "--config", str(cfg), "--episodes", "1")) == 2
+    assert "unknown config key 'tukey_base'" in capsys.readouterr().err
+
+
 def test_config_rejects_wrong_type(world, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"calib.k": "two"}))
@@ -196,7 +214,6 @@ SETTING_CASES = {
     "tukey.log_epsilon": (["--log-epsilon", "0.001"], 0.001,
                           ("pipeline", "tukey", "log_epsilon")),
     "use_tukey": (["--no-tukey"], False, ("pipeline", "use_tukey")),
-    "tukey_base": (["--tukey-base"], True, None),
     "calib.k": (["--k", "3"], 3, ("pipeline", "calib", "k")),
     "calib.alpha": (["--alpha", "0.5"], 0.5, ("pipeline", "calib", "alpha")),
     "calib.use_novel_feature": (["--no-novel-feature"], False,
@@ -265,6 +282,21 @@ def test_readme_lists_every_eval_flag():
     assert listed == options
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--stats", "base.stats", "--episodes", "1"],
+    ["eval", "--tukey-base", "--episodes", "1"],
+    ["stats", "--out", "base.stats"],
+    ["stats", "--lambda", "0.7"],
+], ids=["eval-stats", "eval-tukey-base", "stats-out", "stats-lambda"])
+def test_deleted_flags_are_rejected(world, capsys, argv):
+    # base statistics are always built from the dataset, untransformed
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--dataset", world["dataset"], "--split",
+              world["split"], *argv[1:]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
 def test_baseline_flag_parses(world, tmp_path):
     out = str(tmp_path / "r.json")
     assert main(eval_args(world, "--baseline", "nearest:5", "--out", out)) == 0
@@ -290,16 +322,14 @@ def test_sweep_writes_csv_and_json(world, tmp_path):
     assert [cell["value"] for cell in payload] == [0.5, 1.0]
 
 
-def test_sweep_lambda_with_tukey_base_matches_eval(world, tmp_path):
-    # base statistics built in the transformed space must follow the swept
-    # exponent, so a sweep cell equals the eval at the same exponent
+def test_sweep_lambda_cell_matches_eval(world, tmp_path):
+    # a sweep cell equals the eval at the same exponent
     prefix = str(tmp_path / "lam")
-    assert main(["sweep", *eval_args(world, "--tukey-base")[1:],
+    assert main(["sweep", *eval_args(world)[1:],
                  "--param", "lambda", "--values", "0.5,1.0",
                  "--out-prefix", prefix]) == 0
     out = str(tmp_path / "eval.json")
-    assert main(eval_args(world, "--tukey-base", "--lambda", "1.0",
-                          "--out", out)) == 0
+    assert main(eval_args(world, "--lambda", "1.0", "--out", out)) == 0
     cell = json.loads(open(prefix + ".json").read())[1]
     report = json.loads(open(out).read())
     assert cell["value"] == 1.0

@@ -27,7 +27,6 @@ def test_dataset_basics():
     assert list(ds.rows_for(1)) == [0, 1]
     assert ds.values.dtype == np.float32
     assert ds.features_f64().dtype == np.float64
-    assert ds.nonneg
 
 
 def test_dataset_rejects_empty():
@@ -45,13 +44,18 @@ def test_dataset_rejects_negative_class_id():
         Dataset([-1], [[1.0]])
 
 
+def test_dataset_rejects_class_id_beyond_u32():
+    # ids are stored as u32; 2**32 + 1 must not wrap around to class 1
+    with pytest.raises(SpecError):
+        Dataset([2 ** 32 + 1, 1], [[1.0], [2.0]])
+    with pytest.raises(SpecError):
+        Dataset(np.array([2 ** 32], dtype=np.uint64), [[1.0]])
+    assert Dataset([2 ** 32 - 1], [[1.0]]).classes() == [2 ** 32 - 1]
+
+
 def test_dataset_rejects_ragged_via_object_array():
     with pytest.raises((DimensionError, ValueError)):
         Dataset([0, 1], np.array([[1.0], [1.0, 2.0]], dtype=object))
-
-
-def test_nonneg_flag_tracks_values():
-    assert not Dataset([0], [[-0.5, 1.0]]).nonneg
 
 
 # --------------------------------------------------------------- binary codec
@@ -161,6 +165,12 @@ def test_csv_bad_values_rejected():
         _load_csv_text("0,nan\n")
 
 
+def test_csv_class_id_beyond_u32_rejected():
+    for cid in (2 ** 32 + 1, 2 ** 70):
+        with pytest.raises(FormatError, match="line 2"):
+            _load_csv_text(f"1,1.0\n{cid},2.0\n")
+
+
 def test_unknown_format_rejected(tmp_path):
     ds = small_dataset()
     with pytest.raises(SpecError):
@@ -195,6 +205,19 @@ def test_split_manifest_schema_errors(tmp_path):
     p.write_text("not json")
     with pytest.raises(FormatError):
         load_split(p)
+
+
+def test_split_rejects_bad_class_ids(tmp_path):
+    p = tmp_path / "split.json"
+    p.write_text(json.dumps({"base": [True, 2], "val": [], "novel": [3]}))
+    with pytest.raises(FormatError):
+        load_split(p)
+    # a dataset holds u32 class ids, so a larger one could never be found
+    p.write_text(json.dumps({"base": [2 ** 32 + 1], "val": [], "novel": []}))
+    with pytest.raises(SpecError):
+        load_split(p)
+    with pytest.raises(SpecError):
+        SplitManifest(base=[-1])
 
 
 # ------------------------------------------------------------- synthetic data

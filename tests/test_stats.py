@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from fsdc.errors import (DataError, DimensionError, EmptyClassError,
-                         FormatError, InsufficientSamplesError,
-                         MissingClassError, UndefinedStatisticError)
+                         InsufficientSamplesError, MissingClassError,
+                         UndefinedStatisticError)
 from fsdc.features_io import Dataset, SplitManifest, SyntheticSpec, generate_synthetic
 from fsdc.stats import (BaseStatsTable, ClassStatistics, build_base_stats,
-                        class_covariance, class_mean, class_similarity,
-                        load_stats, save_stats)
-from fsdc.transform import TukeyParams, tukey_transform
+                        class_covariance, class_mean, class_similarity)
 
 
 def test_class_mean_basic():
@@ -91,16 +89,6 @@ def test_build_base_stats_matches_per_class_calls():
         assert table.entry(cid).count == 30
 
 
-def test_build_base_stats_applies_transform():
-    ds, split, _ = generate_synthetic(SyntheticSpec(
-        num_classes=4, dim=4, samples_per_class=25, group_size=2, seed=3))
-    params = TukeyParams(lam=0.5)
-    table = build_base_stats(ds, split, tukey=params)
-    cid = table.class_ids()[0]
-    feats = tukey_transform(ds.features_for(cid), params)
-    assert np.array_equal(table.entry(cid).mean, class_mean(feats))
-
-
 def test_build_base_stats_missing_class():
     ds = Dataset([0, 0], [[1.0], [2.0]])
     with pytest.raises(MissingClassError):
@@ -155,42 +143,6 @@ def test_similarity_errors():
         class_similarity(a, c)
     with pytest.raises(DimensionError):
         class_similarity(a, wide)
-
-
-def test_stats_round_trip_is_bit_exact(tmp_path):
-    ds, split, _ = generate_synthetic(SyntheticSpec(
-        num_classes=4, dim=6, samples_per_class=20, group_size=2, seed=8))
-    table = build_base_stats(ds, split)
-    p = tmp_path / "base.fsst"
-    save_stats(table, p)
-    back = load_stats(p)
-    assert back.class_ids() == table.class_ids()
-    assert back.dim == table.dim
-    for cid in table.class_ids():
-        assert table.entry(cid).mean.tobytes() == back.entry(cid).mean.tobytes()
-        assert (table.entry(cid).covariance.tobytes()
-                == back.entry(cid).covariance.tobytes())
-    # a second save of the loaded table reproduces the file byte for byte
-    p2 = tmp_path / "again.fsst"
-    save_stats(back, p2)
-    assert p.read_bytes() == p2.read_bytes()
-
-
-def test_stats_file_corruption_detected(tmp_path):
-    ds, split, _ = generate_synthetic(SyntheticSpec(
-        num_classes=3, dim=4, samples_per_class=10, group_size=3, seed=4))
-    table = build_base_stats(ds, split)
-    p = tmp_path / "base.fsst"
-    save_stats(table, p)
-    raw = bytearray(p.read_bytes())
-    raw[:4] = b"ZZZZ"
-    p.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
-        load_stats(p)
-    save_stats(table, p)
-    p.write_bytes(p.read_bytes()[:-1])
-    with pytest.raises(FormatError):
-        load_stats(p)
 
 
 def test_table_lookup_errors():
