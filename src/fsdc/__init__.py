@@ -10,12 +10,9 @@ evaluates simple classifiers over many episodic tasks.  The usual flow:
 """
 
 from .calibration import (CalibratedDistribution, CalibrationParams,
-                          calibrate, calibrate_support_set,
-                          nearest_base_classes,
-                          retrieve_nearest_class_features)
+                          calibrate, calibrate_support_set)
 from .classifiers import (LinearModel, MaxLikelihoodScorer, OptimizerConfig,
-                          TrainSet, max_likelihood_classify, predict,
-                          train_logistic, train_svm)
+                          TrainSet, predict, train_logistic, train_svm)
 from .errors import (DataError, DimensionError, DivergenceError,
                      EmptyClassError, EpisodeError, FactorizationError,
                      FormatError, FsdcError, InsufficientSamplesError,
@@ -25,11 +22,11 @@ from .features_io import (Dataset, SplitManifest, SyntheticSpec,
                           load_split, save_dataset, save_split)
 from .harness import (EpisodeSpec, EvalReport, PipelineConfig, evaluate,
                       project_2d, run_episode, sample_episode, sweep)
-from .rng import PortableRng, derive_key, splitmix64
+from .rng import PortableRng, derive_key
 from .sampling import SamplerConfig, cholesky_psd, sample_features
 from .stats import (BaseStatsTable, ClassStatistics, build_base_stats,
-                    class_covariance, class_mean, class_similarity)
-from .transform import TukeyParams, sample_skewness, tukey_transform
+                    class_similarity)
+from .transform import TukeyParams, tukey_transform
 
 __version__ = "0.1.0"
 
@@ -39,15 +36,13 @@ __all__ = [
     "DivergenceError", "EmptyClassError", "EpisodeError", "EpisodeSpec",
     "EvalReport", "FactorizationError", "FormatError", "FsdcError",
     "InsufficientSamplesError", "LinearModel", "MaxLikelihoodScorer",
-    "MissingClassError", "OptimizerConfig", "PipelineConfig", "PortableRng",
-    "SamplerConfig", "SpecError", "SplitManifest", "SyntheticSpec",
-    "SyntheticTruth", "TrainSet", "TukeyParams", "UndefinedStatisticError",
-    "build_base_stats", "calibrate", "calibrate_support_set",
-    "cholesky_psd", "class_covariance", "class_mean", "class_similarity",
+    "MissingClassError", "OptimizerConfig", "PipelineConfig",
+    "PortableRng", "SamplerConfig", "SpecError", "SplitManifest",
+    "SyntheticSpec", "SyntheticTruth", "TrainSet", "TukeyParams",
+    "UndefinedStatisticError", "build_base_stats", "calibrate",
+    "calibrate_support_set", "cholesky_psd", "class_similarity",
     "derive_key", "evaluate", "generate_synthetic", "load_dataset",
-    "load_split", "max_likelihood_classify", "nearest_base_classes",
-    "predict", "project_2d", "retrieve_nearest_class_features",
-    "run_episode", "sample_episode", "sample_features", "sample_skewness",
-    "save_dataset", "save_split", "splitmix64", "sweep", "train_logistic",
-    "train_svm", "tukey_transform",
+    "load_split", "predict", "project_2d", "run_episode", "sample_episode",
+    "sample_features", "save_dataset", "save_split", "sweep",
+    "train_logistic", "train_svm", "tukey_transform",
 ]

@@ -14,11 +14,12 @@ K shots contributes K distributions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError, InsufficientSamplesError, SpecError
+from .errors import DimensionError, InsufficientSamplesError, SpecError
 from .features_io import Dataset
 from .rng import PortableRng
 from .stats import BaseStatsTable
@@ -35,13 +36,18 @@ class CalibrationParams:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise SpecError("k must be at least 1")
-        if not self.alpha >= 0:
-            raise SpecError("alpha must be non-negative")
+        if not 0 <= self.alpha < math.inf:
+            raise SpecError("alpha must be finite and non-negative")
 
 
 @dataclass
 class CalibratedDistribution:
-    """A Gaussian transferred to one support feature."""
+    """A Gaussian transferred to one support feature.
+
+    Construction checks shapes only.  The covariance's values (finite,
+    symmetric) are checked by :func:`fsdc.sampling.cholesky_psd` when it is
+    factored, which every reader of it does.
+    """
 
     mean: np.ndarray
     covariance: np.ndarray
@@ -54,8 +60,6 @@ class CalibratedDistribution:
         d = self.mean.shape[0]
         if self.covariance.shape != (d, d):
             raise DimensionError("covariance must be square and match the mean")
-        if not np.array_equal(self.covariance, self.covariance.T):
-            raise DataError("calibrated covariance must be exactly symmetric")
 
     @property
     def dim(self) -> int:

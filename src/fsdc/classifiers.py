@@ -32,12 +32,12 @@ class OptimizerConfig:
     l2: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not self.learning_rate > 0:
-            raise SpecError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise SpecError("learning_rate must be finite and positive")
         if self.epochs < 1:
             raise SpecError("epochs must be at least 1")
-        if self.l2 < 0:
-            raise SpecError("l2 must be non-negative")
+        if not 0 <= self.l2 < math.inf:
+            raise SpecError("l2 must be finite and non-negative")
 
 
 class TrainSet:
@@ -260,14 +260,3 @@ class MaxLikelihoodScorer:
         label_array = np.asarray(self.labels, dtype=np.int64)
         return label_array[picks]
 
-
-def max_likelihood_classify(x, distributions, jitter: float = 1e-6):
-    """Label of the distribution family most likely to have produced ``x``.
-
-    A 1-D input yields an int, a 2-D input an int64 array.
-    """
-    scorer = MaxLikelihoodScorer(distributions, jitter=jitter)
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        return int(scorer.classify(arr[None, :])[0])
-    return scorer.classify(arr)

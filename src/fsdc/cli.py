@@ -230,8 +230,8 @@ def _cmd_stats(args) -> int:
 
 def _cmd_eval(args) -> int:
     settings = _gather_settings(args)
-    _warn_ignored_optimizer(settings)
     spec, cfg = _configs(settings)
+    _warn_ignored_optimizer(settings)
     ds, split, table = _load_world(args)
     report = evaluate(ds, split, table, spec, cfg,
                       workers=_resolve_workers(settings))
@@ -260,9 +260,9 @@ def _parse_sweep_values(param: str, text: str):
 
 def _cmd_sweep(args) -> int:
     settings = _gather_settings(args)
-    _warn_ignored_optimizer(settings)
     values = _parse_sweep_values(args.param, args.values)
     spec, cfg = _configs(settings)
+    _warn_ignored_optimizer(settings)
     ds, split, table = _load_world(args)
     results = sweep(ds, split, table, spec, cfg, args.param, values,
                     workers=_resolve_workers(settings))

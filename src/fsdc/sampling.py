@@ -12,6 +12,7 @@ or in which order they are processed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Final
 
@@ -37,8 +38,8 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.total_per_class < 0:
             raise SpecError("total_per_class must be non-negative")
-        if not self.jitter > 0:
-            raise SpecError("jitter must be positive")
+        if not 0 < self.jitter < math.inf:
+            raise SpecError("jitter must be finite and positive")
 
 
 def cholesky_psd(cov, jitter: float = 1e-6):
@@ -48,6 +49,11 @@ def cholesky_psd(cov, jitter: float = 1e-6):
     for t = 0..6.  Returns ``(L, c)`` where c is the shift that succeeded
     (0.0 when none was needed).  Raises FactorizationError when even the
     largest shift fails.
+
+    This is the value check for calibrated covariances, which are built
+    unchecked: it raises DataError for a matrix that is not finite or not
+    symmetric to within rounding.  ``np.linalg.cholesky`` would not; it reads
+    only the lower triangle and returns a NaN or inf factor for such input.
     """
     s = np.asarray(cov, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -59,13 +65,14 @@ def cholesky_psd(cov, jitter: float = 1e-6):
     if not (np.array_equal(s, s.T)
             or np.allclose(s, s.T, rtol=1e-10, atol=1e-12)):
         raise DataError("covariance must be symmetric")
-    if not jitter > 0:
-        raise SpecError("jitter must be positive")
-    eye = np.eye(s.shape[0])
+    if not 0 < jitter < math.inf:
+        raise SpecError("jitter must be finite and positive")
     shift = 0.0
     for attempt in range(_JITTER_STEPS):
         try:
-            return np.linalg.cholesky(s + shift * eye), shift
+            # the first attempt factors s itself; only a retry copies it
+            shifted = s + shift * np.eye(s.shape[0]) if shift else s
+            return np.linalg.cholesky(shifted), shift
         except np.linalg.LinAlgError:
             shift = jitter * 10.0 ** attempt
     raise FactorizationError(

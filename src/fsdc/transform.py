@@ -26,8 +26,8 @@ class TukeyParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.lam):
             raise SpecError("transform exponent must be finite")
-        if not self.log_epsilon > 0:
-            raise SpecError("log_epsilon must be positive")
+        if not 0 < self.log_epsilon < math.inf:
+            raise SpecError("log_epsilon must be finite and positive")
 
 
 def tukey_transform(features, params: TukeyParams = TukeyParams()) -> np.ndarray:

@@ -169,6 +169,9 @@ def test_calibration_params_validation():
         CalibrationParams(k=0)
     with pytest.raises(SpecError):
         CalibrationParams(alpha=-0.1)
+    for alpha in (np.inf, np.nan):
+        with pytest.raises(SpecError):
+            CalibrationParams(alpha=alpha)
 
 
 # ------------------------------------------------------------------ retrieval

@@ -4,9 +4,8 @@ import pytest
 from fsdc import classifiers
 from fsdc.calibration import CalibratedDistribution
 from fsdc.classifiers import (LinearModel, MaxLikelihoodScorer, OptimizerConfig,
-                              TrainSet, hinge_loss_grad, max_likelihood_classify,
-                              predict, softmax_loss_grad, train_logistic,
-                              train_svm)
+                              TrainSet, hinge_loss_grad, predict,
+                              softmax_loss_grad, train_logistic, train_svm)
 from fsdc.errors import DimensionError, DivergenceError, SpecError
 
 
@@ -241,6 +240,10 @@ def test_optimizer_config_validation():
         OptimizerConfig(learning_rate=0.0)
     with pytest.raises(SpecError):
         OptimizerConfig(epochs=0)
+    for field, value in [("learning_rate", np.inf), ("learning_rate", np.nan),
+                         ("l2", -0.1), ("l2", np.inf), ("l2", np.nan)]:
+        with pytest.raises(SpecError):
+            OptimizerConfig(**{field: value})
 
 
 # --------------------------------------------------------------- max likelihood
@@ -269,24 +272,23 @@ def test_max_likelihood_matches_dense_formula():
 def test_max_likelihood_picks_own_mean():
     dists = {0: [gaussian([0.0, 0.0], np.eye(2))],
              1: [gaussian([5.0, 5.0], np.eye(2))]}
-    assert max_likelihood_classify([0.1, -0.1], dists) == 0
-    assert max_likelihood_classify([5.2, 4.9], dists) == 1
+    got = MaxLikelihoodScorer(dists).classify([[0.1, -0.1], [5.2, 4.9]])
+    assert np.array_equal(got, [0, 1])
 
 
 def test_max_likelihood_tie_goes_to_lowest_label():
     dists = {2: [gaussian([1.0, 0.0], np.eye(2))],
              7: [gaussian([-1.0, 0.0], np.eye(2))]}
-    assert max_likelihood_classify([0.0, 0.0], dists) == 2
+    assert np.array_equal(MaxLikelihoodScorer(dists).classify([[0.0, 0.0]]), [2])
 
 
 def test_max_likelihood_spherical_equals_nearest_mean():
     rng = np.random.default_rng(2)
     means = rng.normal(size=(4, 3))
     dists = {i: [gaussian(means[i], np.eye(3))] for i in range(4)}
-    for _ in range(20):
-        x = rng.normal(size=3)
-        expected = int(np.argmin(((means - x) ** 2).sum(axis=1)))
-        assert max_likelihood_classify(x, dists) == expected
+    x = rng.normal(size=(20, 3))
+    expected = np.argmin(((means - x[:, None, :]) ** 2).sum(axis=2), axis=1)
+    assert np.array_equal(MaxLikelihoodScorer(dists).classify(x), expected)
 
 
 def test_max_likelihood_aggregate_modes():
@@ -302,5 +304,6 @@ def test_max_likelihood_aggregate_modes():
 def test_max_likelihood_batch_shape():
     dists = {0: [gaussian([0.0, 0.0], np.eye(2))],
              1: [gaussian([5.0, 5.0], np.eye(2))]}
-    out = max_likelihood_classify(np.array([[0.0, 0.0], [5.0, 5.0]]), dists)
+    out = MaxLikelihoodScorer(dists).classify(np.array([[0.0, 0.0], [5.0, 5.0]]))
+    assert out.shape == (2,) and out.dtype == np.int64
     assert np.array_equal(out, [0, 1])

@@ -297,6 +297,19 @@ def test_deleted_flags_are_rejected(world, capsys, argv):
     assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--alpha", "--lr", "--l2", "--jitter",
+                                  "--log-epsilon"])
+def test_non_finite_setting_exits_before_reading_the_dataset(world, capsys,
+                                                             flag):
+    # the dataset path does not exist: reading it would exit 1, not 2
+    rc = main(["eval", "--dataset", str(world["root"] / "absent.fsdc"),
+               "--split", world["split"], "--classifier", "max_likelihood",
+               flag, "inf"])
+    assert rc == 2
+    # the setting is refused before the optimizer flags are warned about
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_baseline_flag_parses(world, tmp_path):
     out = str(tmp_path / "r.json")
     assert main(eval_args(world, "--baseline", "nearest:5", "--out", out)) == 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fsdc.calibration import CalibratedDistribution
+from fsdc.classifiers import MaxLikelihoodScorer
 from fsdc.errors import DataError, DimensionError, FactorizationError, SpecError
 from fsdc.sampling import SamplerConfig, cholesky_psd, sample_features
 
@@ -57,8 +58,31 @@ def test_cholesky_input_validation():
         cholesky_psd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(DimensionError):
         cholesky_psd(np.ones((2, 3)))
-    with pytest.raises(SpecError):
-        cholesky_psd(np.eye(2), jitter=0.0)
+    for jitter in (0.0, np.inf, np.nan):
+        with pytest.raises(SpecError):
+            cholesky_psd(np.eye(2), jitter=jitter)
+
+
+@pytest.mark.parametrize("cov", [
+    np.array([[1.0, 0.5], [0.0, 1.0]]),
+    np.array([[np.nan, 0.0], [0.0, 1.0]])])
+def test_calibrated_covariance_values_are_checked_when_factored(cov):
+    # a calibrated distribution checks only shapes; both readers of its
+    # covariance factor it, and the factorization refuses bad values
+    with pytest.raises(DataError):
+        sample_features({0: [dist([0.0, 0.0], cov)]},
+                        SamplerConfig(total_per_class=4))
+    with pytest.raises(DataError):
+        MaxLikelihoodScorer({0: [dist([0.0, 0.0], cov)]})
+
+
+def test_calibrated_covariance_rounding_asymmetry_is_accepted():
+    cov = np.array([[4.0, 2.0], [2.0 * (1 + 1e-14), 3.0]])
+    assert not np.array_equal(cov, cov.T)
+    dists = {0: [dist([0.0, 0.0], cov)], 1: [dist([5.0, 5.0], np.eye(2))]}
+    x, _ = sample_features(dists, SamplerConfig(total_per_class=4))
+    assert np.isfinite(x).all()
+    assert np.array_equal(MaxLikelihoodScorer(dists).classify([[0.0, 0.0]]), [0])
 
 
 # ------------------------------------------------------------------- sampling
@@ -148,3 +172,6 @@ def test_sampler_config_validation():
         SamplerConfig(total_per_class=-1)
     with pytest.raises(SpecError):
         SamplerConfig(jitter=0.0)
+    for jitter in (np.inf, np.nan):
+        with pytest.raises(SpecError):
+            SamplerConfig(jitter=jitter)

@@ -56,6 +56,9 @@ def test_bad_params():
         TukeyParams(lam=math.inf)
     with pytest.raises(SpecError):
         TukeyParams(log_epsilon=0.0)
+    for value in (np.inf, np.nan):
+        with pytest.raises(SpecError):
+            TukeyParams(log_epsilon=value)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=30),
