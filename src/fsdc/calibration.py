@@ -100,8 +100,11 @@ def calibrate(x, table: BaseStatsTable, params: CalibrationParams,
         mean = (mean_sum + xv) / (params.k + 1)
     else:
         mean = mean_sum / params.k
-    cov = cov_sum / params.k + params.alpha
-    return CalibratedDistribution(mean=mean, covariance=cov,
+    # in place: the same rounding as cov_sum / k + alpha, without two more
+    # (dim, dim) temporaries
+    cov_sum /= params.k
+    cov_sum += params.alpha
+    return CalibratedDistribution(mean=mean, covariance=cov_sum,
                                  source_support_index=source_index,
                                  neighbor_class_ids=tuple(neighbors))
 
@@ -113,7 +116,9 @@ def calibrate_support_set(support_x, support_y, table: BaseStatsTable,
     ``support_x`` is (n, dim), ``support_y`` the matching labels.  Returns a
     dict mapping each label to the list of distributions calibrated from its
     support features, in support order.  ``source_support_index`` records the
-    row each distribution came from.
+    row each distribution came from, counted in the ``support_x`` passed in:
+    a caller that calibrates a subset of an episode's support rows gets
+    indices into that subset.
     """
     xs = np.asarray(support_x, dtype=np.float64)
     ys = np.asarray(support_y)

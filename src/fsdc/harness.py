@@ -178,15 +178,20 @@ def _transformed(ep: Episode, cfg: PipelineConfig):
             tukey_transform(ep.query_x, cfg.tukey))
 
 
-def _extra_rows(ep: Episode, support_x, stats: BaseStatsTable,
+def _train_rows(ep: Episode, support_x, stats: BaseStatsTable,
                 cfg: PipelineConfig, base_data: Dataset | None):
-    """The rows a classifier trains on besides the support set, and their
-    task labels.
+    """The rows a classifier trains on and their task labels: the support
+    rows first, then the extra rows.
 
-    These are ``baseline_m`` base rows retrieved per support feature under
-    the retrieval baseline, features drawn from the calibrated Gaussians
-    when generation is on and the classifier is trained, and no rows
-    otherwise: the max-likelihood scorer trains on nothing.
+    The extra rows are ``baseline_m`` base rows retrieved per support
+    feature under the retrieval baseline, features drawn from the
+    calibrated Gaussians when generation is on and the classifier is
+    trained, and none otherwise: the max-likelihood scorer trains on
+    nothing.  Generation calibrates and draws one class at a time, writing
+    each class's draws into its slice of one preallocated matrix, so an
+    episode holds one class's covariances at once.  Draw streams are keyed
+    by (label, distribution), so the rows equal one call over the whole
+    support set.
     """
     if cfg.baseline == "nearest_class":
         if base_data is None:
@@ -200,14 +205,31 @@ def _extra_rows(ep: Episode, support_x, stats: BaseStatsTable,
             if cfg.use_tukey:
                 raw = tukey_transform(raw, cfg.tukey)
             blocks.append(raw)
-        return np.concatenate(blocks), np.repeat(ep.support_y, cfg.baseline_m)
-    if (cfg.use_generation and cfg.sampler.total_per_class > 0
+        return (np.concatenate([support_x, *blocks]),
+                np.concatenate([ep.support_y,
+                                np.repeat(ep.support_y, cfg.baseline_m)]))
+    if not (cfg.use_generation and cfg.sampler.total_per_class > 0
             and cfg.classifier != "max_likelihood"):
-        dists = calibrate_support_set(support_x, ep.support_y, stats, cfg.calib)
-        sampler = replace(cfg.sampler,
-                          seed=derive_key(cfg.sampler.seed, _DOM_GEN, ep.index))
-        return sample_features(dists, sampler)
-    return np.empty((0, support_x.shape[1])), np.empty(0, dtype=np.int64)
+        return support_x, ep.support_y
+    sampler = replace(cfg.sampler,
+                      seed=derive_key(cfg.sampler.seed, _DOM_GEN, ep.index))
+    total = cfg.sampler.total_per_class
+    labels = np.unique(ep.support_y)
+    n_support = support_x.shape[0]
+    train_x = np.empty((n_support + labels.size * total, support_x.shape[1]))
+    train_y = np.empty(train_x.shape[0], dtype=np.int64)
+    train_x[:n_support] = support_x
+    train_y[:n_support] = ep.support_y
+    for c, label in enumerate(labels):
+        rows = np.flatnonzero(ep.support_y == label)
+        start = n_support + c * total
+        # passed straight through, so the class's distributions are freed
+        # before the next class is calibrated
+        train_x[start:start + total], train_y[start:start + total] = \
+            sample_features(calibrate_support_set(support_x[rows],
+                                                  ep.support_y[rows], stats,
+                                                  cfg.calib), sampler)
+    return train_x, train_y
 
 
 def _run_episode(ep: Episode, stats: BaseStatsTable, cfg: PipelineConfig,
@@ -218,10 +240,8 @@ def _run_episode(ep: Episode, stats: BaseStatsTable, cfg: PipelineConfig,
         scorer = MaxLikelihoodScorer(dists, jitter=cfg.sampler.jitter)
         predicted = scorer.classify(query_x)
     else:
-        extra_x, extra_y = _extra_rows(ep, support_x, stats, cfg, base_data)
-        train = TrainSet(np.concatenate([support_x, extra_x]),
-                         np.concatenate([ep.support_y, extra_y]),
-                         class_map=ep.class_ids)
+        train_x, train_y = _train_rows(ep, support_x, stats, cfg, base_data)
+        train = TrainSet(train_x, train_y, class_map=ep.class_ids)
         fit = train_logistic if cfg.classifier == "logistic" else train_svm
         predicted = predict(fit(train, cfg.optimizer), query_x)
     return float((predicted == ep.query_y).mean())
@@ -322,9 +342,11 @@ def collect_episode_features(ep: Episode, stats: BaseStatsTable,
     is only required for the retrieval baseline.
     """
     support_x, query_x = _transformed(ep, cfg)
-    extra_x, extra_y = _extra_rows(ep, support_x, stats, cfg, base_data)
+    train_x, train_y = _train_rows(ep, support_x, stats, cfg, base_data)
+    n_support = support_x.shape[0]
+    extra_x, extra_y = train_x[n_support:], train_y[n_support:]
     extra_role = "retrieved" if cfg.baseline == "nearest_class" else "generated"
-    roles = (["support"] * support_x.shape[0] + ["query"] * query_x.shape[0]
+    roles = (["support"] * n_support + ["query"] * query_x.shape[0]
              + [extra_role] * extra_x.shape[0])
     labels = np.concatenate([ep.support_y, ep.query_y, extra_y])
     return (np.concatenate([support_x, query_x, extra_x]),

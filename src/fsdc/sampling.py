@@ -82,23 +82,38 @@ def cholesky_psd(cov, jitter: float = 1e-6):
 def sample_features(distributions, config: SamplerConfig):
     """Draw ``config.total_per_class`` features for every class.
 
-    ``distributions`` maps label -> list of calibrated distributions.  The
-    per-class budget is split evenly across that class's distributions, with
-    the first ``total mod count`` distributions receiving one extra draw.
-    Returns ``(features, labels)``: float64 (n, dim) and int64 (n,), ordered
-    by ascending label, then by distribution index.
+    ``distributions`` maps label -> list of calibrated distributions, all of
+    one dimension.  The per-class budget is split evenly across that class's
+    distributions, with the first ``total mod count`` distributions receiving
+    one extra draw.  Returns ``(features, labels)``: float64 (n, dim) and
+    int64 (n,), ordered by ascending label, then by distribution index.  The
+    features are drawn straight into their rows of one array sized from the
+    counts; no per-distribution block is kept.
     """
     if config.total_per_class < 1:
         raise SpecError("sampling needs total_per_class >= 1")
     if not distributions:
         raise SpecError("no distributions to sample from")
-    feature_blocks = []
-    label_blocks = []
-    for label in sorted(distributions):
+    labels = sorted(distributions)
+    dim = None
+    for label in labels:
         dists = distributions[label]
         if not dists:
             raise SpecError(f"class {label} has no calibrated distributions")
-        share, extra = divmod(config.total_per_class, len(dists))
+        for j, dist in enumerate(dists):
+            if dim is None:
+                dim = dist.dim
+            elif dist.dim != dim:
+                raise DimensionError(
+                    f"class {label}, distribution {j} has dim {dist.dim}, "
+                    f"expected {dim}")
+    total = config.total_per_class
+    features = np.empty((total * len(labels), dim))
+    out_labels = np.repeat(np.asarray(labels, dtype=np.int64), total)
+    start = 0
+    for label in labels:
+        dists = distributions[label]
+        share, extra = divmod(total, len(dists))
         for j, dist in enumerate(dists):
             count = share + (1 if j < extra else 0)
             if count == 0:
@@ -109,7 +124,7 @@ def sample_features(distributions, config: SamplerConfig):
                 raise FactorizationError(
                     f"class {label}, distribution {j}: {exc}") from exc
             rng = PortableRng(derive_key(config.seed, _DOM_SAMPLE, int(label), j))
-            z = rng.normal(count * dist.dim).reshape(count, dist.dim)
-            feature_blocks.append(dist.mean + z @ factor.T)
-            label_blocks.append(np.full(count, int(label), dtype=np.int64))
-    return np.concatenate(feature_blocks), np.concatenate(label_blocks)
+            z = rng.normal(count * dim).reshape(count, dim)
+            np.add(dist.mean, z @ factor.T, out=features[start:start + count])
+            start += count
+    return features, out_labels

@@ -63,7 +63,12 @@ def bench_world():
 
 @pytest.fixture(scope="session")
 def bench_cells(bench_world):
-    """Episode accuracies and wall time for every pipeline variant."""
+    """Episode accuracies and wall time for every pipeline variant.
+
+    Each cell runs on two worker processes; episodes are seeded one by one,
+    so the reports equal the serial run's, and the wall time is that of the
+    two processes together.
+    """
     ds, split, stats = bench_world
     variants = {
         "plain": dict(use_tukey=False, use_generation=False),
@@ -83,7 +88,7 @@ def bench_cells(bench_world):
         cfg.update(overrides)
         start = time.perf_counter()
         report = evaluate(ds, split, stats, BENCH_EPISODES,
-                          PipelineConfig(**cfg))
+                          PipelineConfig(**cfg), workers=2)
         elapsed = time.perf_counter() - start
         cells[name] = (np.asarray(report.episode_accuracies), elapsed)
         print(f"  cell {name}: {_pts(cells[name][0]):.2f}% "

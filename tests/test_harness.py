@@ -1,17 +1,21 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fsdc.calibration import CalibrationParams
+from fsdc.calibration import CalibrationParams, calibrate_support_set
 from fsdc.classifiers import OptimizerConfig, train_logistic
 from fsdc.errors import (DataError, DimensionError, EpisodeError, SpecError)
 from fsdc.features_io import Dataset, SplitManifest, SyntheticSpec, generate_synthetic
-from fsdc.harness import (Episode, EpisodeSpec, EvalReport, PipelineConfig,
-                          apply_sweep_value, collect_episode_features,
-                          evaluate, project_2d, run_episode, sample_episode,
-                          sweep)
-from fsdc.sampling import SamplerConfig
+from fsdc.harness import (_DOM_GEN, Episode, EpisodeSpec, EvalReport,
+                          PipelineConfig, apply_sweep_value,
+                          collect_episode_features, evaluate, project_2d,
+                          run_episode, sample_episode, sweep)
+from fsdc.rng import derive_key
+from fsdc.sampling import SamplerConfig, sample_features
 from fsdc.stats import build_base_stats
-from fsdc.transform import TukeyParams
+from fsdc.transform import TukeyParams, tukey_transform
 
 
 def make_world(num_classes=10, dim=8, per_class=40, group_size=5, seed=17):
@@ -165,6 +169,63 @@ def test_classifier_trains_on_the_collected_rows(monkeypatch, kw, k_shot):
     assert np.array_equal(train.features, features[trained])
     assert np.array_equal(np.asarray(train.class_map)[train.labels],
                           class_ids[trained])
+
+
+@pytest.mark.parametrize("k_shot, kw", [
+    (1, {}),
+    (5, {}),
+    (5, {"use_tukey": False}),
+    (5, {"calib": CalibrationParams(use_novel_feature=False)}),
+    (5, {"sampler": SamplerConfig(total_per_class=7, seed=1)}),
+], ids=["one_shot", "five_shot", "no_tukey", "no_novel", "uneven_share"])
+def test_class_at_a_time_generation_equals_one_call(monkeypatch, k_shot, kw):
+    # generation calibrates and draws one class at a time; the training rows
+    # must equal, bit for bit, one calibration of the whole support set, one
+    # draw from all of it, and the draws stacked behind the support rows
+    ds, split, stats = make_world(num_classes=15)
+    spec = EpisodeSpec(n_way=3, k_shot=k_shot, q_queries=4, num_episodes=1,
+                       seed=2)
+    ep = sample_episode(ds, split, spec, 3)
+    cfg = quick_cfg(**kw)
+    seen = []
+
+    def capture(train, config):
+        seen.append(train)
+        return train_logistic(train, config)
+
+    monkeypatch.setattr("fsdc.harness.train_logistic", capture)
+    run_episode(ep, stats, cfg)
+    support_x = (tukey_transform(ep.support_x, cfg.tukey) if cfg.use_tukey
+                 else ep.support_x)
+    dists = calibrate_support_set(support_x, ep.support_y, stats, cfg.calib)
+    sampler = replace(cfg.sampler,
+                      seed=derive_key(cfg.sampler.seed, _DOM_GEN, ep.index))
+    extra_x, extra_y = sample_features(dists, sampler)
+    (train,) = seen
+    assert np.array_equal(train.features, np.concatenate([support_x, extra_x]))
+    assert np.array_equal(train.labels, np.concatenate([ep.support_y, extra_y]))
+
+
+def test_episode_holds_one_class_of_covariances_at_a_time():
+    # 5 classes of 5 shots at d=256: all 25 covariances would take 13.1 MB,
+    # one class's 2.6 MB; the bound allows two classes' covariances plus
+    # four copies of the training matrix
+    ds, split, _ = generate_synthetic(SyntheticSpec(
+        num_classes=30, dim=256, samples_per_class=40, group_size=5, seed=2))
+    stats = build_base_stats(ds, split)
+    spec = EpisodeSpec(n_way=5, k_shot=5, q_queries=15, num_episodes=1, seed=4)
+    ep = sample_episode(ds, split, spec, 0)
+    cfg = quick_cfg(optimizer=OptimizerConfig(epochs=2))
+    k, d = spec.k_shot, ds.dim
+    n_train = spec.n_way * (spec.k_shot + cfg.sampler.total_per_class)
+    bound = 2 * k * d * d * 8 + 4 * n_train * d * 8
+    tracemalloc.start()
+    try:
+        run_episode(ep, stats, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
 
 def test_pipeline_config_validation():

@@ -167,6 +167,13 @@ def test_sample_rejects_bad_inputs():
                         SamplerConfig(total_per_class=10))
 
 
+def test_sample_rejects_mixed_dimensions():
+    dists = {0: [dist([0.0, 0.0], np.eye(2))],
+             1: [dist([0.0, 0.0, 0.0], np.eye(3))]}
+    with pytest.raises(DimensionError, match="class 1, distribution 0"):
+        sample_features(dists, SamplerConfig(total_per_class=4))
+
+
 def test_sampler_config_validation():
     with pytest.raises(SpecError):
         SamplerConfig(total_per_class=-1)
