@@ -72,6 +72,11 @@ def nearest_base_classes(x, table: BaseStatsTable, k: int) -> list[int]:
     Distance is squared euclidean; exact ties break toward the smaller class
     id, so the result never depends on table iteration order.
     """
+    return [int(table.id_array[row]) for row in _nearest_rows(x, table, k)]
+
+
+def _nearest_rows(x, table: BaseStatsTable, k: int) -> np.ndarray:
+    """Table rows of the k nearest base classes, nearest first."""
     xv = np.asarray(x, dtype=np.float64)
     if xv.shape != (table.dim,):
         raise DimensionError(f"feature has shape {xv.shape}, table dim is {table.dim}")
@@ -81,32 +86,38 @@ def nearest_base_classes(x, table: BaseStatsTable, k: int) -> list[int]:
         raise SpecError(f"k={k} exceeds the {len(table)} classes in the table")
     diffs = table.mean_matrix - xv
     dists = np.einsum("ij,ij->i", diffs, diffs)
-    order = np.lexsort((table.id_array, dists))
-    return [int(table.id_array[i]) for i in order[:k]]
+    return np.lexsort((table.id_array, dists))[:k]
 
 
 def calibrate(x, table: BaseStatsTable, params: CalibrationParams,
               source_index: int = -1) -> CalibratedDistribution:
-    """Calibrate a single support feature against the base statistics."""
-    neighbors = nearest_base_classes(x, table, params.k)
+    """Calibrate a single support feature against the base statistics.
+
+    The neighbors' covariances are summed as packed lower triangles, element
+    by element in neighbor order, and the result is expanded once into the
+    full matrix.  Every base covariance is exactly symmetric, so this equals
+    summing the full matrices bit for bit.
+    """
+    rows = _nearest_rows(x, table, params.k)
     xv = np.asarray(x, dtype=np.float64)
     mean_sum = np.zeros(table.dim)
-    cov_sum = np.zeros((table.dim, table.dim))
-    for cid in neighbors:
-        entry = table.entry(cid)
-        mean_sum += entry.mean
-        cov_sum += entry.covariance
+    cov_sum = np.zeros(table.packed_covariances.shape[1])
+    for row in rows:
+        mean_sum += table.mean_matrix[row]
+        cov_sum += table.packed_covariances[row]
     if params.use_novel_feature:
         mean = (mean_sum + xv) / (params.k + 1)
     else:
         mean = mean_sum / params.k
     # in place: the same rounding as cov_sum / k + alpha, without two more
-    # (dim, dim) temporaries
+    # temporaries
     cov_sum /= params.k
     cov_sum += params.alpha
-    return CalibratedDistribution(mean=mean, covariance=cov_sum,
-                                 source_support_index=source_index,
-                                 neighbor_class_ids=tuple(neighbors))
+    return CalibratedDistribution(mean=mean,
+                                  covariance=np.take(cov_sum, table.gather_map),
+                                  source_support_index=source_index,
+                                  neighbor_class_ids=tuple(
+                                      int(table.id_array[row]) for row in rows))
 
 
 def calibrate_support_set(support_x, support_y, table: BaseStatsTable,

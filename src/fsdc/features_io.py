@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import struct
 import tempfile
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ _MAGIC: Final = b"FSDC"
 _VERSION: Final = 1
 _HEADER: Final = struct.Struct("<4sIII")
 _MAX_CLASS_ID: Final = 2 ** 32 - 1   # class ids are stored as u32
+_CHUNK_BYTES: Final = 1 << 20   # records are decoded through a buffer this big
 
 _DOM_GROUP_DIR: Final = 0x47
 _DOM_CLASS_OFFSET: Final = 0x4F
@@ -129,10 +131,13 @@ def _encode_binary(ds: Dataset) -> bytes:
     return header + records.tobytes()
 
 
-def _decode_binary(data: bytes) -> Dataset:
-    if len(data) < _HEADER.size:
+def _read_binary(fh) -> Dataset:
+    """Decode an FSDC file from ``fh``, a chunk of records at a time, straight
+    into the dataset's arrays: no copy of the whole file is ever held."""
+    header = fh.read(_HEADER.size)
+    if len(header) < _HEADER.size:
         raise FormatError("file too short for a dataset header")
-    magic, version, count, dim = _HEADER.unpack_from(data)
+    magic, version, count, dim = _HEADER.unpack(header)
     if magic != _MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
     if version != _VERSION:
@@ -141,13 +146,34 @@ def _decode_binary(data: bytes) -> Dataset:
         raise FormatError("dataset declares zero records")
     if dim == 0:
         raise FormatError("dataset declares zero feature dimension")
-    expected = _HEADER.size + count * (4 + 4 * dim)
-    if len(data) != expected:
-        raise FormatError(f"expected {expected} bytes for {count} records of dim {dim}, "
-                          f"got {len(data)}")
-    records = np.frombuffer(data, dtype=_record_dtype(dim), count=count,
-                            offset=_HEADER.size)
-    return Dataset(records["class_id"].copy(), records["values"].copy())
+    record = _record_dtype(dim)
+    expected = _HEADER.size + count * record.itemsize
+
+    def wrong_size(got: str):
+        return FormatError(f"expected {expected} bytes for {count} records of "
+                           f"dim {dim}, got {got}")
+
+    # a regular file's size is known before the arrays are allocated, so a
+    # header that overstates the records is refused without allocating them
+    info = os.fstat(fh.fileno())
+    if stat.S_ISREG(info.st_mode) and info.st_size != expected:
+        raise wrong_size(str(info.st_size))
+    class_ids = np.empty(count, dtype=np.uint32)
+    values = np.empty((count, dim), dtype=np.float32)
+    per_chunk = max(1, _CHUNK_BYTES // record.itemsize)
+    buffer = np.empty(min(count, per_chunk) * record.itemsize, dtype=np.uint8)
+    for start in range(0, count, per_chunk):
+        n = min(per_chunk, count - start)
+        chunk = buffer[:n * record.itemsize]
+        got = fh.readinto(chunk)
+        if got != chunk.size:
+            raise wrong_size(str(_HEADER.size + start * record.itemsize + got))
+        records = chunk.view(record)
+        class_ids[start:start + n] = records["class_id"]
+        values[start:start + n] = records["values"]
+    if fh.read(1):
+        raise wrong_size("more")
+    return Dataset(class_ids, values)
 
 
 def _encode_csv(ds: Dataset) -> str:
@@ -204,11 +230,12 @@ def save_dataset(ds: Dataset, path, format: str = "binary") -> None:
 
 
 def load_dataset(path, format: str = "binary") -> Dataset:
-    with open(path, "rb") as fh:
-        data = fh.read()
     if format == "binary":
-        return _decode_binary(data)
+        with open(path, "rb") as fh:
+            return _read_binary(fh)
     if format == "csv":
+        with open(path, "rb") as fh:
+            data = fh.read()
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError:

@@ -9,6 +9,11 @@ computed in float64 and symmetrized exactly (averaged with its transpose), so
 ``cov == cov.T`` holds bitwise.  The base table is built from the untransformed
 base features of the dataset being evaluated, every time it is needed; it is
 never stored, so it cannot come from another dataset or feature space.
+
+Because every covariance is exactly symmetric, the table keeps only its lower
+triangle, packed row by row: ``d(d+1)/2`` float64 values per class instead of
+``d*d``, 1.6 MB instead of 3.3 MB at d=640.  A shared ``(d, d)`` gather map
+expands a packed row, or a sum of packed rows, back into the full matrix.
 """
 
 from __future__ import annotations
@@ -46,8 +51,14 @@ def class_covariance(features, mean=None) -> np.ndarray:
     if mu.shape != (x.shape[1],):
         raise DimensionError("mean has the wrong dimensionality")
     centered = x - mu
-    cov = centered.T @ centered / (n - 1)
-    return (cov + cov.T) / 2.0
+    cov = centered.T @ centered
+    # in place: the same rounding as (cov + cov.T) / 2.0 after / (n - 1)
+    # (numpy buffers the overlapping transpose), without two more (d, d)
+    # temporaries
+    cov /= n - 1
+    cov += cov.T
+    cov /= 2.0
+    return cov
 
 
 @dataclass
@@ -82,39 +93,78 @@ class BaseStatsTable:
 
     Lookup order is always ascending class id; ``mean_matrix`` stacks the
     means in that order for vectorized distance computations.
+
+    Covariances are stored packed: row ``r`` of ``packed_covariances`` holds
+    the lower triangle of the covariance of the class in row ``r``, row-major
+    (``(0,0), (1,0), (1,1), (2,0), ...``), and ``np.take(packed, gather_map)``
+    expands a packed row into the full symmetric matrix.  :meth:`entry`
+    rebuilds a :class:`ClassStatistics` on each call, which expands and
+    re-checks one full ``(d, d)`` covariance; calibration reads the packed
+    rows directly and never calls it.
     """
 
     def __init__(self, dim: int, entries) -> None:
-        self.dim = int(dim)
         table: dict[int, ClassStatistics] = {}
         for entry in entries:
-            if entry.dim != self.dim:
+            if entry.dim != int(dim):
                 raise DimensionError(
-                    f"class {entry.class_id} has dim {entry.dim}, table has {self.dim}")
+                    f"class {entry.class_id} has dim {entry.dim}, table has {dim}")
             if entry.class_id in table:
                 raise DataError(f"duplicate class id {entry.class_id}")
             table[entry.class_id] = entry
-        self._entries = dict(sorted(table.items()))
-        self._ids = np.array(list(self._entries), dtype=np.int64)
-        if self._ids.size:
-            self._means = np.stack([e.mean for e in self._entries.values()])
-        else:
-            self._means = np.empty((0, self.dim))
+        self._store(dim, sorted(table), table.__getitem__)
+
+    @classmethod
+    def _streamed(cls, dim: int, class_ids, statistics_of) -> BaseStatsTable:
+        """A table of the ascending, distinct ``class_ids``, whose statistics
+        ``statistics_of(class_id)`` computes when the table asks for them."""
+        table = cls.__new__(cls)
+        table._store(dim, class_ids, statistics_of)
+        return table
+
+    def _store(self, dim: int, class_ids, statistics_of) -> None:
+        self.dim = d = int(dim)
+        self._ids = np.array(class_ids, dtype=np.int64)
+        self._rows = {cid: row for row, cid in enumerate(class_ids)}
+        self._means = np.empty((self._ids.size, d))
+        self._counts = np.empty(self._ids.size, dtype=np.int64)
+        self._packed = np.empty((self._ids.size, d * (d + 1) // 2))
+        steps = np.arange(d)
+        lower = steps[:, None] >= steps
+        for row, cid in enumerate(class_ids):
+            # no name in this frame holds the statistics, so each full
+            # covariance is freed once packed, before the next is computed
+            self._put(row, statistics_of(cid), lower)
+        # packed index of (i, j) for j <= i is i(i+1)/2 + j; above the
+        # diagonal that expression is smaller than the mirrored one, so the
+        # elementwise maximum with the transpose picks the lower element
+        self._gather = steps.cumsum()[:, None] + steps
+        np.maximum(self._gather, self._gather.T, out=self._gather)
+
+    def _put(self, row: int, entry: ClassStatistics, lower: np.ndarray) -> None:
+        # a boolean mask selects in row-major order: the packed layout
+        self._means[row] = entry.mean
+        self._counts[row] = entry.count
+        self._packed[row] = entry.covariance[lower]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._ids.size
 
     def __contains__(self, class_id: int) -> bool:
-        return int(class_id) in self._entries
+        return int(class_id) in self._rows
 
     def class_ids(self) -> list[int]:
         return [int(c) for c in self._ids]
 
     def entry(self, class_id: int) -> ClassStatistics:
         try:
-            return self._entries[int(class_id)]
+            row = self._rows[int(class_id)]
         except KeyError:
             raise MissingClassError(f"no statistics for class {class_id}") from None
+        return ClassStatistics(class_id=int(class_id),
+                               mean=self._means[row].copy(),
+                               covariance=np.take(self._packed[row], self._gather),
+                               count=int(self._counts[row]))
 
     @property
     def id_array(self) -> np.ndarray:
@@ -124,23 +174,39 @@ class BaseStatsTable:
     def mean_matrix(self) -> np.ndarray:
         return self._means
 
+    @property
+    def packed_covariances(self) -> np.ndarray:
+        """``(classes, d(d+1)/2)`` float64: each class's packed covariance."""
+        return self._packed
+
+    @property
+    def gather_map(self) -> np.ndarray:
+        """``(d, d)`` intp: the packed index of every element of a covariance."""
+        return self._gather
+
 
 def build_base_stats(ds: Dataset, split: SplitManifest) -> BaseStatsTable:
     """Compute mean, covariance and record count for every base class in
-    ``split``, from its untransformed features in ``ds``."""
-    entries = []
-    for cid in sorted(split.base_classes):
-        feats = ds.features_for(cid)
-        if feats.shape[0] == 0:
-            raise MissingClassError(f"base class {cid} has no records in the dataset")
-        if feats.shape[0] < 2:
-            raise InsufficientSamplesError(
-                f"base class {cid} has {feats.shape[0]} record; need at least 2")
-        mu = class_mean(feats)
-        cov = class_covariance(feats, mu)
-        entries.append(ClassStatistics(class_id=cid, mean=mu, covariance=cov,
-                                       count=feats.shape[0]))
-    return BaseStatsTable(ds.dim, entries)
+    ``split``, from its untransformed features in ``ds``.
+
+    Each class's covariance is packed into the table before the next class's
+    is computed.
+    """
+    return BaseStatsTable._streamed(ds.dim, sorted(split.base_classes),
+                                    lambda cid: _class_statistics(ds, cid))
+
+
+def _class_statistics(ds: Dataset, cid: int) -> ClassStatistics:
+    feats = ds.features_for(cid)
+    if feats.shape[0] == 0:
+        raise MissingClassError(f"base class {cid} has no records in the dataset")
+    if feats.shape[0] < 2:
+        raise InsufficientSamplesError(
+            f"base class {cid} has {feats.shape[0]} record; need at least 2")
+    mu = class_mean(feats)
+    return ClassStatistics(class_id=cid, mean=mu,
+                           covariance=class_covariance(feats, mu),
+                           count=feats.shape[0])
 
 
 def _cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -159,7 +225,19 @@ def class_similarity(a: ClassStatistics, b: ClassStatistics) -> tuple[float, flo
     """
     if a.dim != b.dim:
         raise DimensionError("classes have different dimensionalities")
-    mean_cos = _cosine(a.mean, b.mean)
-    var_cos = _cosine(np.diag(a.covariance), np.diag(b.covariance))
-    return mean_cos, var_cos
+    return _profile_cosines(_profile(a), _profile(b))
+
+
+def _profile(stats: ClassStatistics) -> tuple[np.ndarray, np.ndarray]:
+    """A class's mean and variance profile, which are all that
+    :func:`class_similarity` reads; a caller comparing many classes keeps
+    these instead of the full covariances."""
+    # the diagonal is copied to contiguous memory because a dot product of
+    # strided vectors can round differently, and a kept profile must give the
+    # cosines class_similarity gives
+    return stats.mean, stats.covariance.diagonal().copy()
+
+
+def _profile_cosines(a, b) -> tuple[float, float]:
+    return _cosine(a[0], b[0]), _cosine(a[1], b[1])
 

@@ -117,26 +117,29 @@ def test_calibrate_alpha_is_affine_in_covariance():
     assert np.allclose(hi.covariance - lo.covariance, 0.4)
 
 
-@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("alpha", [0.0, 0.21])
 def test_calibrate_covariance_equals_out_of_place_expression(k, alpha):
-    # calibrate divides and shifts its covariance sum in place; each element
-    # must round exactly as the expression sum / k + alpha does
+    # calibrate sums packed lower triangles in place and expands the sum;
+    # each element must round exactly as the full-matrix expression
+    # (0 + cov_n1 + ... + cov_nk) / k + alpha does, in neighbor order
     rng = np.random.default_rng(12)
     covs = []
     for _ in range(3):
         a = rng.normal(size=(9, 5))
         covs.append(a.T @ a / 8)
     t = table_from_means(rng.normal(size=(3, 5)), covs)
-    kept = [t.entry(i).covariance.copy() for i in range(3)]
+    kept = t.packed_covariances.copy()
     x = rng.normal(size=5)
-    d = calibrate(x, t, CalibrationParams(k=k, alpha=alpha))
     cov_sum = np.zeros((5, 5))
     for cid in nearest_base_classes(x, t, k):
-        cov_sum += t.entry(cid).covariance
-    assert np.array_equal(d.covariance, cov_sum / k + alpha)
-    assert all(np.array_equal(t.entry(i).covariance, kept[i])
-               for i in range(3))
+        cov_sum += covs[cid]
+    for use_novel_feature in (True, False):
+        d = calibrate(x, t, CalibrationParams(
+            k=k, alpha=alpha, use_novel_feature=use_novel_feature))
+        assert np.array_equal(d.covariance, cov_sum / k + alpha)
+        assert np.array_equal(d.covariance, d.covariance.T)
+    assert np.array_equal(t.packed_covariances, kept)
 
 
 def test_calibrated_covariance_stays_symmetric():

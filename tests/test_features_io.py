@@ -1,11 +1,15 @@
 import json
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsdc import features_io
 from fsdc.errors import (DataError, DimensionError, FormatError, SpecError)
 from fsdc.features_io import (Dataset, SplitManifest, SyntheticSpec,
                               generate_synthetic, load_dataset, load_split,
@@ -105,6 +109,86 @@ def test_zero_record_header_is_rejected(tmp_path):
     p.write_bytes(struct.pack("<4sIII", b"FSDC", 1, 0, 4))
     with pytest.raises(FormatError):
         load_dataset(p)
+
+
+@pytest.mark.parametrize("header", [
+    b"FSDC\x01\x00\x00",                              # short header
+    struct.pack("<4sIII", b"FSDC", 1, 3, 0),            # zero dimension
+], ids=["short_header", "zero_dim"])
+def test_malformed_header_is_rejected(tmp_path, header):
+    p = tmp_path / "bad.fsdc"
+    p.write_bytes(header)
+    with pytest.raises(FormatError):
+        load_dataset(p)
+
+
+def _through_pipe(tmp_path, data: bytes):
+    # a FIFO has no size to check up front, so the loader meets truncation
+    # and trailing bytes while it reads
+    fifo = tmp_path / "pipe.fsdc"
+    os.mkfifo(fifo)
+
+    def write():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        return load_dataset(fifo)
+    finally:
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("through_pipe", [False, True], ids=["file", "pipe"])
+def test_records_are_decoded_in_chunks(tmp_path, monkeypatch, through_pipe):
+    # 7 records of 3 per chunk: two full chunks and a partial one
+    rng = np.random.default_rng(8)
+    ds = Dataset(rng.integers(0, 5, size=7),
+                 rng.normal(size=(7, 6)).astype(np.float32))
+    save_dataset(ds, tmp_path / "d.fsdc")
+    data = (tmp_path / "d.fsdc").read_bytes()
+    monkeypatch.setattr(features_io, "_CHUNK_BYTES", 3 * (4 + 4 * 6))
+
+    def load(payload):
+        if through_pipe:
+            return _through_pipe(tmp_path, payload)
+        p = tmp_path / "copy.fsdc"
+        p.write_bytes(payload)
+        return load_dataset(p)
+
+    back = load(data)
+    assert np.array_equal(back.class_ids, ds.class_ids)
+    assert back.values.tobytes() == ds.values.tobytes()
+    for payload in (data[:-3], data[:60], data + b"\x00"):
+        if through_pipe:
+            os.unlink(tmp_path / "pipe.fsdc")
+        with pytest.raises(FormatError, match="expected 212 bytes"):
+            load(payload)
+
+
+def test_loading_holds_no_copy_of_the_file(tmp_path):
+    # the dataset's arrays are the file's size; a decode of the whole file
+    # held the raw bytes and a copy of each field besides (2.25x)
+    rng = np.random.default_rng(9)
+    ds = Dataset(rng.integers(0, 10, size=8000),
+                 rng.normal(size=(8000, 256)).astype(np.float32))
+    p = tmp_path / "wide.fsdc"
+    save_dataset(ds, p)
+    del ds
+    tracemalloc.start()
+    try:
+        back = load_dataset(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.count == 8000
+    size = p.stat().st_size
+    assert peak < 1.5 * size, f"peak {peak / size:.2f}x the file"
 
 
 @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,17 @@ def test_covariance_permutation_invariant():
     assert np.allclose(cov_a, cov_b, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [3, 16, 640])
+@pytest.mark.parametrize("n", [5, 6])
+def test_covariance_rounds_as_the_out_of_place_expression(d, n):
+    # class_covariance divides and symmetrizes in place; every element must
+    # round as (c / (n - 1) + (c / (n - 1)).T) / 2 does
+    x = np.random.default_rng(d + n).normal(size=(n, d))
+    centered = x - x.mean(axis=0)
+    cov = centered.T @ centered / (n - 1)
+    assert np.array_equal(class_covariance(x), (cov + cov.T) / 2.0)
+
+
 def test_covariance_monte_carlo():
     # draws from a known 3-d Gaussian; the estimate should approach the truth
     rng = np.random.default_rng(7)
@@ -87,6 +100,45 @@ def test_build_base_stats_matches_per_class_calls():
         assert np.array_equal(table.entry(cid).covariance,
                               class_covariance(feats))
         assert table.entry(cid).count == 30
+
+
+def test_table_entries_equal_their_inputs_in_id_order():
+    rng = np.random.default_rng(3)
+    inputs = {}
+    for cid in (7, 2, 11, 5):
+        a = rng.normal(size=(9, 4))
+        inputs[cid] = ClassStatistics(cid, rng.normal(size=4), a.T @ a / 8,
+                                      int(rng.integers(2, 50)))
+    table = BaseStatsTable(4, inputs.values())
+    assert table.class_ids() == [2, 5, 7, 11]
+    assert np.array_equal(table.mean_matrix,
+                          [inputs[cid].mean for cid in (2, 5, 7, 11)])
+    for row, cid in enumerate(table.class_ids()):
+        got = table.entry(cid)
+        assert got.class_id == cid and got.count == inputs[cid].count
+        assert np.array_equal(got.mean, inputs[cid].mean)
+        assert np.array_equal(got.covariance, inputs[cid].covariance)
+        # stored as the row-major lower triangle
+        assert np.array_equal(table.packed_covariances[row],
+                              inputs[cid].covariance[np.tril_indices(4)])
+
+
+def test_build_base_stats_holds_one_full_covariance_at_a_time():
+    # 12 base classes at d=256: the packed table takes 3.16 MB, all 12 full
+    # covariances 6.29 MB; the bound allows the table plus four full
+    # matrices (the gather map is one, the class being computed another)
+    ds, split, _ = generate_synthetic(SyntheticSpec(
+        num_classes=15, dim=256, samples_per_class=64, group_size=5, seed=4))
+    n, d = len(split.base_classes), ds.dim
+    bound = n * d * (d + 1) // 2 * 8 + 4 * d * d * 8
+    tracemalloc.start()
+    try:
+        table = build_base_stats(ds, split)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 12
+    assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
 
 def test_build_base_stats_missing_class():
