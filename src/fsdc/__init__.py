@@ -11,8 +11,8 @@ evaluates simple classifiers over many episodic tasks.  The usual flow:
 
 from .calibration import (CalibratedDistribution, CalibrationParams,
                           calibrate, calibrate_support_set)
-from .classifiers import (LinearModel, MaxLikelihoodScorer, OptimizerConfig,
-                          TrainSet, predict, train_logistic, train_svm)
+from .classifiers import (LinearModel, OptimizerConfig, TrainSet, predict,
+                          train_logistic, train_svm)
 from .errors import (DataError, DimensionError, DivergenceError,
                      EmptyClassError, EpisodeError, FactorizationError,
                      FormatError, FsdcError, InsufficientSamplesError,
@@ -35,14 +35,14 @@ __all__ = [
     "ClassStatistics", "DataError", "Dataset", "DimensionError",
     "DivergenceError", "EmptyClassError", "EpisodeError", "EpisodeSpec",
     "EvalReport", "FactorizationError", "FormatError", "FsdcError",
-    "InsufficientSamplesError", "LinearModel", "MaxLikelihoodScorer",
-    "MissingClassError", "OptimizerConfig", "PipelineConfig",
-    "PortableRng", "SamplerConfig", "SpecError", "SplitManifest",
-    "SyntheticSpec", "SyntheticTruth", "TrainSet", "TukeyParams",
-    "UndefinedStatisticError", "build_base_stats", "calibrate",
-    "calibrate_support_set", "cholesky_psd", "class_similarity",
-    "derive_key", "evaluate", "generate_synthetic", "load_dataset",
-    "load_split", "predict", "project_2d", "run_episode", "sample_episode",
-    "sample_features", "save_dataset", "save_split", "sweep",
-    "train_logistic", "train_svm", "tukey_transform",
+    "InsufficientSamplesError", "LinearModel", "MissingClassError",
+    "OptimizerConfig", "PipelineConfig", "PortableRng", "SamplerConfig",
+    "SpecError", "SplitManifest", "SyntheticSpec", "SyntheticTruth",
+    "TrainSet", "TukeyParams", "UndefinedStatisticError",
+    "build_base_stats", "calibrate", "calibrate_support_set",
+    "cholesky_psd", "class_similarity", "derive_key", "evaluate",
+    "generate_synthetic", "load_dataset", "load_split", "predict",
+    "project_2d", "run_episode", "sample_episode", "sample_features",
+    "save_dataset", "save_split", "sweep", "train_logistic", "train_svm",
+    "tukey_transform",
 ]

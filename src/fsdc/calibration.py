@@ -44,9 +44,10 @@ class CalibrationParams:
 class CalibratedDistribution:
     """A Gaussian transferred to one support feature.
 
-    Construction checks shapes only.  The covariance's values (finite,
-    symmetric) are checked by :func:`fsdc.sampling.cholesky_psd` when it is
-    factored, which every reader of it does.
+    Construction checks shapes only.  The covariance's one reader,
+    :func:`fsdc.sampling.sample_features`, factors it with
+    :func:`fsdc.sampling.cholesky_psd`, which checks its values (finite,
+    symmetric).
     """
 
     mean: np.ndarray

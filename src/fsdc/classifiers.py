@@ -1,9 +1,8 @@
 """Classifiers for episodic evaluation.
 
-Two linear models trained by gradient descent from zero initialization
-(multinomial logistic regression and a one-vs-rest linear SVM with squared
-weight penalty), plus a training-free alternative that scores queries
-directly under the calibrated Gaussians.
+Two linear models trained by gradient descent from zero initialization:
+multinomial logistic regression and a one-vs-rest linear SVM with squared
+weight penalty.
 
 Losses are means over samples, so gradient magnitudes do not grow with the
 number of generated features.  The L2 penalty applies to weights only, never
@@ -17,10 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DataError, DimensionError, DivergenceError, SpecError
-from .sampling import cholesky_psd
 
 
 @dataclass(frozen=True)
@@ -209,54 +206,4 @@ def predict(model: LinearModel, features):
     scores = x @ model.weights.T + model.bias
     labels = np.argmax(scores, axis=1)
     return int(labels[0]) if single else labels
-
-
-class MaxLikelihoodScorer:
-    """Classify queries by Gaussian log-density under calibrated
-    distributions, no training involved.
-
-    A class with several distributions scores the largest of their log
-    densities.  Ties go to the lowest label because labels are scored in
-    ascending order.
-    """
-
-    def __init__(self, distributions, jitter: float = 1e-6) -> None:
-        if not distributions:
-            raise SpecError("no distributions to score against")
-        self.labels = sorted(int(label) for label in distributions)
-        self._per_label = []
-        for label in self.labels:
-            dists = distributions[label]
-            if not dists:
-                raise SpecError(f"class {label} has no distributions")
-            prepared = []
-            for dist in dists:
-                factor, _ = cholesky_psd(dist.covariance, jitter)
-                log_det = 2.0 * float(np.log(np.diag(factor)).sum())
-                prepared.append((dist.mean, factor, log_det))
-            self._per_label.append(prepared)
-        self.dim = self._per_label[0][0][0].shape[0]
-
-    def log_densities(self, features) -> np.ndarray:
-        """(n, num_labels) matrix of per-class best log densities."""
-        x = np.asarray(features, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.dim:
-            raise DimensionError("query features do not match the distributions")
-        const = -0.5 * self.dim * math.log(2.0 * math.pi)
-        columns = []
-        for prepared in self._per_label:
-            scores = np.empty((x.shape[0], len(prepared)))
-            for j, (mean, factor, log_det) in enumerate(prepared):
-                z = solve_triangular(factor, (x - mean).T, lower=True)
-                quad = (z * z).sum(axis=0)
-                scores[:, j] = const - 0.5 * log_det - 0.5 * quad
-            columns.append(scores.max(axis=1))
-        return np.stack(columns, axis=1)
-
-    def classify(self, features) -> np.ndarray:
-        """Predicted labels (original label values, not column indices)."""
-        dens = self.log_densities(features)
-        picks = np.argmax(dens, axis=1)
-        label_array = np.asarray(self.labels, dtype=np.int64)
-        return label_array[picks]
 

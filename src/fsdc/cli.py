@@ -44,7 +44,6 @@ _SETTINGS = {
     "episode.num_episodes": ("--episodes", int, None),
     "episode.seed": ("--seed", int, "episode sampling seed"),
     "tukey.lambda": ("--lambda", float, "transform exponent"),
-    "tukey.log_epsilon": ("--log-epsilon", float, None),
     "use_tukey": ("--no-tukey", False, "skip the power transform"),
     "calib.k": ("--k", int, "number of borrowed base classes"),
     "calib.alpha": ("--alpha", float, "covariance spread constant"),
@@ -55,9 +54,7 @@ _SETTINGS = {
     "use_generation": ("--no-generation", False,
                        "train on support features only"),
     "sampler.seed": ("--sample-seed", int, None),
-    "sampler.jitter": ("--jitter", float, None),
-    "classifier": ("--classifier", ("logistic", "svm", "max_likelihood"),
-                   None),
+    "classifier": ("--classifier", ("logistic", "svm"), None),
     "baseline": ("--baseline", str, "'none' or 'nearest:<m>' to train on "
                  "retrieved base features instead of generated ones"),
     "optimizer.learning_rate": ("--lr", float, None),
@@ -170,15 +167,6 @@ def _resolve_workers(settings: dict) -> int:
     return count
 
 
-def _warn_ignored_optimizer(settings: dict) -> None:
-    if settings.get("classifier") != "max_likelihood":
-        return
-    ignored = sorted(key for key in settings if key.startswith("optimizer."))
-    if ignored:
-        print(f"warning: {', '.join(ignored)} ignored with the "
-              f"max_likelihood classifier", file=sys.stderr)
-
-
 def _load_world(args):
     ds = load_dataset(args.dataset, format=args.format)
     split = load_split(args.split)
@@ -235,7 +223,6 @@ def _cmd_stats(args) -> int:
 def _cmd_eval(args) -> int:
     settings = _gather_settings(args)
     spec, cfg = _configs(settings)
-    _warn_ignored_optimizer(settings)
     ds, split, table = _load_world(args)
     report = evaluate(ds, split, table, spec, cfg,
                       workers=_resolve_workers(settings))
@@ -266,7 +253,6 @@ def _cmd_sweep(args) -> int:
     settings = _gather_settings(args)
     values = _parse_sweep_values(args.param, args.values)
     spec, cfg = _configs(settings)
-    _warn_ignored_optimizer(settings)
     ds, split, table = _load_world(args)
     results = sweep(ds, split, table, spec, cfg, args.param, values,
                     workers=_resolve_workers(settings))

@@ -91,7 +91,7 @@ class Dataset:
             raise SpecError("class ids must be non-negative")
         if (ids > _MAX_CLASS_ID).any():
             raise SpecError("class ids must be below 2**32")
-        self.class_ids = ids.astype(np.uint32)
+        self.class_ids = ids.astype(np.uint32, copy=False)
         self.values = np.ascontiguousarray(vals, dtype=np.float32)
         if not np.isfinite(self.values).all():
             raise DataError("feature values must be finite")

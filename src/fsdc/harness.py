@@ -18,8 +18,8 @@ import numpy as np
 
 from .calibration import CalibrationParams, calibrate_support_set, \
     retrieve_nearest_class_features
-from .classifiers import (MaxLikelihoodScorer, OptimizerConfig, TrainSet,
-                          predict, train_logistic, train_svm)
+from .classifiers import (OptimizerConfig, TrainSet, predict, train_logistic,
+                          train_svm)
 from .errors import (DataError, DimensionError, EpisodeError, FsdcError,
                      SpecError)
 from .features_io import Dataset, SplitManifest
@@ -46,7 +46,9 @@ class EpisodeSpec:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        for name in ("n_way", "k_shot", "q_queries", "num_episodes"):
+        if self.n_way < 2:
+            raise SpecError("n_way must be at least 2")
+        for name in ("k_shot", "q_queries", "num_episodes"):
             if getattr(self, name) < 1:
                 raise SpecError(f"{name} must be at least 1")
 
@@ -69,14 +71,12 @@ class PipelineConfig:
     baseline_m: int = 1
 
     def __post_init__(self) -> None:
-        if self.classifier not in ("logistic", "svm", "max_likelihood"):
+        if self.classifier not in ("logistic", "svm"):
             raise SpecError(f"unknown classifier {self.classifier!r}")
         if self.baseline not in ("none", "nearest_class"):
             raise SpecError(f"unknown baseline {self.baseline!r}")
         if self.baseline_m < 1:
             raise SpecError("baseline_m must be at least 1")
-        if self.baseline == "nearest_class" and self.classifier == "max_likelihood":
-            raise SpecError("the retrieval baseline needs a trained classifier")
 
     def to_payload(self) -> dict:
         """Every field under its own name, nested dataclasses as objects,
@@ -185,9 +185,8 @@ def _train_rows(ep: Episode, support_x, stats: BaseStatsTable,
 
     The extra rows are ``baseline_m`` base rows retrieved per support
     feature under the retrieval baseline, features drawn from the
-    calibrated Gaussians when generation is on and the classifier is
-    trained, and none otherwise: the max-likelihood scorer trains on
-    nothing.  Generation calibrates and draws one class at a time, writing
+    calibrated Gaussians when generation is on, and none otherwise.
+    Generation calibrates and draws one class at a time, writing
     each class's draws into its slice of one preallocated matrix, so an
     episode holds one class's covariances at once.  Draw streams are keyed
     by (label, distribution), so the rows equal one call over the whole
@@ -208,8 +207,7 @@ def _train_rows(ep: Episode, support_x, stats: BaseStatsTable,
         return (np.concatenate([support_x, *blocks]),
                 np.concatenate([ep.support_y,
                                 np.repeat(ep.support_y, cfg.baseline_m)]))
-    if not (cfg.use_generation and cfg.sampler.total_per_class > 0
-            and cfg.classifier != "max_likelihood"):
+    if not (cfg.use_generation and cfg.sampler.total_per_class > 0):
         return support_x, ep.support_y
     sampler = replace(cfg.sampler,
                       seed=derive_key(cfg.sampler.seed, _DOM_GEN, ep.index))
@@ -235,15 +233,10 @@ def _train_rows(ep: Episode, support_x, stats: BaseStatsTable,
 def _run_episode(ep: Episode, stats: BaseStatsTable, cfg: PipelineConfig,
                  base_data: Dataset | None) -> float:
     support_x, query_x = _transformed(ep, cfg)
-    if cfg.classifier == "max_likelihood":
-        dists = calibrate_support_set(support_x, ep.support_y, stats, cfg.calib)
-        scorer = MaxLikelihoodScorer(dists, jitter=cfg.sampler.jitter)
-        predicted = scorer.classify(query_x)
-    else:
-        train_x, train_y = _train_rows(ep, support_x, stats, cfg, base_data)
-        train = TrainSet(train_x, train_y, class_map=ep.class_ids)
-        fit = train_logistic if cfg.classifier == "logistic" else train_svm
-        predicted = predict(fit(train, cfg.optimizer), query_x)
+    train_x, train_y = _train_rows(ep, support_x, stats, cfg, base_data)
+    train = TrainSet(train_x, train_y, class_map=ep.class_ids)
+    fit = train_logistic if cfg.classifier == "logistic" else train_svm
+    predicted = predict(fit(train, cfg.optimizer), query_x)
     return float((predicted == ep.query_y).mean())
 
 

@@ -23,6 +23,8 @@ from .rng import PortableRng, derive_key
 
 _DOM_SAMPLE: Final = 0x5A
 
+#: First diagonal shift tried when a covariance does not factorize.
+_JITTER: Final = 1e-6
 #: Escalation ladder: no shift first, then jitter * 10^t for t = 0..6.
 _JITTER_STEPS: Final = 8
 
@@ -33,16 +35,13 @@ class SamplerConfig:
 
     total_per_class: int = 750
     seed: int = 0
-    jitter: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.total_per_class < 0:
             raise SpecError("total_per_class must be non-negative")
-        if not 0 < self.jitter < math.inf:
-            raise SpecError("jitter must be finite and positive")
 
 
-def cholesky_psd(cov, jitter: float = 1e-6):
+def cholesky_psd(cov, jitter: float = _JITTER):
     """Cholesky factor of a symmetric matrix that may be barely indefinite.
 
     Tries the matrix as-is, then with c = jitter * 10^t added to the diagonal
@@ -119,7 +118,7 @@ def sample_features(distributions, config: SamplerConfig):
             if count == 0:
                 continue
             try:
-                factor, _ = cholesky_psd(dist.covariance, config.jitter)
+                factor, _ = cholesky_psd(dist.covariance)
             except FactorizationError as exc:
                 raise FactorizationError(
                     f"class {label}, distribution {j}: {exc}") from exc

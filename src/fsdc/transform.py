@@ -10,24 +10,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Final
 
 import numpy as np
 
 from .errors import DataError, SpecError, UndefinedStatisticError
 
+#: What zeros are shifted to before the log rung at ``lam == 0``.
+_LOG_EPSILON: Final = 1e-6
+
 
 @dataclass(frozen=True)
 class TukeyParams:
-    """Exponent of the power ladder and the zero shift used at ``lam == 0``."""
+    """Exponent of the power ladder."""
 
     lam: float = 0.5
-    log_epsilon: float = 1e-6
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.lam):
             raise SpecError("transform exponent must be finite")
-        if not 0 < self.log_epsilon < math.inf:
-            raise SpecError("log_epsilon must be finite and positive")
 
 
 def tukey_transform(features, params: TukeyParams = TukeyParams()) -> np.ndarray:
@@ -44,7 +45,7 @@ def tukey_transform(features, params: TukeyParams = TukeyParams()) -> np.ndarray
         raise DataError("features must be non-negative for the power transform")
     with np.errstate(divide="ignore"):
         if params.lam == 0:
-            out = np.log(np.where(x == 0, params.log_epsilon, x))
+            out = np.log(np.where(x == 0, _LOG_EPSILON, x))
         else:
             out = x ** params.lam
     if not np.isfinite(out).all():

@@ -149,7 +149,6 @@ def test_sampler_moment_match():
     standard errors per dimension and the covariance within 10% Frobenius."""
     start = time.perf_counter()
     n = 100_000
-    jitter = 1e-6
     worst_mean = 0.0
     worst_cov = 0.0
     rng = np.random.default_rng(11)
@@ -161,11 +160,10 @@ def test_sampler_moment_match():
         dist = CalibratedDistribution(mean=mu, covariance=cov,
                                       source_support_index=0,
                                       neighbor_class_ids=(0,))
-        _, shift = cholesky_psd(dist.covariance, jitter)
+        _, shift = cholesky_psd(dist.covariance)
         target = dist.covariance + shift * np.eye(d)
         feats, _ = sample_features({0: [dist]},
-                                   SamplerConfig(total_per_class=n, seed=d,
-                                                 jitter=jitter))
+                                   SamplerConfig(total_per_class=n, seed=d))
         se = np.sqrt(np.diag(target) / n)
         worst_mean = max(worst_mean,
                          float(np.max(np.abs(feats.mean(axis=0) - mu) / se)))

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from fsdc import classifiers
-from fsdc.calibration import CalibratedDistribution
-from fsdc.classifiers import (LinearModel, MaxLikelihoodScorer, OptimizerConfig,
-                              TrainSet, hinge_loss_grad, predict,
-                              softmax_loss_grad, train_logistic, train_svm)
+from fsdc.classifiers import (LinearModel, OptimizerConfig, TrainSet,
+                              hinge_loss_grad, predict, softmax_loss_grad,
+                              train_logistic, train_svm)
 from fsdc.errors import DimensionError, DivergenceError, SpecError
 
 
@@ -245,65 +244,3 @@ def test_optimizer_config_validation():
         with pytest.raises(SpecError):
             OptimizerConfig(**{field: value})
 
-
-# --------------------------------------------------------------- max likelihood
-
-def gaussian(mean, cov):
-    return CalibratedDistribution(np.asarray(mean, dtype=np.float64),
-                                  np.asarray(cov, dtype=np.float64),
-                                  source_support_index=0,
-                                  neighbor_class_ids=(0,))
-
-
-def test_max_likelihood_matches_dense_formula():
-    mean = np.array([1.0, -2.0])
-    cov = np.array([[2.0, 0.3], [0.3, 1.0]])
-    scorer = MaxLikelihoodScorer({0: [gaussian(mean, cov)]})
-    x = np.array([[0.5, 0.5], [2.0, -3.0]])
-    got = scorer.log_densities(x)[:, 0]
-    inv = np.linalg.inv(cov)
-    _, logdet = np.linalg.slogdet(cov)
-    for i in range(2):
-        diff = x[i] - mean
-        expected = -0.5 * (2 * np.log(2 * np.pi) + logdet + diff @ inv @ diff)
-        assert got[i] == pytest.approx(expected, rel=1e-12)
-
-
-def test_max_likelihood_picks_own_mean():
-    dists = {0: [gaussian([0.0, 0.0], np.eye(2))],
-             1: [gaussian([5.0, 5.0], np.eye(2))]}
-    got = MaxLikelihoodScorer(dists).classify([[0.1, -0.1], [5.2, 4.9]])
-    assert np.array_equal(got, [0, 1])
-
-
-def test_max_likelihood_tie_goes_to_lowest_label():
-    dists = {2: [gaussian([1.0, 0.0], np.eye(2))],
-             7: [gaussian([-1.0, 0.0], np.eye(2))]}
-    assert np.array_equal(MaxLikelihoodScorer(dists).classify([[0.0, 0.0]]), [2])
-
-
-def test_max_likelihood_spherical_equals_nearest_mean():
-    rng = np.random.default_rng(2)
-    means = rng.normal(size=(4, 3))
-    dists = {i: [gaussian(means[i], np.eye(3))] for i in range(4)}
-    x = rng.normal(size=(20, 3))
-    expected = np.argmin(((means - x[:, None, :]) ** 2).sum(axis=2), axis=1)
-    assert np.array_equal(MaxLikelihoodScorer(dists).classify(x), expected)
-
-
-def test_max_likelihood_aggregate_modes():
-    near = gaussian([0.0], np.eye(1) * 0.1)
-    far = gaussian([100.0], np.eye(1) * 0.1)
-    tight = gaussian([3.0], np.eye(1))
-    dists = {0: [near, far], 1: [tight]}
-    x = [[2.9]]
-    # max aggregation ignores the far-away distribution of class 0
-    assert MaxLikelihoodScorer(dists).classify(x)[0] == 1
-
-
-def test_max_likelihood_batch_shape():
-    dists = {0: [gaussian([0.0, 0.0], np.eye(2))],
-             1: [gaussian([5.0, 5.0], np.eye(2))]}
-    out = MaxLikelihoodScorer(dists).classify(np.array([[0.0, 0.0], [5.0, 5.0]]))
-    assert out.shape == (2,) and out.dtype == np.int64
-    assert np.array_equal(out, [0, 1])

@@ -167,13 +167,6 @@ def test_eval_reports_are_byte_identical(world, tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-def test_eval_warns_on_ignored_optimizer_flags(world, capsys):
-    rc = main(eval_args(world, "--classifier", "max_likelihood",
-                        "--lr", "0.5"))
-    assert rc == 0
-    assert "warning:" in capsys.readouterr().err
-
-
 def test_eval_missing_file_is_runtime_error(world, capsys):
     rc = main(["eval", "--dataset", "/nonexistent/x.fsdc", "--split",
                world["split"]])
@@ -184,11 +177,9 @@ def test_eval_missing_file_is_runtime_error(world, capsys):
 def test_eval_respects_workers_env(world, tmp_path, monkeypatch):
     a = str(tmp_path / "serial.json")
     b = str(tmp_path / "env.json")
-    assert main(eval_args(world, "--classifier", "max_likelihood",
-                          "--out", a)) == 0
+    assert main(eval_args(world, "--out", a)) == 0
     monkeypatch.setenv("FSDC_WORKERS", "2")
-    assert main(eval_args(world, "--classifier", "max_likelihood",
-                          "--out", b)) == 0
+    assert main(eval_args(world, "--out", b)) == 0
     assert open(a).read() == open(b).read()
 
 
@@ -223,6 +214,21 @@ def test_config_rejects_tukey_base_key(world, tmp_path, capsys):
     assert "unknown config key 'tukey_base'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, refusal", [
+    ("sampler.jitter", 1e-5, "unknown config key 'sampler.jitter'"),
+    ("tukey.log_epsilon", 1e-3, "unknown config key 'tukey.log_epsilon'"),
+    ("classifier", "max_likelihood", "unknown classifier 'max_likelihood'"),
+], ids=["sampler.jitter", "tukey.log_epsilon", "classifier"])
+def test_config_rejects_deleted_settings(world, tmp_path, capsys, key, value,
+                                         refusal):
+    # every episode trains a linear model; the covariance jitter and the
+    # log rung's zero shift are fixed
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(eval_args(world, "--config", str(cfg), "--episodes", "1")) == 2
+    assert refusal in capsys.readouterr().err
+
+
 def test_config_rejects_wrong_type(world, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"calib.k": "two"}))
@@ -240,8 +246,6 @@ SETTING_CASES = {
                              ("episode_spec", "num_episodes")),
     "episode.seed": (["--seed", "7"], 7, ("episode_spec", "seed")),
     "tukey.lambda": (["--lambda", "0.75"], 0.75, ("pipeline", "tukey", "lam")),
-    "tukey.log_epsilon": (["--log-epsilon", "0.001"], 0.001,
-                          ("pipeline", "tukey", "log_epsilon")),
     "use_tukey": (["--no-tukey"], False, ("pipeline", "use_tukey")),
     "calib.k": (["--k", "3"], 3, ("pipeline", "calib", "k")),
     "calib.alpha": (["--alpha", "0.5"], 0.5, ("pipeline", "calib", "alpha")),
@@ -252,8 +256,6 @@ SETTING_CASES = {
     "use_generation": (["--no-generation"], False,
                        ("pipeline", "use_generation")),
     "sampler.seed": (["--sample-seed", "4"], 4, ("pipeline", "sampler", "seed")),
-    "sampler.jitter": (["--jitter", "1e-05"], 1e-05,
-                       ("pipeline", "sampler", "jitter")),
     "classifier": (["--classifier", "svm"], "svm", ("pipeline", "classifier")),
     "baseline": (["--baseline", "nearest:3"], "nearest:3",
                  ("pipeline", "baseline")),
@@ -311,31 +313,46 @@ def test_readme_lists_every_eval_flag():
     assert listed == options
 
 
-@pytest.mark.parametrize("argv", [
-    ["eval", "--stats", "base.stats", "--episodes", "1"],
-    ["eval", "--tukey-base", "--episodes", "1"],
-    ["stats", "--out", "base.stats"],
-    ["stats", "--lambda", "0.7"],
-], ids=["eval-stats", "eval-tukey-base", "stats-out", "stats-lambda"])
-def test_deleted_flags_are_rejected(world, capsys, argv):
-    # base statistics are always built from the dataset, untransformed
+@pytest.mark.parametrize("argv, refusal", [
+    (["eval", "--stats", "base.stats", "--episodes", "1"],
+     "unrecognized arguments: --stats"),
+    (["eval", "--tukey-base", "--episodes", "1"],
+     "unrecognized arguments: --tukey-base"),
+    (["stats", "--out", "base.stats"], "unrecognized arguments: --out"),
+    (["stats", "--lambda", "0.7"], "unrecognized arguments: --lambda"),
+    (["eval", "--jitter", "1e-5"], "unrecognized arguments: --jitter"),
+    (["eval", "--log-epsilon", "1e-3"],
+     "unrecognized arguments: --log-epsilon"),
+    (["eval", "--classifier", "max_likelihood"],
+     "invalid choice: 'max_likelihood'"),
+], ids=["eval-stats", "eval-tukey-base", "stats-out", "stats-lambda",
+        "eval-jitter", "eval-log-epsilon", "eval-max-likelihood"])
+def test_deleted_flags_are_rejected(world, capsys, argv, refusal):
+    # base statistics are always built from the dataset, untransformed;
+    # every episode trains a linear model with fixed jitter and zero shift
     with pytest.raises(SystemExit) as exc:
         main([argv[0], "--dataset", world["dataset"], "--split",
               world["split"], *argv[1:]])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+    assert refusal in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--alpha", "--lr", "--l2", "--jitter",
-                                  "--log-epsilon"])
+@pytest.mark.parametrize("flag", ["--alpha", "--lr", "--l2"])
 def test_non_finite_setting_exits_before_reading_the_dataset(world, capsys,
                                                              flag):
     # the dataset path does not exist: reading it would exit 1, not 2
     rc = main(["eval", "--dataset", str(world["root"] / "absent.fsdc"),
-               "--split", world["split"], "--classifier", "max_likelihood",
-               flag, "inf"])
+               "--split", world["split"], flag, "inf"])
     assert rc == 2
-    # the setting is refused before the optimizer flags are warned about
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_one_way_episodes_exit_before_reading_the_dataset(world, capsys):
+    # a one-way task has nothing to classify; it is refused with the
+    # settings, not after the dataset is read and the base table built
+    rc = main(["eval", "--dataset", str(world["root"] / "absent.fsdc"),
+               "--split", world["split"], "--n-way", "1"])
+    assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -404,8 +421,7 @@ def test_sweep_num_generated_accepts_zero(world, tmp_path):
 @pytest.mark.parametrize("extra, extra_rows", [
     ((), {"generated": 2 * 25}),
     (("--baseline", "nearest:4"), {"retrieved": 2 * 4}),
-    (("--classifier", "max_likelihood"), {}),
-], ids=["generated", "retrieved", "max_likelihood"])
+], ids=["generated", "retrieved"])
 def test_project_row_accounting(world, tmp_path, capsys, extra, extra_rows):
     out = str(tmp_path / "proj.csv")
     rc = main(["project", "--dataset", world["dataset"], "--split",

@@ -39,8 +39,18 @@ def test_dataset_rejects_empty():
 
 
 def test_dataset_rejects_nonfinite():
-    with pytest.raises(DataError):
-        Dataset([0], [[np.nan]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError):
+            Dataset([0, 1], [[1.0, 2.0], [bad, 3.0]])
+
+
+def test_dataset_keeps_arrays_in_storage_dtypes():
+    # uint32 ids and contiguous float32 values are the storage form; the
+    # dataset holds them as given rather than a copy of each
+    ids = np.array([0, 1, 1], dtype=np.uint32)
+    values = np.ones((3, 2), dtype=np.float32)
+    ds = Dataset(ids, values)
+    assert ds.class_ids is ids and ds.values is values
 
 
 def test_dataset_rejects_negative_class_id():

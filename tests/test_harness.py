@@ -88,6 +88,9 @@ def test_sample_episode_errors():
 def test_episode_spec_validation():
     with pytest.raises(SpecError):
         EpisodeSpec(n_way=0)
+    # a one-way task has nothing to classify, and training refuses it
+    with pytest.raises(SpecError, match="n_way must be at least 2"):
+        EpisodeSpec(n_way=1)
     with pytest.raises(SpecError):
         EpisodeSpec(q_queries=0)
 
@@ -126,7 +129,7 @@ def test_run_episode_all_classifiers_agree_on_easy_data():
     ds, split, stats = make_world(per_class=60, seed=23)
     spec = EpisodeSpec(n_way=2, k_shot=5, q_queries=10, num_episodes=1, seed=5)
     ep = sample_episode(ds, split, spec, 0)
-    for classifier in ("logistic", "svm", "max_likelihood"):
+    for classifier in ("logistic", "svm"):
         acc = run_episode(ep, stats, quick_cfg(classifier=classifier))
         assert acc >= 0.5
 
@@ -143,9 +146,8 @@ def test_retrieval_baseline_runs():
 @pytest.mark.parametrize("kw", [
     {"classifier": "logistic"},
     {"classifier": "svm"},
-    {"classifier": "max_likelihood"},
     {"baseline": "nearest_class", "baseline_m": 3},
-], ids=["logistic", "svm", "max_likelihood", "retrieval"])
+], ids=["logistic", "svm", "retrieval"])
 def test_episodes_never_expand_a_table_entry(monkeypatch, kw):
     # an entry expands a full covariance; episodes read the packed table
     ds, split, stats = make_world(num_classes=15)
@@ -248,12 +250,11 @@ def test_episode_holds_one_class_of_covariances_at_a_time():
 
 
 def test_pipeline_config_validation():
-    with pytest.raises(SpecError):
-        PipelineConfig(classifier="forest")
+    for classifier in ("forest", "max_likelihood"):
+        with pytest.raises(SpecError):
+            PipelineConfig(classifier=classifier)
     with pytest.raises(SpecError):
         PipelineConfig(baseline="furthest_class")
-    with pytest.raises(SpecError):
-        PipelineConfig(baseline="nearest_class", classifier="max_likelihood")
     with pytest.raises(SpecError):
         PipelineConfig(baseline_m=0)
 
@@ -265,16 +266,16 @@ def test_payloads_pin_the_report_format():
     assert spec.to_payload() == {"n_way": 3, "k_shot": 2, "q_queries": 7,
                                  "num_episodes": 11, "seed": 5}
     cfg = PipelineConfig(
-        tukey=TukeyParams(lam=0.25, log_epsilon=1e-4),
+        tukey=TukeyParams(lam=0.25),
         calib=CalibrationParams(k=3, alpha=0.5, use_novel_feature=False),
-        sampler=SamplerConfig(total_per_class=40, seed=9, jitter=1e-5),
+        sampler=SamplerConfig(total_per_class=40, seed=9),
         optimizer=OptimizerConfig(learning_rate=0.2, epochs=12, l2=0.0),
         use_tukey=False, use_generation=False, classifier="svm",
         baseline="nearest_class", baseline_m=4)
     assert cfg.to_payload() == {
-        "tukey": {"lam": 0.25, "log_epsilon": 1e-4},
+        "tukey": {"lam": 0.25},
         "calib": {"k": 3, "alpha": 0.5, "use_novel_feature": False},
-        "sampler": {"total_per_class": 40, "seed": 9, "jitter": 1e-5},
+        "sampler": {"total_per_class": 40, "seed": 9},
         "optimizer": {"learning_rate": 0.2, "epochs": 12, "l2": 0.0},
         "use_tukey": False,
         "use_generation": False,
@@ -304,7 +305,7 @@ def test_evaluate_report_is_reproducible():
 def test_evaluate_parallel_matches_serial():
     ds, split, stats = make_world()
     spec = EpisodeSpec(n_way=2, k_shot=1, q_queries=5, num_episodes=6, seed=5)
-    cfg = quick_cfg(classifier="max_likelihood")
+    cfg = quick_cfg()
     serial = evaluate(ds, split, stats, spec, cfg, workers=1)
     parallel = evaluate(ds, split, stats, spec, cfg, workers=2)
     assert serial.to_json() == parallel.to_json()
@@ -321,8 +322,7 @@ def test_evaluate_signal_free_data_is_random_guess():
     split = SplitManifest(base=[0, 1, 2, 3], novel=[4, 5, 6, 7])
     stats = build_base_stats(ds, split)
     spec = EpisodeSpec(n_way=2, k_shot=1, q_queries=5, num_episodes=400, seed=11)
-    report = evaluate(ds, split, stats, spec,
-                      quick_cfg(classifier="max_likelihood"))
+    report = evaluate(ds, split, stats, spec, quick_cfg())
     se = 0.5 / np.sqrt(400 * 10)
     assert abs(report.mean_accuracy - 0.5) < 4 * se + 0.02
 

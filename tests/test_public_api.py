@@ -7,16 +7,16 @@ PUBLIC_NAMES = [
     "ClassStatistics", "DataError", "Dataset", "DimensionError",
     "DivergenceError", "EmptyClassError", "EpisodeError", "EpisodeSpec",
     "EvalReport", "FactorizationError", "FormatError", "FsdcError",
-    "InsufficientSamplesError", "LinearModel", "MaxLikelihoodScorer",
-    "MissingClassError", "OptimizerConfig", "PipelineConfig",
-    "PortableRng", "SamplerConfig", "SpecError", "SplitManifest",
-    "SyntheticSpec", "SyntheticTruth", "TrainSet", "TukeyParams",
-    "UndefinedStatisticError", "build_base_stats", "calibrate",
-    "calibrate_support_set", "cholesky_psd", "class_similarity",
-    "derive_key", "evaluate", "generate_synthetic", "load_dataset",
-    "load_split", "predict", "project_2d", "run_episode", "sample_episode",
-    "sample_features", "save_dataset", "save_split", "sweep",
-    "train_logistic", "train_svm", "tukey_transform",
+    "InsufficientSamplesError", "LinearModel", "MissingClassError",
+    "OptimizerConfig", "PipelineConfig", "PortableRng", "SamplerConfig",
+    "SpecError", "SplitManifest", "SyntheticSpec", "SyntheticTruth",
+    "TrainSet", "TukeyParams", "UndefinedStatisticError",
+    "build_base_stats", "calibrate", "calibrate_support_set",
+    "cholesky_psd", "class_similarity", "derive_key", "evaluate",
+    "generate_synthetic", "load_dataset", "load_split", "predict",
+    "project_2d", "run_episode", "sample_episode", "sample_features",
+    "save_dataset", "save_split", "sweep", "train_logistic", "train_svm",
+    "tukey_transform",
 ]
 
 

@@ -27,7 +27,7 @@ def test_log_rung():
 
 
 def test_log_rung_shifts_zeros():
-    out = tukey_transform([0.0, 1.0], TukeyParams(lam=0.0, log_epsilon=1e-6))
+    out = tukey_transform([0.0, 1.0], TukeyParams(lam=0.0))
     assert out[0] == pytest.approx(math.log(1e-6))
     assert out[1] == 0.0
 
@@ -52,13 +52,9 @@ def test_zero_with_negative_exponent_is_an_error():
 
 
 def test_bad_params():
-    with pytest.raises(SpecError):
-        TukeyParams(lam=math.inf)
-    with pytest.raises(SpecError):
-        TukeyParams(log_epsilon=0.0)
-    for value in (np.inf, np.nan):
+    for value in (math.inf, -math.inf, math.nan):
         with pytest.raises(SpecError):
-            TukeyParams(log_epsilon=value)
+            TukeyParams(lam=value)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=30),
