@@ -93,8 +93,11 @@ class Dataset:
             raise SpecError("class ids must be below 2**32")
         self.class_ids = ids.astype(np.uint32, copy=False)
         self.values = np.ascontiguousarray(vals, dtype=np.float32)
-        if not np.isfinite(self.values).all():
-            raise DataError("feature values must be finite")
+        # a block of rows at a time: no mask of one byte per value
+        step = max(1, _CHUNK_BYTES // self.values[0].nbytes)
+        for lo in range(0, self.count, step):
+            if not np.isfinite(self.values[lo:lo + step]).all():
+                raise DataError("feature values must be finite")
 
     @property
     def count(self) -> int:

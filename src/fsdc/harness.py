@@ -186,11 +186,11 @@ def _train_rows(ep: Episode, support_x, stats: BaseStatsTable,
     The extra rows are ``baseline_m`` base rows retrieved per support
     feature under the retrieval baseline, features drawn from the
     calibrated Gaussians when generation is on, and none otherwise.
-    Generation calibrates and draws one class at a time, writing
-    each class's draws into its slice of one preallocated matrix, so an
-    episode holds one class's covariances at once.  Draw streams are keyed
-    by (label, distribution), so the rows equal one call over the whole
-    support set.
+    Generation calibrates and draws one class at a time, drawing each
+    class's rows straight into its slice of one preallocated matrix, so an
+    episode holds one class's covariances at once and stores each drawn row
+    once.  Draw streams are keyed by (label, distribution), so the rows equal
+    one call over the whole support set.
     """
     if cfg.baseline == "nearest_class":
         if base_data is None:
@@ -223,10 +223,11 @@ def _train_rows(ep: Episode, support_x, stats: BaseStatsTable,
         start = n_support + c * total
         # passed straight through, so the class's distributions are freed
         # before the next class is calibrated
-        train_x[start:start + total], train_y[start:start + total] = \
-            sample_features(calibrate_support_set(support_x[rows],
-                                                  ep.support_y[rows], stats,
-                                                  cfg.calib), sampler)
+        sample_features(calibrate_support_set(support_x[rows],
+                                              ep.support_y[rows], stats,
+                                              cfg.calib),
+                        sampler, out=train_x[start:start + total])
+        train_y[start:start + total] = label
     return train_x, train_y
 
 

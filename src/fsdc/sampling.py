@@ -7,7 +7,9 @@ used is reported back so callers can notice badly conditioned covariances.
 
 Each (class, distribution) pair samples from its own derived random stream,
 so the draw for one class never depends on how many other classes there are
-or in which order they are processed.
+or in which order they are processed.  A distribution's rows are drawn a
+block at a time, straight into the output; the stream is position-based, so
+the rows equal one draw of the whole count.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ _DOM_SAMPLE: Final = 0x5A
 _JITTER: Final = 1e-6
 #: Escalation ladder: no shift first, then jitter * 10^t for t = 0..6.
 _JITTER_STEPS: Final = 8
+#: Values drawn per step, whatever the dimension: 102 rows at d=640, and a
+#: whole class of 750 at d=16, where a step's fixed cost would dominate.  A
+#: one-row product goes through gemv, which rounds differently from gemm,
+#: so no step is left with a single row.
+_BLOCK_VALUES: Final = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,7 @@ def cholesky_psd(cov, jitter: float = _JITTER):
         f"covariance not factorizable even with diagonal shift {jitter * 10.0 ** (_JITTER_STEPS - 2):g}")
 
 
-def sample_features(distributions, config: SamplerConfig):
+def sample_features(distributions, config: SamplerConfig, out=None):
     """Draw ``config.total_per_class`` features for every class.
 
     ``distributions`` maps label -> list of calibrated distributions, all of
@@ -86,8 +93,8 @@ def sample_features(distributions, config: SamplerConfig):
     distributions, with the first ``total mod count`` distributions receiving
     one extra draw.  Returns ``(features, labels)``: float64 (n, dim) and
     int64 (n,), ordered by ascending label, then by distribution index.  The
-    features are drawn straight into their rows of one array sized from the
-    counts; no per-distribution block is kept.
+    features are drawn into ``out`` when it is given, a C-contiguous float64
+    (n, dim) array that is returned as ``features``, else into a new array.
     """
     if config.total_per_class < 1:
         raise SpecError("sampling needs total_per_class >= 1")
@@ -107,8 +114,15 @@ def sample_features(distributions, config: SamplerConfig):
                     f"class {label}, distribution {j} has dim {dist.dim}, "
                     f"expected {dim}")
     total = config.total_per_class
-    features = np.empty((total * len(labels), dim))
+    shape = (total * len(labels), dim)
+    if out is None:
+        out = np.empty(shape)
+    elif (out.shape != shape or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        raise DimensionError(
+            f"out must be a C-contiguous float64 array of shape {shape}")
     out_labels = np.repeat(np.asarray(labels, dtype=np.int64), total)
+    step = max(2, _BLOCK_VALUES // dim)
     start = 0
     for label in labels:
         dists = distributions[label]
@@ -123,7 +137,14 @@ def sample_features(distributions, config: SamplerConfig):
                 raise FactorizationError(
                     f"class {label}, distribution {j}: {exc}") from exc
             rng = PortableRng(derive_key(config.seed, _DOM_SAMPLE, int(label), j))
-            z = rng.normal(count * dim).reshape(count, dim)
-            np.add(dist.mean, z @ factor.T, out=features[start:start + count])
-            start += count
-    return features, out_labels
+            stop = start + count
+            while start < stop:
+                end = start + step
+                if end >= stop - 1:   # the last row joins this step
+                    end = stop
+                rows = out[start:end]
+                z = rng.normal(rows.size).reshape(rows.shape)
+                np.matmul(z, factor.T, out=rows)
+                rows += dist.mean
+                start = end
+    return out, out_labels

@@ -43,22 +43,61 @@ def class_covariance(features, mean=None) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError("features must be a 2-D array (samples x dim)")
-    n = x.shape[0]
+    n, d = x.shape
     if n < 2:
         raise InsufficientSamplesError(
             f"covariance needs at least 2 samples, got {n}")
     mu = class_mean(x) if mean is None else np.asarray(mean, dtype=np.float64)
-    if mu.shape != (x.shape[1],):
+    if mu.shape != (d,):
         raise DimensionError("mean has the wrong dimensionality")
-    centered = x - mu
-    cov = centered.T @ centered
-    # in place: the same rounding as (cov + cov.T) / 2.0 after / (n - 1)
-    # (numpy buffers the overlapping transpose), without two more (d, d)
-    # temporaries
-    cov /= n - 1
-    cov += cov.T
-    cov /= 2.0
-    return cov
+    packed = _pack_covariance(x - mu, np.empty(d * (d + 1) // 2),
+                              np.empty((d, d)), np.empty(d * (d + 1) // 2),
+                              _triangle(d))
+    return np.take(packed, _gather_map(d))
+
+
+def _triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into a (d, d) matrix of each lower-triangle element, in
+    row-major order (the packed layout), and of its mirror above the
+    diagonal."""
+    i, j = np.tril_indices(d)
+    lower = i * d
+    lower += j
+    upper = j   # in place: the build holds these while packing
+    upper *= d
+    upper += i
+    return lower, upper
+
+
+def _gather_map(d: int) -> np.ndarray:
+    """(d, d) intp: the packed index of every element of a (d, d) matrix."""
+    # packed index of (i, j) for j <= i is i(i+1)/2 + j; above the diagonal
+    # that expression is smaller than the mirrored one, so the elementwise
+    # maximum with the transpose picks the lower element
+    steps = np.arange(d)
+    gather = steps.cumsum()[:, None] + steps
+    return np.maximum(gather, gather.T, out=gather)
+
+
+def _pack_covariance(centered, out, cov, mirror, triangle):
+    """Pack the unbiased covariance of the rows of ``centered`` into ``out``.
+
+    With c = centered^T centered / (n - 1), ``out`` gets (c + c^T) / 2 on the
+    lower triangle, row-major, which makes the expanded matrix exactly
+    symmetric.  ``cov`` ((d, d)) and ``mirror`` (like ``out``) are scratch, so
+    a caller packing many classes allocates nothing per class.
+    """
+    np.matmul(centered.T, centered, out=cov)
+    cov /= centered.shape[0] - 1
+    flat = cov.reshape(-1)
+    lower, upper = triangle
+    # mode="clip" writes straight into out ("raise" would buffer it); the
+    # indices are in range
+    np.take(flat, lower, out=out, mode="clip")
+    np.take(flat, upper, out=mirror, mode="clip")
+    out += mirror
+    out /= 2.0
+    return out
 
 
 @dataclass
@@ -112,40 +151,37 @@ class BaseStatsTable:
             if entry.class_id in table:
                 raise DataError(f"duplicate class id {entry.class_id}")
             table[entry.class_id] = entry
-        self._store(dim, sorted(table), table.__getitem__)
+        ids = sorted(table)
+
+        def fill(means, counts, packed) -> None:
+            lower = _triangle(self.dim)[0]
+            for row, cid in enumerate(ids):
+                entry = table[cid]
+                means[row] = entry.mean
+                counts[row] = entry.count
+                np.take(entry.covariance, lower, out=packed[row], mode="clip")
+
+        self._store(dim, ids, fill)
 
     @classmethod
-    def _streamed(cls, dim: int, class_ids, statistics_of) -> BaseStatsTable:
-        """A table of the ascending, distinct ``class_ids``, whose statistics
-        ``statistics_of(class_id)`` computes when the table asks for them."""
+    def _filled(cls, dim: int, class_ids, fill) -> BaseStatsTable:
+        """A table of the ascending, distinct ``class_ids`` whose rows
+        ``fill(means, counts, packed)`` writes into the table's arrays."""
         table = cls.__new__(cls)
-        table._store(dim, class_ids, statistics_of)
+        table._store(dim, class_ids, fill)
         return table
 
-    def _store(self, dim: int, class_ids, statistics_of) -> None:
+    def _store(self, dim: int, class_ids, fill) -> None:
         self.dim = d = int(dim)
         self._ids = np.array(class_ids, dtype=np.int64)
         self._rows = {cid: row for row, cid in enumerate(class_ids)}
         self._means = np.empty((self._ids.size, d))
         self._counts = np.empty(self._ids.size, dtype=np.int64)
         self._packed = np.empty((self._ids.size, d * (d + 1) // 2))
-        steps = np.arange(d)
-        lower = steps[:, None] >= steps
-        for row, cid in enumerate(class_ids):
-            # no name in this frame holds the statistics, so each full
-            # covariance is freed once packed, before the next is computed
-            self._put(row, statistics_of(cid), lower)
-        # packed index of (i, j) for j <= i is i(i+1)/2 + j; above the
-        # diagonal that expression is smaller than the mirrored one, so the
-        # elementwise maximum with the transpose picks the lower element
-        self._gather = steps.cumsum()[:, None] + steps
-        np.maximum(self._gather, self._gather.T, out=self._gather)
-
-    def _put(self, row: int, entry: ClassStatistics, lower: np.ndarray) -> None:
-        # a boolean mask selects in row-major order: the packed layout
-        self._means[row] = entry.mean
-        self._counts[row] = entry.count
-        self._packed[row] = entry.covariance[lower]
+        fill(self._means, self._counts, self._packed)
+        # built once fill's scratch is freed: building it briefly takes two
+        # (d, d) arrays
+        self._gather = _gather_map(d)
 
     def __len__(self) -> int:
         return self._ids.size
@@ -189,24 +225,47 @@ def build_base_stats(ds: Dataset, split: SplitManifest) -> BaseStatsTable:
     """Compute mean, covariance and record count for every base class in
     ``split``, from its untransformed features in ``ds``.
 
-    Each class's covariance is packed into the table before the next class's
-    is computed.
+    Every class goes through one set of buffers sized for the largest class,
+    and its covariance is packed straight into its table row, so the build
+    allocates nothing per class.
     """
-    return BaseStatsTable._streamed(ds.dim, sorted(split.base_classes),
-                                    lambda cid: _class_statistics(ds, cid))
+    ids = sorted(split.base_classes)
+    # one stable sort groups every class's rows, each in file order, where
+    # a scan of the class ids per class would cost classes x records
+    order = np.argsort(ds.class_ids, kind="stable")
+    keys = ds.class_ids[order]
+    starts = np.searchsorted(keys, ids, side="left").tolist()
+    stops = np.searchsorted(keys, ids, side="right").tolist()
+    rows = [order[a:b] for a, b in zip(starts, stops)]
+    for cid, r in zip(ids, rows):
+        if r.size == 0:
+            raise MissingClassError(f"base class {cid} has no records in the dataset")
+        if r.size < 2:
+            raise InsufficientSamplesError(
+                f"base class {cid} has {r.size} record; need at least 2")
+    return BaseStatsTable._filled(
+        ds.dim, ids, lambda *table: _fill_class_rows(ds, rows, *table))
 
 
-def _class_statistics(ds: Dataset, cid: int) -> ClassStatistics:
-    feats = ds.features_for(cid)
-    if feats.shape[0] == 0:
-        raise MissingClassError(f"base class {cid} has no records in the dataset")
-    if feats.shape[0] < 2:
-        raise InsufficientSamplesError(
-            f"base class {cid} has {feats.shape[0]} record; need at least 2")
-    mu = class_mean(feats)
-    return ClassStatistics(class_id=cid, mean=mu,
-                           covariance=class_covariance(feats, mu),
-                           count=feats.shape[0])
+def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
+    """Write the statistics of the records ``rows[i]`` of ``ds`` into row i
+    of ``means``, ``counts`` and ``packed``."""
+    d = ds.dim
+    triangle = _triangle(d)
+    most = max((r.size for r in rows), default=0)
+    gathered = np.empty((most, d), dtype=ds.values.dtype)
+    features = np.empty((most, d))
+    cov = np.empty((d, d))
+    mirror = np.empty(d * (d + 1) // 2)
+    for row, r in enumerate(rows):
+        n = r.size
+        np.take(ds.values, r, axis=0, out=gathered[:n], mode="clip")
+        x = features[:n]
+        x[...] = gathered[:n]
+        np.mean(x, axis=0, out=means[row])
+        x -= means[row]
+        _pack_covariance(x, packed[row], cov, mirror, triangle)
+        counts[row] = n
 
 
 def _cosine(u: np.ndarray, v: np.ndarray) -> float:

@@ -42,6 +42,27 @@ def test_dataset_rejects_nonfinite():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(DataError):
             Dataset([0, 1], [[1.0, 2.0], [bad, 3.0]])
+        # values are checked a block of rows at a time; the last row of
+        # 2 MB of values lies beyond the first block
+        values = np.zeros((2048, 256), dtype=np.float32)
+        values[-1, -1] = bad
+        with pytest.raises(DataError):
+            Dataset(np.zeros(2048, dtype=np.uint32), values)
+
+
+def test_dataset_construction_holds_no_per_value_mask():
+    # a finiteness check over the whole array at once holds one byte per
+    # value, a quarter of the values' bytes
+    ids = np.arange(8000, dtype=np.uint32) % 10
+    values = np.ones((8000, 256), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        ds = Dataset(ids, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.values is values
+    assert peak < 0.05 * values.nbytes, f"peak {peak / values.nbytes:.3f}x"
 
 
 def test_dataset_keeps_arrays_in_storage_dtypes():

@@ -46,14 +46,14 @@ def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_import_leaves_scipy_linalg_out():
-    # nothing in the package solves or factors with scipy.linalg, and
-    # loading it costs about 6 MB of resident memory
+def test_import_leaves_scipy_out():
+    # numpy is the only runtime dependency: loading scipy.special alone
+    # costs about 24 MB of resident memory and 0.24 s
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
     code = ("import sys\nimport fsdc\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

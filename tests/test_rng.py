@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fsdc.rng import LANES, PortableRng, derive_key, splitmix64
+from fsdc.rng import LANES, PortableRng, _ndtri, derive_key, splitmix64
 
 M64 = (1 << 64) - 1
 
@@ -88,6 +88,45 @@ def test_normal_moments():
     assert abs(z.mean()) < 0.01
     assert abs(z.var() - 1.0) < 0.02
     assert abs((z ** 3).mean()) < 0.03
+
+
+def test_normal_is_chunk_independent():
+    # the quantile runs in fixed steps; how a caller splits its draws into
+    # calls must not move a value
+    a = PortableRng(17)
+    parts = [a.normal(n) for n in (1, 5000, 1 << 15, 40_000)]
+    assert np.array_equal(np.concatenate(parts),
+                          PortableRng(17).normal(sum(p.size for p in parts)))
+
+
+def _ulps(a, b):
+    # distance in units in the last place between same-signed doubles
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_ndtri_equals_scipy_in_the_center_and_within_8_ulp_in_the_tails():
+    special = pytest.importorskip("scipy.special")
+    u = PortableRng(2024).uniform(1 << 20)
+    ours, ref = _ndtri(u), special.ndtri(u)
+    tail = (u <= np.exp(-2.0)) | (u > 1.0 - np.exp(-2.0))
+    assert 0 < tail.sum() < u.size
+    assert np.array_equal(ours[~tail], ref[~tail])
+    assert _ulps(ours[tail], ref[tail]).max() <= 8
+
+
+def test_ndtri_is_exact_at_the_extremes():
+    special = pytest.importorskip("scipy.special")
+    e2 = 0.13533528323661269189
+    y = np.array([
+        2.0 ** -54,              # the smallest uniform PortableRng draws
+        1.0 - 2.0 ** -53,        # the largest below 1
+        1.0, 0.0,                # infinite quantiles
+        e2, np.nextafter(e2, 0.0), np.nextafter(e2, 1.0),
+        1.0 - e2, np.nextafter(1.0 - e2, 0.0), np.nextafter(1.0 - e2, 1.0),
+        1e-15,                   # below exp(-32): the far-tail expansion
+        0.5])
+    assert np.array_equal(_ndtri(y), special.ndtri(y))
+    assert _ndtri(np.array([0.5]))[0] == 0.0
 
 
 def test_derive_key_is_stable_and_sensitive():

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import fsdc.sampling
 from fsdc.calibration import CalibratedDistribution
 from fsdc.errors import DataError, DimensionError, FactorizationError, SpecError
-from fsdc.sampling import SamplerConfig, cholesky_psd, sample_features
+from fsdc.rng import PortableRng, derive_key
+from fsdc.sampling import (_DOM_SAMPLE, SamplerConfig, cholesky_psd,
+                           sample_features)
 
 
 def dist(mean, cov, idx=0):
@@ -127,6 +132,61 @@ def test_sampling_does_not_depend_on_other_classes():
     both, labels = sample_features({1: [other], 3: [shared]},
                                    SamplerConfig(total_per_class=32, seed=9))
     assert np.array_equal(both[labels == 3], alone)
+
+
+@pytest.mark.parametrize("d, block_values", [(16, 16 * 16), (640, None)])
+def test_block_draws_equal_one_full_size_draw(d, block_values, monkeypatch):
+    # every count up to two blocks and a row, so each way of splitting the
+    # last block occurs; the reference multiplies all of a count's normals
+    # in one product.  At d=16 a block would hold 4096 rows, so the test
+    # shrinks it to 16.
+    if block_values is not None:
+        monkeypatch.setattr(fsdc.sampling, "_BLOCK_VALUES", block_values)
+    block = fsdc.sampling._BLOCK_VALUES // d
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((d, d))
+    cov = a @ a.T / d + np.eye(d)
+    mean = rng.standard_normal(d)
+    factor, _ = cholesky_psd(cov)
+    # the factor does not depend on the count: factor once, not per call
+    monkeypatch.setattr(fsdc.sampling, "cholesky_psd",
+                        lambda c: (factor, 0.0))
+    dists = {4: [dist(mean, cov)]}
+    most = 2 * block + 1
+    z = PortableRng(derive_key(13, _DOM_SAMPLE, 4, 0)).normal(most * d)
+    z = z.reshape(most, d)
+    for count in range(1, most + 1):
+        out = np.empty((count, d))
+        x, labels = sample_features(
+            dists, SamplerConfig(total_per_class=count, seed=13), out=out)
+        assert x is out
+        assert np.array_equal(labels, np.full(count, 4))
+        assert np.array_equal(x, mean + z[:count] @ factor.T), count
+
+
+def test_sample_into_out_checks_it():
+    dists = {0: [dist([0.0, 0.0], np.eye(2))]}
+    for out in (np.empty((3, 2)), np.empty((4, 2), dtype=np.float32),
+                np.empty((2, 4)).T):
+        with pytest.raises(DimensionError, match="out must be"):
+            sample_features(dists, SamplerConfig(total_per_class=4), out=out)
+
+
+def test_drawing_a_class_holds_no_full_size_temporary():
+    # 750 rows at d=640 take 3.8 MB: one temporary of that size, such as all
+    # of the class's normals at once, breaks the bound
+    d, total = 640, 750
+    dists = {0: [dist(np.zeros(d), np.eye(d))]}
+    out = np.empty((total, d))
+    config = SamplerConfig(total_per_class=total, seed=1)
+    tracemalloc.start()
+    try:
+        sample_features(dists, config, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    factor_bytes = d * d * 8
+    assert peak < factor_bytes + out.nbytes * 5 // 4, peak
 
 
 def test_sample_moments_match_target():
