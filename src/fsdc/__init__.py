@@ -13,10 +13,8 @@ from .calibration import (CalibratedDistribution, CalibrationParams,
                           calibrate, calibrate_support_set)
 from .classifiers import (LinearModel, OptimizerConfig, TrainSet, predict,
                           train_logistic, train_svm)
-from .errors import (DataError, DimensionError, DivergenceError,
-                     EmptyClassError, EpisodeError, FactorizationError,
-                     FormatError, FsdcError, InsufficientSamplesError,
-                     MissingClassError, SpecError, UndefinedStatisticError)
+from .errors import (DataError, DimensionError, DivergenceError, EpisodeError,
+                     FactorizationError, FormatError, FsdcError, SpecError)
 from .features_io import (Dataset, SplitManifest, SyntheticSpec,
                           SyntheticTruth, generate_synthetic, load_dataset,
                           load_split, save_dataset, save_split)
@@ -24,22 +22,19 @@ from .harness import (EpisodeSpec, EvalReport, PipelineConfig, evaluate,
                       project_2d, run_episode, sample_episode, sweep)
 from .rng import PortableRng, derive_key
 from .sampling import SamplerConfig, cholesky_psd, sample_features
-from .stats import (BaseStatsTable, ClassStatistics, build_base_stats,
-                    class_similarity)
+from .stats import BaseStatsTable, build_base_stats, class_similarity
 from .transform import TukeyParams, tukey_transform
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BaseStatsTable", "CalibratedDistribution", "CalibrationParams",
-    "ClassStatistics", "DataError", "Dataset", "DimensionError",
-    "DivergenceError", "EmptyClassError", "EpisodeError", "EpisodeSpec",
-    "EvalReport", "FactorizationError", "FormatError", "FsdcError",
-    "InsufficientSamplesError", "LinearModel", "MissingClassError",
-    "OptimizerConfig", "PipelineConfig", "PortableRng", "SamplerConfig",
-    "SpecError", "SplitManifest", "SyntheticSpec", "SyntheticTruth",
-    "TrainSet", "TukeyParams", "UndefinedStatisticError",
-    "build_base_stats", "calibrate", "calibrate_support_set",
+    "DataError", "Dataset", "DimensionError", "DivergenceError",
+    "EpisodeError", "EpisodeSpec", "EvalReport", "FactorizationError",
+    "FormatError", "FsdcError", "LinearModel", "OptimizerConfig",
+    "PipelineConfig", "PortableRng", "SamplerConfig", "SpecError",
+    "SplitManifest", "SyntheticSpec", "SyntheticTruth", "TrainSet",
+    "TukeyParams", "build_base_stats", "calibrate", "calibrate_support_set",
     "cholesky_psd", "class_similarity", "derive_key", "evaluate",
     "generate_synthetic", "load_dataset", "load_split", "predict",
     "project_2d", "run_episode", "sample_episode", "sample_features",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InsufficientSamplesError, SpecError
+from .errors import DataError, DimensionError, SpecError
 from .features_io import Dataset
 from .rng import PortableRng
 from .stats import BaseStatsTable
@@ -158,7 +158,7 @@ def retrieve_nearest_class_features(x, ds: Dataset, table: BaseStatsTable,
     nearest = nearest_base_classes(x, table, 1)[0]
     rows = ds.rows_for(nearest)
     if rows.size < m:
-        raise InsufficientSamplesError(
+        raise DataError(
             f"class {nearest} has {rows.size} records, cannot retrieve {m}")
     picked = rng.permutation_prefix(rows.size, m)
     return ds.values[rows[np.asarray(picked)]].astype(np.float64)

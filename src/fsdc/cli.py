@@ -30,7 +30,7 @@ from .features_io import (SyntheticSpec, atomic_write_text, generate_synthetic,
 from .harness import (EpisodeSpec, PipelineConfig, SWEEPABLE_PARAMS,
                       collect_episode_features, evaluate, project_2d,
                       sample_episode, sweep)
-from .stats import _profile, _profile_cosines, build_base_stats
+from .stats import build_base_stats, class_similarity
 
 # dotted config key -> (flag, what the flag takes, help).  What the flag
 # takes is a type, a tuple of choices, or the value a switch flag stores.
@@ -200,20 +200,15 @@ def _cmd_synth(args) -> int:
 
 def _cmd_stats(args) -> int:
     _, _, table = _load_world(args)
-    ids = table.class_ids()
-    # each entry expands a full covariance, so each class gets one, and the
-    # report keeps only what class_similarity reads of it
-    profiles = {}
-    for cid in ids:
-        entry = table.entry(cid)
-        print(f"class {cid}: {entry.count} records")
-        profiles[cid] = _profile(entry)
+    ids = table.id_array.tolist()
+    for cid, count in zip(ids, table.counts.tolist()):
+        print(f"class {cid}: {count} records")
     print(f"{len(table)} base classes, dim {table.dim}")
     if args.similarity_report:
         lines = ["class_a,class_b,mean_cosine,variance_cosine"]
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
-                mean_cos, var_cos = _profile_cosines(profiles[a], profiles[b])
+                mean_cos, var_cos = class_similarity(table, a, b)
                 lines.append(f"{a},{b},{mean_cos:.6f},{var_cos:.6f}")
         atomic_write_text(args.similarity_report, "\n".join(lines) + "\n")
         print(f"similarity report -> {args.similarity_report}")

@@ -2,7 +2,9 @@
 
 All errors raised on purpose derive from :class:`FsdcError`, so callers (and
 the command line front end) can catch one type and report the message.  Plain
-``OSError`` from the filesystem is deliberately left alone.
+``OSError`` from the filesystem is deliberately left alone.  Each subclass
+names a failure that a caller can tell apart from the others; the command
+line exits with status 2 for a :class:`SpecError` and 1 for any other.
 """
 
 
@@ -23,23 +25,10 @@ class DimensionError(FsdcError):
 
 
 class DataError(FsdcError):
-    """Values are outside the domain (non-finite, negative where forbidden)."""
-
-
-class EmptyClassError(FsdcError):
-    """A per-class operation received zero samples."""
-
-
-class InsufficientSamplesError(FsdcError):
-    """An operation needs more samples than a class can provide."""
-
-
-class MissingClassError(FsdcError):
-    """A referenced class id is absent from the dataset or statistics table."""
-
-
-class UndefinedStatisticError(FsdcError):
-    """A statistic has no defined value (zero variance, zero-norm vector)."""
+    """The data cannot support the operation: a value outside its domain
+    (non-finite, negative where forbidden), a class with too few records or
+    none, a class id missing from a table, or a statistic with no defined
+    value (zero variance, zero-norm vector)."""
 
 
 class FactorizationError(FsdcError):

@@ -38,6 +38,8 @@ _MIX2: Final = 0x94D049BB133111EB
 LANES: Final = 4096
 
 _U64_TO_UNIT: Final = 2.0 ** -53
+#: The largest double below 1.
+_BELOW_ONE: Final = 1.0 - 2.0 ** -53
 
 # Cephes ndtri.  Below exp(-2) (and symmetrically above 1 - exp(-2)) the
 # quantile is expanded in z = 1/sqrt(-2 log y): _P1/_Q1 for sqrt(-2 log y)
@@ -225,14 +227,19 @@ class PortableRng:
         return np.concatenate([head, block[:need]])
 
     def uniform(self, count: int) -> np.ndarray:
-        """Uniform doubles on (0, 1): odd multiples of 2**-54, except that
-        the largest word rounds to exactly 1.0 (once in 2**53 draws)."""
+        """Uniform doubles on (0, 1) from the top 53 bits w of each word.
+
+        Each value is (w + 1/2) * 2**-53, rounded to a double: an odd
+        multiple of 2**-54 below 1/2, and from 1/2 up a multiple of 2**-53,
+        rounded half to even.  The largest w would round to exactly 1.0,
+        where ``normal`` is infinite, so it gives 1 - 2**-53 instead.
+        """
         words = self.next_u64(count)
         words >>= np.uint64(11)
         out = words.astype(np.float64)
         out += 0.5
         out *= _U64_TO_UNIT
-        return out
+        return np.minimum(out, _BELOW_ONE, out=out)
 
     def normal(self, count: int) -> np.ndarray:
         """Standard normal doubles via the inverse CDF."""

@@ -14,7 +14,6 @@ the rows equal one draw of the whole count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Final
 
@@ -27,7 +26,7 @@ _DOM_SAMPLE: Final = 0x5A
 
 #: First diagonal shift tried when a covariance does not factorize.
 _JITTER: Final = 1e-6
-#: Escalation ladder: no shift first, then jitter * 10^t for t = 0..6.
+#: Escalation ladder: no shift first, then _JITTER * 10^t for t = 0..6.
 _JITTER_STEPS: Final = 8
 #: Values drawn per step, whatever the dimension: 102 rows at d=640, and a
 #: whole class of 750 at d=16, where a step's fixed cost would dominate.  A
@@ -48,10 +47,10 @@ class SamplerConfig:
             raise SpecError("total_per_class must be non-negative")
 
 
-def cholesky_psd(cov, jitter: float = _JITTER):
+def cholesky_psd(cov):
     """Cholesky factor of a symmetric matrix that may be barely indefinite.
 
-    Tries the matrix as-is, then with c = jitter * 10^t added to the diagonal
+    Tries the matrix as-is, then with c = 1e-6 * 10^t added to the diagonal
     for t = 0..6.  Returns ``(L, c)`` where c is the shift that succeeded
     (0.0 when none was needed).  Raises FactorizationError when even the
     largest shift fails.
@@ -71,8 +70,6 @@ def cholesky_psd(cov, jitter: float = _JITTER):
     if not (np.array_equal(s, s.T)
             or np.allclose(s, s.T, rtol=1e-10, atol=1e-12)):
         raise DataError("covariance must be symmetric")
-    if not 0 < jitter < math.inf:
-        raise SpecError("jitter must be finite and positive")
     shift = 0.0
     for attempt in range(_JITTER_STEPS):
         try:
@@ -80,9 +77,9 @@ def cholesky_psd(cov, jitter: float = _JITTER):
             shifted = s + shift * np.eye(s.shape[0]) if shift else s
             return np.linalg.cholesky(shifted), shift
         except np.linalg.LinAlgError:
-            shift = jitter * 10.0 ** attempt
+            shift = _JITTER * 10.0 ** attempt
     raise FactorizationError(
-        f"covariance not factorizable even with diagonal shift {jitter * 10.0 ** (_JITTER_STEPS - 2):g}")
+        f"covariance not factorizable even with diagonal shift {_JITTER * 10.0 ** (_JITTER_STEPS - 2):g}")
 
 
 def sample_features(distributions, config: SamplerConfig, out=None):

@@ -10,21 +10,20 @@ computed in float64 and symmetrized exactly (averaged with its transpose), so
 base features of the dataset being evaluated, every time it is needed; it is
 never stored, so it cannot come from another dataset or feature space.
 
-Because every covariance is exactly symmetric, the table keeps only its lower
-triangle, packed row by row: ``d(d+1)/2`` float64 values per class instead of
-``d*d``, 1.6 MB instead of 3.3 MB at d=640.  A shared ``(d, d)`` gather map
-expands a packed row, or a sum of packed rows, back into the full matrix.
+:class:`BaseStatsTable` is the one form in which class statistics are kept:
+a row per class of mean, record count and covariance.  Because every
+covariance is exactly symmetric, it keeps only the lower triangle, packed
+row by row: ``d(d+1)/2`` float64 values per class instead of ``d*d``, 1.6 MB
+instead of 3.3 MB at d=640.  A shared ``(d, d)`` gather map expands a packed
+row, or a sum of packed rows, back into the full matrix, and the variances
+are read off the packed rows once, for :func:`class_similarity`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (DataError, DimensionError, EmptyClassError,
-                     InsufficientSamplesError, MissingClassError,
-                     UndefinedStatisticError)
+from .errors import DataError, DimensionError
 from .features_io import Dataset, SplitManifest
 
 
@@ -34,7 +33,7 @@ def class_mean(features) -> np.ndarray:
     if x.ndim != 2:
         raise DimensionError("features must be a 2-D array (samples x dim)")
     if x.shape[0] == 0:
-        raise EmptyClassError("cannot take the mean of zero samples")
+        raise DataError("cannot take the mean of zero samples")
     return x.mean(axis=0)
 
 
@@ -45,8 +44,7 @@ def class_covariance(features, mean=None) -> np.ndarray:
         raise DimensionError("features must be a 2-D array (samples x dim)")
     n, d = x.shape
     if n < 2:
-        raise InsufficientSamplesError(
-            f"covariance needs at least 2 samples, got {n}")
+        raise DataError(f"covariance needs at least 2 samples, got {n}")
     mu = class_mean(x) if mean is None else np.asarray(mean, dtype=np.float64)
     if mu.shape != (d,):
         raise DimensionError("mean has the wrong dimensionality")
@@ -100,107 +98,55 @@ def _pack_covariance(centered, out, cov, mirror, triangle):
     return out
 
 
-@dataclass
-class ClassStatistics:
-    """Mean, covariance, and sample count of a single class."""
-
-    class_id: int
-    mean: np.ndarray
-    covariance: np.ndarray
-    count: int
-
-    def __post_init__(self) -> None:
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.covariance = np.asarray(self.covariance, dtype=np.float64)
-        d = self.mean.shape[0]
-        if self.mean.ndim != 1:
-            raise DimensionError("mean must be a vector")
-        if self.covariance.shape != (d, d):
-            raise DimensionError("covariance must be square and match the mean")
-        if not np.array_equal(self.covariance, self.covariance.T):
-            raise DataError("covariance must be exactly symmetric")
-        if self.count < 2:
-            raise InsufficientSamplesError("class statistics need count >= 2")
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-
 class BaseStatsTable:
-    """Statistics for a set of classes, addressable by class id.
+    """Mean, record count and packed covariance of a set of classes, one row
+    per class in ascending class id.
 
-    Lookup order is always ascending class id; ``mean_matrix`` stacks the
-    means in that order for vectorized distance computations.
+    Row ``r`` of ``packed_covariances`` holds the lower triangle of the
+    covariance of the class in row ``r``, row-major (``(0,0), (1,0), (1,1),
+    (2,0), ...``), and ``np.take(packed, gather_map)`` expands a packed row
+    into the full symmetric matrix.  ``mean_matrix`` stacks the means in
+    the same order for vectorized distance computations.
 
-    Covariances are stored packed: row ``r`` of ``packed_covariances`` holds
-    the lower triangle of the covariance of the class in row ``r``, row-major
-    (``(0,0), (1,0), (1,1), (2,0), ...``), and ``np.take(packed, gather_map)``
-    expands a packed row into the full symmetric matrix.  :meth:`entry`
-    rebuilds a :class:`ClassStatistics` on each call, which expands and
-    re-checks one full ``(d, d)`` covariance; calibration reads the packed
-    rows directly and never calls it.
+    The arrays are kept as given, without a copy: ``class_ids`` (n,) strictly
+    ascending, ``means`` (n, d), ``counts`` (n,) of at least 2 each, and
+    ``packed_covariances`` (n, d(d+1)/2).
     """
 
-    def __init__(self, dim: int, entries) -> None:
-        table: dict[int, ClassStatistics] = {}
-        for entry in entries:
-            if entry.dim != int(dim):
-                raise DimensionError(
-                    f"class {entry.class_id} has dim {entry.dim}, table has {dim}")
-            if entry.class_id in table:
-                raise DataError(f"duplicate class id {entry.class_id}")
-            table[entry.class_id] = entry
-        ids = sorted(table)
-
-        def fill(means, counts, packed) -> None:
-            lower = _triangle(self.dim)[0]
-            for row, cid in enumerate(ids):
-                entry = table[cid]
-                means[row] = entry.mean
-                counts[row] = entry.count
-                np.take(entry.covariance, lower, out=packed[row], mode="clip")
-
-        self._store(dim, ids, fill)
-
-    @classmethod
-    def _filled(cls, dim: int, class_ids, fill) -> BaseStatsTable:
-        """A table of the ascending, distinct ``class_ids`` whose rows
-        ``fill(means, counts, packed)`` writes into the table's arrays."""
-        table = cls.__new__(cls)
-        table._store(dim, class_ids, fill)
-        return table
-
-    def _store(self, dim: int, class_ids, fill) -> None:
-        self.dim = d = int(dim)
-        self._ids = np.array(class_ids, dtype=np.int64)
-        self._rows = {cid: row for row, cid in enumerate(class_ids)}
-        self._means = np.empty((self._ids.size, d))
-        self._counts = np.empty(self._ids.size, dtype=np.int64)
-        self._packed = np.empty((self._ids.size, d * (d + 1) // 2))
-        fill(self._means, self._counts, self._packed)
-        # built once fill's scratch is freed: building it briefly takes two
-        # (d, d) arrays
+    def __init__(self, class_ids, means, counts, packed_covariances) -> None:
+        ids = np.asarray(class_ids, dtype=np.int64)
+        means = np.asarray(means, dtype=np.float64)
+        counts = np.asarray(counts, dtype=np.int64)
+        packed = np.asarray(packed_covariances, dtype=np.float64)
+        if means.ndim != 2:
+            raise DimensionError("means must be a 2-D array (classes x dim)")
+        n, d = means.shape
+        if (ids.shape != (n,) or counts.shape != (n,)
+                or packed.shape != (n, d * (d + 1) // 2)):
+            raise DimensionError(
+                f"{n} means of dim {d} need {n} class ids, {n} counts and "
+                f"{n} packed covariances of {d * (d + 1) // 2} values")
+        if np.any(ids[1:] <= ids[:-1]):
+            raise DataError("class ids must be strictly ascending")
+        if np.any(counts < 2):
+            raise DataError("class statistics need count >= 2")
+        self.dim = d
+        self._ids = ids
+        self._rows = {cid: row for row, cid in enumerate(ids.tolist())}
+        self._means = means
+        self._counts = counts
+        self._packed = packed
         self._gather = _gather_map(d)
+        # the packed index of diagonal element i is i(i+1)/2 + i
+        steps = np.arange(d)
+        self._variances = np.take(packed, steps * (steps + 3) // 2, axis=1)
+        self._variances.flags.writeable = False
 
     def __len__(self) -> int:
         return self._ids.size
 
     def __contains__(self, class_id: int) -> bool:
         return int(class_id) in self._rows
-
-    def class_ids(self) -> list[int]:
-        return [int(c) for c in self._ids]
-
-    def entry(self, class_id: int) -> ClassStatistics:
-        try:
-            row = self._rows[int(class_id)]
-        except KeyError:
-            raise MissingClassError(f"no statistics for class {class_id}") from None
-        return ClassStatistics(class_id=int(class_id),
-                               mean=self._means[row].copy(),
-                               covariance=np.take(self._packed[row], self._gather),
-                               count=int(self._counts[row]))
 
     @property
     def id_array(self) -> np.ndarray:
@@ -211,9 +157,20 @@ class BaseStatsTable:
         return self._means
 
     @property
+    def counts(self) -> np.ndarray:
+        """``(classes,)`` int64: each class's record count."""
+        return self._counts
+
+    @property
     def packed_covariances(self) -> np.ndarray:
         """``(classes, d(d+1)/2)`` float64: each class's packed covariance."""
         return self._packed
+
+    @property
+    def variance_matrix(self) -> np.ndarray:
+        """``(classes, d)`` float64, read-only: each class's variances, the
+        diagonal of its covariance."""
+        return self._variances
 
     @property
     def gather_map(self) -> np.ndarray:
@@ -238,13 +195,17 @@ def build_base_stats(ds: Dataset, split: SplitManifest) -> BaseStatsTable:
     stops = np.searchsorted(keys, ids, side="right").tolist()
     rows = [order[a:b] for a, b in zip(starts, stops)]
     for cid, r in zip(ids, rows):
-        if r.size == 0:
-            raise MissingClassError(f"base class {cid} has no records in the dataset")
         if r.size < 2:
-            raise InsufficientSamplesError(
-                f"base class {cid} has {r.size} record; need at least 2")
-    return BaseStatsTable._filled(
-        ds.dim, ids, lambda *table: _fill_class_rows(ds, rows, *table))
+            raise DataError(f"base class {cid} has {r.size} records in the "
+                            f"dataset; need at least 2")
+    d = ds.dim
+    means = np.empty((len(ids), d))
+    counts = np.empty(len(ids), dtype=np.int64)
+    packed = np.empty((len(ids), d * (d + 1) // 2))
+    _fill_class_rows(ds, rows, means, counts, packed)
+    # the table builds its gather map, briefly two (d, d) arrays, once the
+    # fill's scratch is freed
+    return BaseStatsTable(ids, means, counts, packed)
 
 
 def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
@@ -272,31 +233,21 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float:
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
     if nu == 0 or nv == 0:
-        raise UndefinedStatisticError("cosine similarity of a zero vector")
+        raise DataError("cosine similarity of a zero vector")
     return float(np.dot(u, v) / (nu * nv))
 
 
-def class_similarity(a: ClassStatistics, b: ClassStatistics) -> tuple[float, float]:
-    """Cosine similarity of two classes' means and of their variance profiles.
+def class_similarity(table: BaseStatsTable, a: int,
+                     b: int) -> tuple[float, float]:
+    """Cosine similarity of the means and of the variance profiles (the
+    covariance diagonals) of classes ``a`` and ``b`` of ``table``.
 
-    Returns ``(mean_cosine, variance_cosine)`` where the variance profile is
-    the diagonal of the covariance.
+    Returns ``(mean_cosine, variance_cosine)``.  Raises DataError for a
+    class id the table lacks, or when either vector is zero.
     """
-    if a.dim != b.dim:
-        raise DimensionError("classes have different dimensionalities")
-    return _profile_cosines(_profile(a), _profile(b))
-
-
-def _profile(stats: ClassStatistics) -> tuple[np.ndarray, np.ndarray]:
-    """A class's mean and variance profile, which are all that
-    :func:`class_similarity` reads; a caller comparing many classes keeps
-    these instead of the full covariances."""
-    # the diagonal is copied to contiguous memory because a dot product of
-    # strided vectors can round differently, and a kept profile must give the
-    # cosines class_similarity gives
-    return stats.mean, stats.covariance.diagonal().copy()
-
-
-def _profile_cosines(a, b) -> tuple[float, float]:
-    return _cosine(a[0], b[0]), _cosine(a[1], b[1])
-
+    try:
+        ra, rb = table._rows[int(a)], table._rows[int(b)]
+    except KeyError as exc:
+        raise DataError(f"no statistics for class {exc.args[0]}") from None
+    return (_cosine(table.mean_matrix[ra], table.mean_matrix[rb]),
+            _cosine(table.variance_matrix[ra], table.variance_matrix[rb]))

@@ -14,7 +14,7 @@ from typing import Final
 
 import numpy as np
 
-from .errors import DataError, SpecError, UndefinedStatisticError
+from .errors import DataError, SpecError
 
 #: What zeros are shifted to before the log rung at ``lam == 0``.
 _LOG_EPSILON: Final = 1e-6
@@ -71,6 +71,6 @@ def sample_skewness(values) -> float:
     centered = x - x.mean()
     m2 = np.mean(centered ** 2)
     if m2 == 0:
-        raise UndefinedStatisticError("skewness is undefined for a zero-variance sample")
+        raise DataError("skewness is undefined for a zero-variance sample")
     g1 = np.mean(centered ** 3) / m2 ** 1.5
     return float(g1 * math.sqrt(n * (n - 1)) / (n - 2))

@@ -21,8 +21,8 @@ from fsdc.features_io import (SyntheticSpec, generate_synthetic, load_dataset,
 from fsdc.harness import EpisodeSpec, PipelineConfig, evaluate
 from fsdc.rng import PortableRng, derive_key
 from fsdc.sampling import SamplerConfig, cholesky_psd, sample_features
-from fsdc.stats import (BaseStatsTable, ClassStatistics, build_base_stats,
-                        class_covariance, class_mean)
+from fsdc.stats import (BaseStatsTable, build_base_stats, class_covariance,
+                        class_mean)
 from fsdc.transform import TukeyParams, sample_skewness, tukey_transform
 
 BENCH_SPEC = SyntheticSpec(num_classes=25, dim=16, samples_per_class=200,
@@ -125,7 +125,8 @@ def test_statistic_and_calibration_formulas():
 
     m = np.array([1.0, -2.0, 0.5])
     c = np.array([[2.0, 0.1, 0.0], [0.1, 1.0, 0.2], [0.0, 0.2, 3.0]])
-    table = BaseStatsTable(3, [ClassStatistics(7, m, c, 50)])
+    lower = np.tril_indices(3)
+    table = BaseStatsTable([7], [m], [50], [c[lower]])
     x_tilde = np.array([0.0, 4.0, 1.0])
     dist = calibrate(x_tilde, table, CalibrationParams(k=1, alpha=0.0))
     ok &= np.array_equal(dist.mean, (m + x_tilde) / 2)
@@ -133,8 +134,7 @@ def test_statistic_and_calibration_formulas():
     notes.append("k=1 calibration exact")
 
     m2 = np.array([0.5, 3.0, -1.0])
-    table2 = BaseStatsTable(3, [ClassStatistics(7, m, c, 50),
-                                ClassStatistics(9, m2, c, 50)])
+    table2 = BaseStatsTable([7, 9], [m, m2], [50, 50], [c[lower], c[lower]])
     dist2 = calibrate(x_tilde, table2, CalibrationParams(k=2, alpha=0.0))
     ok &= np.allclose(dist2.mean, (m + m2 + x_tilde) / 3, rtol=1e-14)
 

@@ -4,20 +4,19 @@ import pytest
 from fsdc.calibration import (CalibrationParams, calibrate,
                               calibrate_support_set, nearest_base_classes,
                               retrieve_nearest_class_features)
-from fsdc.errors import (DimensionError, InsufficientSamplesError, SpecError)
+from fsdc.errors import DataError, DimensionError, SpecError
 from fsdc.features_io import Dataset, SplitManifest, SyntheticSpec, generate_synthetic
 from fsdc.rng import PortableRng
-from fsdc.stats import BaseStatsTable, ClassStatistics, build_base_stats
+from fsdc.stats import BaseStatsTable, build_base_stats
 
 
 def table_from_means(means, covs=None):
     means = np.asarray(means, dtype=np.float64)
-    d = means.shape[1]
-    entries = []
-    for i, mu in enumerate(means):
-        cov = np.eye(d) if covs is None else np.asarray(covs[i], dtype=np.float64)
-        entries.append(ClassStatistics(i, mu, cov, 10))
-    return BaseStatsTable(d, entries)
+    n, d = means.shape
+    lower = np.tril_indices(d)
+    covs = [np.eye(d)] * n if covs is None else np.asarray(covs, dtype=np.float64)
+    return BaseStatsTable(range(n), means, [10] * n,
+                          np.stack([cov[lower] for cov in covs]))
 
 
 # ------------------------------------------------------------ neighbor search
@@ -231,7 +230,7 @@ def test_retrieval_without_replacement():
 def test_retrieval_m_too_large():
     ds = Dataset([0, 0], [[1.0], [2.0]])
     t = table_from_means([[0.0]])
-    with pytest.raises(InsufficientSamplesError):
+    with pytest.raises(DataError):
         retrieve_nearest_class_features([0.0], ds, t, 3, PortableRng(1))
     with pytest.raises(SpecError):
         retrieve_nearest_class_features([0.0], ds, t, 0, PortableRng(1))

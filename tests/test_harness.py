@@ -14,7 +14,7 @@ from fsdc.harness import (_DOM_GEN, Episode, EpisodeSpec, EvalReport,
                           run_episode, sample_episode, sweep)
 from fsdc.rng import derive_key
 from fsdc.sampling import SamplerConfig, sample_features
-from fsdc.stats import BaseStatsTable, build_base_stats
+from fsdc.stats import build_base_stats
 from fsdc.transform import TukeyParams, tukey_transform
 
 
@@ -141,24 +141,6 @@ def test_retrieval_baseline_runs():
     cfg = quick_cfg(baseline="nearest_class", baseline_m=5)
     acc = run_episode(ep, stats, cfg, base_data=ds)
     assert 0.0 <= acc <= 1.0
-
-
-@pytest.mark.parametrize("kw", [
-    {"classifier": "logistic"},
-    {"classifier": "svm"},
-    {"baseline": "nearest_class", "baseline_m": 3},
-], ids=["logistic", "svm", "retrieval"])
-def test_episodes_never_expand_a_table_entry(monkeypatch, kw):
-    # an entry expands a full covariance; episodes read the packed table
-    ds, split, stats = make_world(num_classes=15)
-    ep = sample_episode(ds, split, EpisodeSpec(
-        n_way=3, k_shot=2, q_queries=4, num_episodes=1, seed=2), 0)
-
-    def refuse(self, class_id):
-        raise AssertionError("an episode called BaseStatsTable.entry")
-
-    monkeypatch.setattr(BaseStatsTable, "entry", refuse)
-    assert 0.0 <= run_episode(ep, stats, quick_cfg(**kw), base_data=ds) <= 1.0
 
 
 @pytest.mark.parametrize("kw, k_shot", [

@@ -4,14 +4,12 @@ import fsdc
 # surface only by an edit here as well.
 PUBLIC_NAMES = [
     "BaseStatsTable", "CalibratedDistribution", "CalibrationParams",
-    "ClassStatistics", "DataError", "Dataset", "DimensionError",
-    "DivergenceError", "EmptyClassError", "EpisodeError", "EpisodeSpec",
-    "EvalReport", "FactorizationError", "FormatError", "FsdcError",
-    "InsufficientSamplesError", "LinearModel", "MissingClassError",
-    "OptimizerConfig", "PipelineConfig", "PortableRng", "SamplerConfig",
-    "SpecError", "SplitManifest", "SyntheticSpec", "SyntheticTruth",
-    "TrainSet", "TukeyParams", "UndefinedStatisticError",
-    "build_base_stats", "calibrate", "calibrate_support_set",
+    "DataError", "Dataset", "DimensionError", "DivergenceError",
+    "EpisodeError", "EpisodeSpec", "EvalReport", "FactorizationError",
+    "FormatError", "FsdcError", "LinearModel", "OptimizerConfig",
+    "PipelineConfig", "PortableRng", "SamplerConfig", "SpecError",
+    "SplitManifest", "SyntheticSpec", "SyntheticTruth", "TrainSet",
+    "TukeyParams", "build_base_stats", "calibrate", "calibrate_support_set",
     "cholesky_psd", "class_similarity", "derive_key", "evaluate",
     "generate_synthetic", "load_dataset", "load_split", "predict",
     "project_2d", "run_episode", "sample_episode", "sample_features",

@@ -83,6 +83,28 @@ def test_uniform_open_interval():
     assert u.max() < 1.0
 
 
+def test_uniform_of_the_largest_word_is_below_one(monkeypatch):
+    # (2**53 - 1) + 1/2 rounds half to even to 2**53, so the largest word
+    # would give exactly 1.0 and an infinite normal
+    rng = PortableRng(0)
+    words = np.array([0, 2 ** 63, 2 ** 63 + 2 ** 11, 2 ** 64 - 2 ** 12,
+                      2 ** 64 - 1], dtype=np.uint64)
+    monkeypatch.setattr(rng, "next_u64", lambda count: words[:count].copy())
+    assert rng.uniform(5).tolist() == [2.0 ** -54, 0.5, 0.5 + 2.0 ** -52,
+                                       1.0 - 2.0 ** -52, 1.0 - 2.0 ** -53]
+    z = rng.normal(5)
+    assert np.isfinite(z).all()
+    assert z[4] > z[3] > 8.0
+
+
+def test_uniform_is_the_rounded_half_offset_word_elsewhere():
+    # only the largest word is moved; every other word keeps its value
+    words = PortableRng(5).next_u64(1 << 16)
+    top = (words >> np.uint64(11)).astype(np.float64)
+    assert np.array_equal(PortableRng(5).uniform(1 << 16),
+                          (top + 0.5) * 2.0 ** -53)
+
+
 def test_normal_moments():
     z = PortableRng(11).normal(200_000)
     assert abs(z.mean()) < 0.01

@@ -3,12 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fsdc.errors import (DataError, DimensionError, EmptyClassError,
-                         InsufficientSamplesError, MissingClassError,
-                         UndefinedStatisticError)
+from fsdc.errors import DataError, DimensionError
 from fsdc.features_io import Dataset, SplitManifest, SyntheticSpec, generate_synthetic
-from fsdc.stats import (BaseStatsTable, ClassStatistics, build_base_stats,
-                        class_covariance, class_mean, class_similarity)
+from fsdc.stats import (BaseStatsTable, build_base_stats, class_covariance,
+                        class_mean, class_similarity)
+
+
+def packed(cov):
+    """The row-major lower triangle of ``cov``: the table's packed layout."""
+    cov = np.asarray(cov, dtype=np.float64)
+    return cov[np.tril_indices(cov.shape[0])]
 
 
 def test_class_mean_basic():
@@ -16,7 +20,7 @@ def test_class_mean_basic():
 
 
 def test_class_mean_empty_rejected():
-    with pytest.raises(EmptyClassError):
+    with pytest.raises(DataError):
         class_mean(np.empty((0, 3)))
 
 
@@ -31,7 +35,7 @@ def test_covariance_identical_samples_is_zero():
 
 
 def test_covariance_needs_two_samples():
-    with pytest.raises(InsufficientSamplesError):
+    with pytest.raises(DataError):
         class_covariance([[1.0, 2.0]])
 
 
@@ -81,46 +85,88 @@ def test_covariance_unbiased_scaling():
 
 
 def test_class_statistics_validation():
-    with pytest.raises(DataError):
-        ClassStatistics(0, np.zeros(2), np.array([[1.0, 0.1], [0.2, 1.0]]), 5)
-    with pytest.raises(InsufficientSamplesError):
-        ClassStatistics(0, np.zeros(2), np.eye(2), 1)
+    ids, means, counts = [0, 1], np.zeros((2, 2)), [5, 5]
+    covs = np.stack([packed(np.eye(2))] * 2)
+    BaseStatsTable(ids, means, counts, covs)
+    for bad_ids in ([1, 0], [0, 0]):
+        with pytest.raises(DataError, match="strictly ascending"):
+            BaseStatsTable(bad_ids, means, counts, covs)
+    with pytest.raises(DataError, match="count >= 2"):
+        BaseStatsTable(ids, means, [5, 1], covs)
     with pytest.raises(DimensionError):
-        ClassStatistics(0, np.zeros(3), np.eye(2), 5)
+        BaseStatsTable(ids, np.zeros((2, 3)), counts, covs)
+    with pytest.raises(DimensionError):
+        BaseStatsTable(ids, np.zeros(2), counts, covs)
+    with pytest.raises(DimensionError):
+        BaseStatsTable([0, 1, 2], means, counts, covs)
+    with pytest.raises(DimensionError):
+        BaseStatsTable(ids, means, [5], covs)
+    with pytest.raises(DimensionError):
+        BaseStatsTable(ids, means, counts, covs[:1])
+
+
+def test_table_keeps_its_arrays_without_a_copy():
+    ds, split, _ = generate_synthetic(SyntheticSpec(
+        num_classes=6, dim=5, samples_per_class=30, group_size=3, seed=2))
+    built = build_base_stats(ds, split)
+    table = BaseStatsTable(built.id_array, built.mean_matrix, built.counts,
+                           built.packed_covariances)
+    assert table.id_array is built.id_array
+    assert table.mean_matrix is built.mean_matrix
+    assert table.counts is built.counts
+    assert table.packed_covariances is built.packed_covariances
 
 
 def test_build_base_stats_matches_per_class_calls():
     ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=6, dim=5, samples_per_class=30, group_size=3, seed=2))
     table = build_base_stats(ds, split)
-    assert set(table.class_ids()) == split.base_classes
-    for cid in table.class_ids():
+    assert set(table.id_array.tolist()) == split.base_classes
+    for row, cid in enumerate(table.id_array.tolist()):
         feats = ds.features_for(cid)
-        assert np.array_equal(table.entry(cid).mean, class_mean(feats))
-        assert np.array_equal(table.entry(cid).covariance,
-                              class_covariance(feats))
-        assert table.entry(cid).count == 30
+        assert np.array_equal(table.mean_matrix[row], class_mean(feats))
+        assert np.array_equal(
+            np.take(table.packed_covariances[row], table.gather_map),
+            class_covariance(feats))
+        assert table.counts[row] == 30
 
 
 def test_table_entries_equal_their_inputs_in_id_order():
     rng = np.random.default_rng(3)
-    inputs = {}
-    for cid in (7, 2, 11, 5):
+    ids = [2, 5, 7, 11]
+    means = rng.normal(size=(4, 4))
+    counts = rng.integers(2, 50, size=4)
+    covs = []
+    for _ in ids:
         a = rng.normal(size=(9, 4))
-        inputs[cid] = ClassStatistics(cid, rng.normal(size=4), a.T @ a / 8,
-                                      int(rng.integers(2, 50)))
-    table = BaseStatsTable(4, inputs.values())
-    assert table.class_ids() == [2, 5, 7, 11]
-    assert np.array_equal(table.mean_matrix,
-                          [inputs[cid].mean for cid in (2, 5, 7, 11)])
-    for row, cid in enumerate(table.class_ids()):
-        got = table.entry(cid)
-        assert got.class_id == cid and got.count == inputs[cid].count
-        assert np.array_equal(got.mean, inputs[cid].mean)
-        assert np.array_equal(got.covariance, inputs[cid].covariance)
+        covs.append(a.T @ a / 8)
+    table = BaseStatsTable(ids, means, counts,
+                           np.stack([packed(c) for c in covs]))
+    assert table.id_array.tolist() == ids
+    assert len(table) == 4
+    assert np.array_equal(table.mean_matrix, means)
+    assert np.array_equal(table.counts, counts)
+    for row in range(4):
         # stored as the row-major lower triangle
         assert np.array_equal(table.packed_covariances[row],
-                              inputs[cid].covariance[np.tril_indices(4)])
+                              covs[row][np.tril_indices(4)])
+        lower = np.tril(covs[row])
+        assert np.array_equal(
+            np.take(table.packed_covariances[row], table.gather_map),
+            lower + np.tril(lower, -1).T)
+
+
+def test_variance_matrix_is_the_covariance_diagonal():
+    ds, split, _ = generate_synthetic(SyntheticSpec(
+        num_classes=20, dim=33, samples_per_class=40, group_size=5, seed=6))
+    table = build_base_stats(ds, split)
+    variances = table.variance_matrix
+    assert variances.shape == (len(table), 33)
+    assert not variances.flags.writeable
+    for row in range(len(table)):
+        full = np.take(table.packed_covariances[row], table.gather_map)
+        assert np.array_equal(variances[row], full.diagonal())
+    assert table.variance_matrix is variances
 
 
 def test_build_base_stats_holds_one_full_covariance_at_a_time():
@@ -143,13 +189,13 @@ def test_build_base_stats_holds_one_full_covariance_at_a_time():
 
 def test_build_base_stats_missing_class():
     ds = Dataset([0, 0], [[1.0], [2.0]])
-    with pytest.raises(MissingClassError):
+    with pytest.raises(DataError, match="class 5 has 0 records"):
         build_base_stats(ds, SplitManifest(base=[0, 5]))
 
 
 def test_build_base_stats_single_record_class():
     ds = Dataset([0, 0, 1], [[1.0], [2.0], [3.0]])
-    with pytest.raises(InsufficientSamplesError, match="class 1"):
+    with pytest.raises(DataError, match="class 1"):
         build_base_stats(ds, SplitManifest(base=[0, 1]))
 
 
@@ -161,19 +207,19 @@ def test_stats_accuracy_on_synthetic_truth():
     table = build_base_stats(ds, split)
     for cid in (0, 1):
         t = truth.classes[cid]
-        got = table.entry(cid)
         se = np.sqrt(t.feature_var / 50_000)
-        assert np.all(np.abs(got.mean - t.feature_mean) < 5 * se)
-        assert np.allclose(np.diag(got.covariance), t.feature_var, rtol=0.05)
+        assert np.all(np.abs(table.mean_matrix[cid] - t.feature_mean) < 5 * se)
+        assert np.allclose(table.variance_matrix[cid], t.feature_var,
+                           rtol=0.05)
 
 
 def test_similarity_self_and_orthogonal():
-    a = ClassStatistics(0, np.array([1.0, 0.0]), np.eye(2), 5)
-    b = ClassStatistics(1, np.array([0.0, 1.0]), np.eye(2), 5)
-    mean_cos, var_cos = class_similarity(a, a)
+    table = BaseStatsTable([0, 1], [[1.0, 0.0], [0.0, 1.0]], [5, 5],
+                           np.stack([packed(np.eye(2))] * 2))
+    mean_cos, var_cos = class_similarity(table, 0, 0)
     assert mean_cos == pytest.approx(1.0)
     assert var_cos == pytest.approx(1.0)
-    mean_cos, var_cos = class_similarity(a, b)
+    mean_cos, var_cos = class_similarity(table, 0, 1)
     assert mean_cos == pytest.approx(0.0, abs=1e-12)
     assert var_cos == pytest.approx(1.0)
 
@@ -182,29 +228,28 @@ def test_similarity_same_group_beats_cross_group():
     ds, split, truth = generate_synthetic(SyntheticSpec(
         num_classes=6, dim=16, samples_per_class=200, group_size=3, seed=21))
     table = build_base_stats(ds, SplitManifest(base=list(range(6))))
-    same, _ = class_similarity(table.entry(0), table.entry(1))
-    cross, _ = class_similarity(table.entry(0), table.entry(3))
+    same, _ = class_similarity(table, 0, 1)
+    cross, _ = class_similarity(table, 0, 3)
     assert same > cross
 
 
 def test_similarity_errors():
-    a = ClassStatistics(0, np.array([1.0, 0.0]), np.eye(2), 5)
-    c = ClassStatistics(2, np.zeros(2), np.eye(2), 5)
-    wide = ClassStatistics(3, np.zeros(3), np.eye(3), 5)
-    with pytest.raises(UndefinedStatisticError):
-        class_similarity(a, c)
-    with pytest.raises(DimensionError):
-        class_similarity(a, wide)
+    table = BaseStatsTable([0, 2, 3], [[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]],
+                           [5, 5, 5], [packed(np.eye(2)), packed(np.eye(2)),
+                                       packed(np.zeros((2, 2)))])
+    with pytest.raises(DataError, match="zero vector"):
+        class_similarity(table, 0, 2)
+    with pytest.raises(DataError, match="zero vector"):
+        class_similarity(table, 0, 3)
+    for a, b in ((0, 1), (1, 0), (4, 4)):
+        with pytest.raises(DataError, match="no statistics for class"):
+            class_similarity(table, a, b)
 
 
 def test_table_lookup_errors():
-    table = BaseStatsTable(2, [ClassStatistics(3, np.zeros(2), np.eye(2), 5)])
+    table = BaseStatsTable([3], [np.zeros(2)], [5], [packed(np.eye(2))])
     assert 3 in table
     assert 4 not in table
-    with pytest.raises(MissingClassError):
-        table.entry(4)
-    with pytest.raises(DimensionError):
-        BaseStatsTable(3, [ClassStatistics(0, np.zeros(2), np.eye(2), 5)])
-    with pytest.raises(DataError):
-        BaseStatsTable(2, [ClassStatistics(0, np.zeros(2), np.eye(2), 5),
-                           ClassStatistics(0, np.ones(2), np.eye(2), 5)])
+    assert table.dim == 2
+    with pytest.raises(DataError, match="class 4"):
+        class_similarity(table, 3, 4)
