@@ -48,7 +48,7 @@ print(f"support feature 0, first 4 dims transformed: "
 params = CalibrationParams()  # k=2 neighbors, alpha=0.21
 dists = []
 for i in range(support.shape[0]):
-    dist = calibrate(support[i], stats, params, source_index=i)
+    dist = calibrate(support[i], stats, params)
     dists.append(dist)
     moved = np.linalg.norm(dist.mean - support[i])
     print(f"support {i} (episode label {ep.support_y[i]}): borrowed from base "

@@ -19,7 +19,7 @@ from .features_io import (Dataset, SplitManifest, SyntheticSpec,
                           SyntheticTruth, generate_synthetic, load_dataset,
                           load_split, save_dataset, save_split)
 from .harness import (EpisodeSpec, EvalReport, PipelineConfig, evaluate,
-                      project_2d, run_episode, sample_episode, sweep)
+                      project_2d, run_episode, sample_episode)
 from .rng import PortableRng, derive_key
 from .sampling import SamplerConfig, cholesky_psd, sample_features
 from .stats import BaseStatsTable, build_base_stats, class_similarity
@@ -38,6 +38,6 @@ __all__ = [
     "cholesky_psd", "class_similarity", "derive_key", "evaluate",
     "generate_synthetic", "load_dataset", "load_split", "predict",
     "project_2d", "run_episode", "sample_episode", "sample_features",
-    "save_dataset", "save_split", "sweep", "train_logistic", "train_svm",
+    "save_dataset", "save_split", "train_logistic", "train_svm",
     "tukey_transform",
 ]

@@ -52,7 +52,6 @@ class CalibratedDistribution:
 
     mean: np.ndarray
     covariance: np.ndarray
-    source_support_index: int
     neighbor_class_ids: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -90,8 +89,8 @@ def _nearest_rows(x, table: BaseStatsTable, k: int) -> np.ndarray:
     return np.lexsort((table.id_array, dists))[:k]
 
 
-def calibrate(x, table: BaseStatsTable, params: CalibrationParams,
-              source_index: int = -1) -> CalibratedDistribution:
+def calibrate(x, table: BaseStatsTable,
+              params: CalibrationParams) -> CalibratedDistribution:
     """Calibrate a single support feature against the base statistics.
 
     The neighbors' covariances are summed as packed lower triangles, element
@@ -116,7 +115,6 @@ def calibrate(x, table: BaseStatsTable, params: CalibrationParams,
     cov_sum += params.alpha
     return CalibratedDistribution(mean=mean,
                                   covariance=np.take(cov_sum, table.gather_map),
-                                  source_support_index=source_index,
                                   neighbor_class_ids=tuple(
                                       int(table.id_array[row]) for row in rows))
 
@@ -127,10 +125,7 @@ def calibrate_support_set(support_x, support_y, table: BaseStatsTable,
 
     ``support_x`` is (n, dim), ``support_y`` the matching labels.  Returns a
     dict mapping each label to the list of distributions calibrated from its
-    support features, in support order.  ``source_support_index`` records the
-    row each distribution came from, counted in the ``support_x`` passed in:
-    a caller that calibrates a subset of an episode's support rows gets
-    indices into that subset.
+    support features, in support order.
     """
     xs = np.asarray(support_x, dtype=np.float64)
     ys = np.asarray(support_y)
@@ -140,8 +135,7 @@ def calibrate_support_set(support_x, support_y, table: BaseStatsTable,
         raise DimensionError("support labels must match support features")
     out: dict[int, list[CalibratedDistribution]] = {}
     for i in range(xs.shape[0]):
-        dist = calibrate(xs[i], table, params, source_index=i)
-        out.setdefault(int(ys[i]), []).append(dist)
+        out.setdefault(int(ys[i]), []).append(calibrate(xs[i], table, params))
     return out
 
 

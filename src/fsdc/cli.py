@@ -5,13 +5,15 @@ Subcommands:
 * ``synth``   generate a synthetic dataset with known ground truth
 * ``stats``   print base-class record counts and pairwise similarities
 * ``eval``    run episodic evaluation and report accuracy
-* ``sweep``   evaluate one parameter over several values on paired episodes
+* ``sweep``   evaluate one setting over several values on paired episodes
 * ``project`` dump a 2-D projection of one episode's features
 
 Every command that reads a dataset builds its base-class statistics from it,
 from untransformed features.  Settings can come from a JSON config file
 (flat, dotted keys such as ``calib.k``) and from flags; a flag always wins
-over the file.  All outputs are written atomically.  Errors print
+over the file.  A stage is switched off by its own value: ``--lambda 1`` for
+the transform, ``--num-generated 0`` for generation; retrieval is on when
+``--retrieve`` is positive.  All outputs are written atomically.  Errors print
 ``error: <reason>`` to stderr; invalid settings exit with status 2, runtime
 failures with 1.
 """
@@ -20,16 +22,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields, replace
 
 from .errors import FsdcError, SpecError
 from .features_io import (SyntheticSpec, atomic_write_text, generate_synthetic,
                           load_dataset, load_split, save_dataset, save_split)
-from .harness import (EpisodeSpec, PipelineConfig, SWEEPABLE_PARAMS,
-                      collect_episode_features, evaluate, project_2d,
-                      sample_episode, sweep)
+from .harness import (EpisodeSpec, PipelineConfig, collect_episode_features,
+                      evaluate, project_2d, sample_episode)
 from .stats import build_base_stats, class_similarity
 
 # dotted config key -> (flag, what the flag takes, help).  What the flag
@@ -43,26 +43,29 @@ _SETTINGS = {
     "episode.q_queries": ("--queries", int, None),
     "episode.num_episodes": ("--episodes", int, None),
     "episode.seed": ("--seed", int, "episode sampling seed"),
-    "tukey.lambda": ("--lambda", float, "transform exponent"),
-    "use_tukey": ("--no-tukey", False, "skip the power transform"),
+    "tukey.lambda": ("--lambda", float, "transform exponent (1 is off)"),
     "calib.k": ("--k", int, "number of borrowed base classes"),
     "calib.alpha": ("--alpha", float, "covariance spread constant"),
     "calib.use_novel_feature": ("--no-novel-feature", False,
                                 "calibrate means from base classes alone"),
     "sampler.total_per_class": ("--num-generated", int,
-                                "generated features per class"),
-    "use_generation": ("--no-generation", False,
-                       "train on support features only"),
+                                "generated features per class (0 is off)"),
     "sampler.seed": ("--sample-seed", int, None),
     "classifier": ("--classifier", ("logistic", "svm"), None),
-    "baseline": ("--baseline", str, "'none' or 'nearest:<m>' to train on "
-                 "retrieved base features instead of generated ones"),
+    "retrieve": ("--retrieve", int, "base features retrieved per support "
+                 "feature instead of generated ones (0 is off)"),
     "optimizer.learning_rate": ("--lr", float, None),
     "optimizer.epochs": ("--opt-epochs", int, None),
     "optimizer.l2": ("--l2", float, None),
-    "workers": ("--workers", int,
-                "episode worker processes (default: FSDC_WORKERS or 1)"),
+    "workers": ("--workers", int, "episode worker processes (default: 1)"),
 }
+
+# the keys ``sweep`` varies: every int or float setting of the pipeline.  The
+# episode keys and "workers" are left out, so every cell runs the same
+# episodes.
+_SWEEP_KEYS = tuple(key for key, (_, takes, _) in _SETTINGS.items()
+                    if takes in (int, float)
+                    and not key.startswith("episode.") and key != "workers")
 
 
 def _check_config_value(key: str, value):
@@ -111,19 +114,6 @@ def _gather_settings(args) -> dict:
     return settings
 
 
-def _parse_baseline(text: str) -> tuple[str, int]:
-    if text == "none":
-        return "none", 1
-    if text.startswith("nearest:"):
-        raw = text.split(":", 1)[1]
-        try:
-            m = int(raw)
-        except ValueError:
-            raise SpecError(f"bad retrieval count {raw!r} in baseline") from None
-        return "nearest_class", m
-    raise SpecError(f"unknown baseline {text!r}; use 'none' or 'nearest:<m>'")
-
-
 def _configs(settings: dict) -> tuple[EpisodeSpec, PipelineConfig]:
     """``EpisodeSpec()`` and ``PipelineConfig()`` with the settings applied.
 
@@ -140,8 +130,6 @@ def _configs(settings: dict) -> tuple[EpisodeSpec, PipelineConfig]:
         name = "lam" if name == "lambda" else name
         by_section.setdefault(section, {})[name] = value
     top = by_section.pop("", {})
-    if "baseline" in top:
-        top["baseline"], top["baseline_m"] = _parse_baseline(top["baseline"])
     spec = replace(EpisodeSpec(), **by_section.pop("episode", {}))
     cfg = PipelineConfig()
     nested = {name: replace(getattr(cfg, name), **by_section.get(name, {}))
@@ -150,18 +138,7 @@ def _configs(settings: dict) -> tuple[EpisodeSpec, PipelineConfig]:
 
 
 def _resolve_workers(settings: dict) -> int:
-    if settings.get("workers") is not None:
-        count = settings["workers"]
-    else:
-        env = os.environ.get("FSDC_WORKERS", "").strip()
-        if env:
-            try:
-                count = int(env)
-            except ValueError:
-                raise SpecError(f"FSDC_WORKERS must be an integer, got {env!r}") \
-                    from None
-        else:
-            count = 1
+    count = settings.get("workers", 1)
     if count < 1:
         raise SpecError("workers must be at least 1")
     return count
@@ -230,30 +207,34 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _parse_sweep_values(param: str, text: str):
+def _parse_sweep_values(key: str, text: str):
+    """The comma-separated values, each parsed with the key's type."""
     pieces = [p.strip() for p in text.split(",") if p.strip()]
     if not pieces:
         raise SpecError("sweep needs at least one value")
-    integral = param in ("k", "num_generated", "nearest_m")
+    takes = _SETTINGS[key][1]
     values = []
     for piece in pieces:
         try:
-            values.append(int(piece) if integral else float(piece))
+            values.append(takes(piece))
         except ValueError:
-            raise SpecError(f"bad sweep value {piece!r} for {param}") from None
+            raise SpecError(f"bad sweep value {piece!r} for {key}") from None
     return values
 
 
 def _cmd_sweep(args) -> int:
     settings = _gather_settings(args)
-    values = _parse_sweep_values(args.param, args.values)
-    spec, cfg = _configs(settings)
+    spec, _ = _configs(settings)
+    # every cell's config is built before the dataset is read, so a bad
+    # value exits 2 without the work
+    cells = [(value, _configs({**settings, args.param: value})[1])
+             for value in _parse_sweep_values(args.param, args.values)]
+    workers = _resolve_workers(settings)
     ds, split, table = _load_world(args)
-    results = sweep(ds, split, table, spec, cfg, args.param, values,
-                    workers=_resolve_workers(settings))
     csv_lines = ["value,mean_accuracy,ci95"]
     payload = []
-    for value, report in results:
+    for value, cfg in cells:
+        report = evaluate(ds, split, table, spec, cfg, workers=workers)
         print(f"{args.param}={value:g}: {100 * report.mean_accuracy:.2f}% "
               f"± {100 * report.ci95:.2f}%")
         csv_lines.append(f"{value:g},{report.mean_accuracy:.6f},"
@@ -347,10 +328,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", help="write the full report (JSON)")
     ev.set_defaults(func=_cmd_eval)
 
-    sw = sub.add_parser("sweep", help="evaluate one parameter across values")
+    sw = sub.add_parser("sweep", help="evaluate one setting across values")
     _add_io_flags(sw)
     _add_setting_flags(sw)
-    sw.add_argument("--param", required=True, choices=SWEEPABLE_PARAMS)
+    sw.add_argument("--param", required=True, choices=_SWEEP_KEYS,
+                    help="the settings key to vary")
     sw.add_argument("--values", required=True,
                     help="comma-separated list, e.g. 0.2,0.5,1.0")
     sw.add_argument("--out-prefix", dest="out_prefix", required=True)

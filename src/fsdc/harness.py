@@ -5,6 +5,10 @@ Episode i draws its classes and samples from a stream keyed by (seed, i), so
 results do not depend on evaluation order or on the number of worker
 processes.  Two configurations evaluated with the same episode settings see
 exactly the same tasks, which makes sweeps paired comparisons.
+
+Each stage is switched off by its own setting: the transform at exponent
+one, generation at zero features per class.  Retrieval is off at zero rows
+per support feature and, when on, replaces generation.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ from .transform import TukeyParams, tukey_transform
 _DOM_EPISODE: Final = 0x45
 _DOM_GEN: Final = 0x47
 _DOM_RETRIEVE: Final = 0x52
-
-SWEEPABLE_PARAMS: Final = ("lambda", "k", "alpha", "num_generated", "nearest_m")
 
 
 @dataclass(frozen=True)
@@ -64,27 +66,19 @@ class PipelineConfig:
     calib: CalibrationParams = CalibrationParams()
     sampler: SamplerConfig = SamplerConfig()
     optimizer: OptimizerConfig = OptimizerConfig()
-    use_tukey: bool = True
-    use_generation: bool = True
     classifier: str = "logistic"
-    baseline: str = "none"
-    baseline_m: int = 1
+    #: base rows retrieved per support feature in place of generated ones;
+    #: 0 is off
+    retrieve: int = 0
 
     def __post_init__(self) -> None:
         if self.classifier not in ("logistic", "svm"):
             raise SpecError(f"unknown classifier {self.classifier!r}")
-        if self.baseline not in ("none", "nearest_class"):
-            raise SpecError(f"unknown baseline {self.baseline!r}")
-        if self.baseline_m < 1:
-            raise SpecError("baseline_m must be at least 1")
+        if self.retrieve < 0:
+            raise SpecError("retrieve must be non-negative")
 
     def to_payload(self) -> dict:
-        """Every field under its own name, nested dataclasses as objects,
-        except that the baseline is one ``{"kind", "m"}`` object."""
-        payload = asdict(self)
-        payload["baseline"] = {"kind": payload["baseline"],
-                               "m": payload.pop("baseline_m")}
-        return payload
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -160,8 +154,8 @@ def run_episode(ep: Episode, stats: BaseStatsTable, cfg: PipelineConfig,
                 base_data: Dataset | None = None) -> float:
     """Run the pipeline on one episode and return query accuracy in [0, 1].
 
-    ``base_data`` supplies raw base-class rows and is only required for the
-    retrieval baseline.  Errors from any stage are re-raised with the episode
+    ``base_data`` supplies raw base-class rows and is only required for
+    retrieval.  Errors from any stage are re-raised with the episode
     index attached.
     """
     try:
@@ -172,8 +166,6 @@ def run_episode(ep: Episode, stats: BaseStatsTable, cfg: PipelineConfig,
 
 def _transformed(ep: Episode, cfg: PipelineConfig):
     """The episode's support and query features in pipeline space."""
-    if not cfg.use_tukey:
-        return ep.support_x, ep.query_x
     return (tukey_transform(ep.support_x, cfg.tukey),
             tukey_transform(ep.query_x, cfg.tukey))
 
@@ -183,31 +175,29 @@ def _train_rows(ep: Episode, support_x, stats: BaseStatsTable,
     """The rows a classifier trains on and their task labels: the support
     rows first, then the extra rows.
 
-    The extra rows are ``baseline_m`` base rows retrieved per support
-    feature under the retrieval baseline, features drawn from the
-    calibrated Gaussians when generation is on, and none otherwise.
+    The extra rows are ``retrieve`` base rows per support feature when
+    retrieval is on, else ``total_per_class`` features per class drawn from
+    the calibrated Gaussians.
     Generation calibrates and draws one class at a time, drawing each
     class's rows straight into its slice of one preallocated matrix, so an
     episode holds one class's covariances at once and stores each drawn row
     once.  Draw streams are keyed by (label, distribution), so the rows equal
     one call over the whole support set.
     """
-    if cfg.baseline == "nearest_class":
+    if cfg.retrieve:
         if base_data is None:
-            raise SpecError("the retrieval baseline needs the base dataset")
+            raise SpecError("retrieval needs the base dataset")
         blocks = []
         for i in range(support_x.shape[0]):
             rng = PortableRng(derive_key(cfg.sampler.seed, _DOM_RETRIEVE,
                                          ep.index, i))
             raw = retrieve_nearest_class_features(support_x[i], base_data,
-                                                  stats, cfg.baseline_m, rng)
-            if cfg.use_tukey:
-                raw = tukey_transform(raw, cfg.tukey)
-            blocks.append(raw)
+                                                  stats, cfg.retrieve, rng)
+            blocks.append(tukey_transform(raw, cfg.tukey))
         return (np.concatenate([support_x, *blocks]),
                 np.concatenate([ep.support_y,
-                                np.repeat(ep.support_y, cfg.baseline_m)]))
-    if not (cfg.use_generation and cfg.sampler.total_per_class > 0):
+                                np.repeat(ep.support_y, cfg.retrieve)]))
+    if cfg.sampler.total_per_class == 0:
         return support_x, ep.support_y
     sampler = replace(cfg.sampler,
                       seed=derive_key(cfg.sampler.seed, _DOM_GEN, ep.index))
@@ -289,41 +279,6 @@ def evaluate(ds: Dataset, split: SplitManifest, stats: BaseStatsTable,
                       pipeline=cfg.to_payload())
 
 
-def apply_sweep_value(cfg: PipelineConfig, param: str, value) -> PipelineConfig:
-    """A copy of ``cfg`` with one swept parameter changed."""
-    if param == "lambda":
-        return replace(cfg, use_tukey=True,
-                       tukey=replace(cfg.tukey, lam=float(value)))
-    if param == "k":
-        return replace(cfg, calib=replace(cfg.calib, k=int(value)))
-    if param == "alpha":
-        return replace(cfg, calib=replace(cfg.calib, alpha=float(value)))
-    if param == "num_generated":
-        return replace(cfg, use_generation=True,
-                       sampler=replace(cfg.sampler, total_per_class=int(value)))
-    if param == "nearest_m":
-        return replace(cfg, baseline="nearest_class", baseline_m=int(value),
-                       use_generation=False)
-    raise SpecError(f"unknown sweep parameter {param!r}; "
-                    f"choose from {', '.join(SWEEPABLE_PARAMS)}")
-
-
-def sweep(ds: Dataset, split: SplitManifest, stats: BaseStatsTable,
-          spec: EpisodeSpec, cfg: PipelineConfig, param: str, values,
-          workers: int = 1):
-    """Evaluate ``cfg`` once per value of one parameter, on identical
-    episodes, and return ``[(value, report), ...]`` in input order."""
-    values = list(values)
-    if not values:
-        raise SpecError("sweep needs at least one value")
-    out = []
-    for value in values:
-        report = evaluate(ds, split, stats, spec,
-                          apply_sweep_value(cfg, param, value), workers=workers)
-        out.append((value, report))
-    return out
-
-
 def collect_episode_features(ep: Episode, stats: BaseStatsTable,
                              cfg: PipelineConfig,
                              base_data: Dataset | None = None):
@@ -332,14 +287,14 @@ def collect_episode_features(ep: Episode, stats: BaseStatsTable,
     Returns ``(features, class_ids, roles)``: the stacked support, query and
     extra rows that :func:`run_episode` uses, the original class id of each
     row, and a role string per row ("support", "query", and "retrieved"
-    under the retrieval baseline or "generated" otherwise).  ``base_data``
-    is only required for the retrieval baseline.
+    when retrieval is on or "generated" otherwise).  ``base_data`` is only
+    required for retrieval.
     """
     support_x, query_x = _transformed(ep, cfg)
     train_x, train_y = _train_rows(ep, support_x, stats, cfg, base_data)
     n_support = support_x.shape[0]
     extra_x, extra_y = train_x[n_support:], train_y[n_support:]
-    extra_role = "retrieved" if cfg.baseline == "nearest_class" else "generated"
+    extra_role = "retrieved" if cfg.retrieve else "generated"
     roles = (["support"] * n_support + ["query"] * query_x.shape[0]
              + [extra_role] * extra_x.shape[0])
     labels = np.concatenate([ep.support_y, ep.query_y, extra_y])

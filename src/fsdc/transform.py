@@ -1,8 +1,9 @@
 """Power-family transform for skewed features, plus sample skewness.
 
 The transform is Tukey's ladder of powers: raise each component to a fixed
-exponent, with the natural log standing in at exponent zero.  Features fed to
-it must be non-negative; zeros are shifted by a tiny epsilon before the log so
+exponent, with the natural log standing in at exponent zero.  Exponent one is
+the identity and switches the transform off.  Features fed to any other rung
+must be non-negative; zeros are shifted by a tiny epsilon before the log so
 the zero-exponent rung stays finite.
 """
 
@@ -34,11 +35,13 @@ class TukeyParams:
 def tukey_transform(features, params: TukeyParams = TukeyParams()) -> np.ndarray:
     """Apply the ladder-of-powers transform elementwise.
 
-    Accepts any array shape and returns float64.  ``lam == 1`` reproduces the
-    input exactly (in float64), so "transform off" and "exponent one" are the
-    same thing.
+    Accepts any array shape and returns float64.  ``lam == 1`` is "transform
+    off": the float64 input comes back unchanged and unchecked, so negative
+    features pass through.
     """
     x = np.asarray(features, dtype=np.float64)
+    if params.lam == 1:
+        return x
     if not np.isfinite(x).all():
         raise DataError("features must be finite before the power transform")
     if (x < 0).any():

@@ -71,15 +71,17 @@ def bench_cells(bench_world):
     """
     ds, split, stats = bench_world
     variants = {
-        "plain": dict(use_tukey=False, use_generation=False),
-        "transform_only": dict(use_generation=False),
-        "generate_only": dict(use_tukey=False),
+        "plain": dict(tukey=TukeyParams(lam=1.0),
+                      sampler=SamplerConfig(total_per_class=0, seed=0)),
+        "transform_only": dict(sampler=SamplerConfig(total_per_class=0,
+                                                     seed=0)),
+        "generate_only": dict(tukey=TukeyParams(lam=1.0)),
         "full": {},
         "lam02": dict(tukey=TukeyParams(lam=0.2)),
         "lam15": dict(tukey=TukeyParams(lam=1.5)),
         "no_novel": dict(calib=CalibrationParams(use_novel_feature=False)),
-        "retrieval_1": dict(baseline="nearest_class", baseline_m=1),
-        "retrieval_100": dict(baseline="nearest_class", baseline_m=100),
+        "retrieval_1": dict(retrieve=1),
+        "retrieval_100": dict(retrieve=100),
         "generated_100": dict(sampler=SamplerConfig(total_per_class=100, seed=0)),
     }
     cells = {}
@@ -158,7 +160,6 @@ def test_sampler_moment_match():
         cov = a @ a.T / d + 0.05 * np.eye(d)
         cov = (cov + cov.T) / 2
         dist = CalibratedDistribution(mean=mu, covariance=cov,
-                                      source_support_index=0,
                                       neighbor_class_ids=(0,))
         _, shift = cholesky_psd(dist.covariance)
         target = dist.covariance + shift * np.eye(d)

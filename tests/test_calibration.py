@@ -158,8 +158,9 @@ def test_calibrate_support_set_one_shot():
     assert set(out) == {0, 1}
     assert len(out[0]) == 1
     assert len(out[1]) == 1
-    assert out[0][0].source_support_index == 0
-    assert out[1][0].source_support_index == 1
+    params = CalibrationParams(k=1)
+    assert np.array_equal(out[0][0].mean, calibrate(xs[0], t, params).mean)
+    assert np.array_equal(out[1][0].mean, calibrate(xs[1], t, params).mean)
 
 
 def test_calibrate_support_set_five_shot():
@@ -169,7 +170,11 @@ def test_calibrate_support_set_five_shot():
     out = calibrate_support_set(xs, ys, t, CalibrationParams(k=1))
     assert len(out[0]) == 5
     assert len(out[1]) == 5
-    assert [d.source_support_index for d in out[0]] == [0, 1, 2, 3, 4]
+    # each label's distributions are in support order
+    for label, rows in ((0, range(5)), (1, range(5, 10))):
+        for dist, i in zip(out[label], rows):
+            assert np.array_equal(dist.mean,
+                                  calibrate(xs[i], t, CalibrationParams(k=1)).mean)
 
 
 def test_identical_support_features_calibrate_identically():

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -156,13 +157,12 @@ def test_eval_missing_file_is_runtime_error(world, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_eval_respects_workers_env(world, tmp_path, monkeypatch):
+def test_eval_workers_flag_matches_serial(world, tmp_path):
     a = str(tmp_path / "serial.json")
-    b = str(tmp_path / "env.json")
+    b = str(tmp_path / "workers.json")
     assert main(eval_args(world, "--out", a)) == 0
-    monkeypatch.setenv("FSDC_WORKERS", "2")
-    assert main(eval_args(world, "--out", b)) == 0
-    assert open(a).read() == open(b).read()
+    assert main(eval_args(world, "--workers", "2", "--out", b)) == 0
+    assert open(a, "rb").read() == open(b, "rb").read()
 
 
 # --------------------------------------------------------------------- config
@@ -200,11 +200,16 @@ def test_config_rejects_tukey_base_key(world, tmp_path, capsys):
     ("sampler.jitter", 1e-5, "unknown config key 'sampler.jitter'"),
     ("tukey.log_epsilon", 1e-3, "unknown config key 'tukey.log_epsilon'"),
     ("classifier", "max_likelihood", "unknown classifier 'max_likelihood'"),
-], ids=["sampler.jitter", "tukey.log_epsilon", "classifier"])
+    ("use_tukey", False, "unknown config key 'use_tukey'"),
+    ("use_generation", False, "unknown config key 'use_generation'"),
+    ("baseline", "nearest:3", "unknown config key 'baseline'"),
+], ids=["sampler.jitter", "tukey.log_epsilon", "classifier", "use_tukey",
+        "use_generation", "baseline"])
 def test_config_rejects_deleted_settings(world, tmp_path, capsys, key, value,
                                          refusal):
     # every episode trains a linear model; the covariance jitter and the
-    # log rung's zero shift are fixed
+    # log rung's zero shift are fixed; a stage is switched off by its own
+    # value, and retrieval by "retrieve"
     cfg = tmp_path / "old.json"
     cfg.write_text(json.dumps({key: value}))
     assert main(eval_args(world, "--config", str(cfg), "--episodes", "1")) == 2
@@ -228,19 +233,15 @@ SETTING_CASES = {
                              ("episode_spec", "num_episodes")),
     "episode.seed": (["--seed", "7"], 7, ("episode_spec", "seed")),
     "tukey.lambda": (["--lambda", "0.75"], 0.75, ("pipeline", "tukey", "lam")),
-    "use_tukey": (["--no-tukey"], False, ("pipeline", "use_tukey")),
     "calib.k": (["--k", "3"], 3, ("pipeline", "calib", "k")),
     "calib.alpha": (["--alpha", "0.5"], 0.5, ("pipeline", "calib", "alpha")),
     "calib.use_novel_feature": (["--no-novel-feature"], False,
                                 ("pipeline", "calib", "use_novel_feature")),
     "sampler.total_per_class": (["--num-generated", "20"], 20,
                                 ("pipeline", "sampler", "total_per_class")),
-    "use_generation": (["--no-generation"], False,
-                       ("pipeline", "use_generation")),
     "sampler.seed": (["--sample-seed", "4"], 4, ("pipeline", "sampler", "seed")),
     "classifier": (["--classifier", "svm"], "svm", ("pipeline", "classifier")),
-    "baseline": (["--baseline", "nearest:3"], "nearest:3",
-                 ("pipeline", "baseline")),
+    "retrieve": (["--retrieve", "3"], 3, ("pipeline", "retrieve")),
     "optimizer.learning_rate": (["--lr", "0.3"], 0.3,
                                 ("pipeline", "optimizer", "learning_rate")),
     "optimizer.epochs": (["--opt-epochs", "50"], 50,
@@ -252,6 +253,26 @@ SETTING_CASES = {
 
 def test_every_setting_has_a_case():
     assert set(SETTING_CASES) == set(cli._SETTINGS)
+
+
+def _leaf_keys(cls, prefix=""):
+    """Dotted names of a dataclass's leaf fields, ``lam`` as ``lambda``."""
+    keys = []
+    for f in fields(cls):
+        default = f.default
+        if is_dataclass(default):
+            keys += _leaf_keys(type(default), f"{prefix}{f.name}.")
+        else:
+            keys.append(prefix + ("lambda" if f.name == "lam" else f.name))
+    return keys
+
+
+def test_every_setting_has_one_name():
+    # each field of the episode spec and the pipeline config is set by
+    # exactly one settings key, and each key but "workers" sets one field
+    keys = (_leaf_keys(EpisodeSpec, "episode.") + _leaf_keys(PipelineConfig))
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(cli._SETTINGS) - {"workers"}
 
 
 @pytest.mark.parametrize("key", sorted(SETTING_CASES))
@@ -276,10 +297,8 @@ def test_config_key_and_flag_set_the_same_value(key, tmp_path):
                "pipeline": PipelineConfig().to_payload()}
     for part in path:
         payload, default = payload[part], default[part]
-    expected = ({"kind": "nearest_class", "m": 3} if key == "baseline"
-                else value)
-    assert payload == expected
-    assert default != expected
+    assert payload == value
+    assert default != value
 
 
 def test_readme_lists_every_eval_flag():
@@ -307,11 +326,18 @@ def test_readme_lists_every_eval_flag():
      "unrecognized arguments: --log-epsilon"),
     (["eval", "--classifier", "max_likelihood"],
      "invalid choice: 'max_likelihood'"),
+    (["eval", "--no-tukey"], "unrecognized arguments: --no-tukey"),
+    (["eval", "--no-generation"], "unrecognized arguments: --no-generation"),
+    (["eval", "--baseline", "nearest:3"],
+     "unrecognized arguments: --baseline"),
 ], ids=["eval-stats", "eval-tukey-base", "stats-out", "stats-lambda",
-        "eval-jitter", "eval-log-epsilon", "eval-max-likelihood"])
+        "eval-jitter", "eval-log-epsilon", "eval-max-likelihood",
+        "eval-no-tukey", "eval-no-generation", "eval-baseline"])
 def test_deleted_flags_are_rejected(world, capsys, argv, refusal):
     # base statistics are always built from the dataset, untransformed;
-    # every episode trains a linear model with fixed jitter and zero shift
+    # every episode trains a linear model with fixed jitter and zero shift;
+    # --lambda 1 and --num-generated 0 switch a stage off, --retrieve M
+    # switches retrieval on
     with pytest.raises(SystemExit) as exc:
         main([argv[0], "--dataset", world["dataset"], "--split",
               world["split"], *argv[1:]])
@@ -338,12 +364,14 @@ def test_one_way_episodes_exit_before_reading_the_dataset(world, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_baseline_flag_parses(world, tmp_path):
+def test_baseline_flag_parses(world, tmp_path, capsys):
+    # the retrieval baseline's one setting: base rows per support feature
     out = str(tmp_path / "r.json")
-    assert main(eval_args(world, "--baseline", "nearest:5", "--out", out)) == 0
+    assert main(eval_args(world, "--retrieve", "5", "--out", out)) == 0
     report = json.loads(open(out).read())
-    assert report["pipeline"]["baseline"] == {"kind": "nearest_class", "m": 5}
-    assert main(eval_args(world, "--baseline", "nearest:x")) == 2
+    assert report["pipeline"]["retrieve"] == 5
+    assert main(eval_args(world, "--retrieve", "-1")) == 2
+    assert "retrieve must be non-negative" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------- sweep
@@ -353,7 +381,7 @@ def test_sweep_writes_csv_and_json(world, tmp_path):
     rc = main(["sweep", "--dataset", world["dataset"], "--split",
                world["split"], "--episodes", "4", "--n-way", "2",
                "--queries", "4", "--num-generated", "20",
-               "--opt-epochs", "30", "--param", "lambda",
+               "--opt-epochs", "30", "--param", "tukey.lambda",
                "--values", "0.5,1.0", "--out-prefix", prefix])
     assert rc == 0
     lines = open(prefix + ".csv").read().strip().splitlines()
@@ -367,7 +395,7 @@ def test_sweep_lambda_cell_matches_eval(world, tmp_path):
     # a sweep cell equals the eval at the same exponent
     prefix = str(tmp_path / "lam")
     assert main(["sweep", *eval_args(world)[1:],
-                 "--param", "lambda", "--values", "0.5,1.0",
+                 "--param", "tukey.lambda", "--values", "0.5,1.0",
                  "--out-prefix", prefix]) == 0
     out = str(tmp_path / "eval.json")
     assert main(eval_args(world, "--lambda", "1.0", "--out", out)) == 0
@@ -378,12 +406,60 @@ def test_sweep_lambda_cell_matches_eval(world, tmp_path):
     assert cell["report"] == report
 
 
+def test_sweep_l2_cell_matches_eval(world, tmp_path):
+    # any number of the pipeline sweeps under its config key
+    prefix = str(tmp_path / "l2")
+    assert main(["sweep", *eval_args(world)[1:],
+                 "--param", "optimizer.l2", "--values", "0.05",
+                 "--out-prefix", prefix]) == 0
+    out = str(tmp_path / "eval.json")
+    assert main(eval_args(world, "--l2", "0.05", "--out", out)) == 0
+    (cell,) = json.loads(open(prefix + ".json").read())
+    assert cell["value"] == 0.05
+    assert cell["report"] == json.loads(open(out).read())
+
+
+def test_sweep_identical_values_give_identical_reports(world, tmp_path):
+    prefix = str(tmp_path / "alpha")
+    assert main(["sweep", *eval_args(world)[1:], "--episodes", "4",
+                 "--param", "calib.alpha", "--values", "0.2,0.2",
+                 "--out-prefix", prefix]) == 0
+    first, second = json.loads(open(prefix + ".json").read())
+    assert first == second
+
+
 def test_sweep_rejects_empty_values(world, tmp_path, capsys):
     rc = main(["sweep", "--dataset", world["dataset"], "--split",
-               world["split"], "--param", "alpha", "--values", ",",
+               world["split"], "--param", "calib.alpha", "--values", ",",
                "--out-prefix", str(tmp_path / "x")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("values", ["1.5", "two"])
+def test_sweep_parses_values_with_the_key_type(world, tmp_path, capsys,
+                                               values):
+    # calib.k is an integer; the dataset path does not exist, so exit 2
+    # means the value was refused before the dataset was read
+    rc = main(["sweep", "--dataset", str(world["root"] / "absent.fsdc"),
+               "--split", world["split"], "--param", "calib.k",
+               "--values", values, "--out-prefix", str(tmp_path / "x")])
+    assert rc == 2
+    assert "bad sweep value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("param", ["episode.k_shot", "workers", "classifier",
+                                   "calib.use_novel_feature", "lambda"])
+def test_sweep_rejects_unpaired_and_non_numeric_keys(world, tmp_path, capsys,
+                                                     param):
+    # episode keys and the worker count would break the pairing of cells;
+    # the classifier and the switch are not numbers; "lambda" is no key
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--dataset", world["dataset"], "--split",
+              world["split"], "--param", param, "--values", "1",
+              "--out-prefix", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_sweep_num_generated_accepts_zero(world, tmp_path):
@@ -391,7 +467,7 @@ def test_sweep_num_generated_accepts_zero(world, tmp_path):
     rc = main(["sweep", "--dataset", world["dataset"], "--split",
                world["split"], "--episodes", "3", "--n-way", "2",
                "--queries", "4", "--opt-epochs", "30",
-               "--param", "num_generated", "--values", "0,20",
+               "--param", "sampler.total_per_class", "--values", "0,20",
                "--out-prefix", prefix])
     assert rc == 0
     payload = json.loads(open(prefix + ".json").read())
@@ -402,7 +478,7 @@ def test_sweep_num_generated_accepts_zero(world, tmp_path):
 
 @pytest.mark.parametrize("extra, extra_rows", [
     ((), {"generated": 2 * 25}),
-    (("--baseline", "nearest:4"), {"retrieved": 2 * 4}),
+    (("--retrieve", "4"), {"retrieved": 2 * 4}),
 ], ids=["generated", "retrieved"])
 def test_project_row_accounting(world, tmp_path, capsys, extra, extra_rows):
     out = str(tmp_path / "proj.csv")

@@ -9,9 +9,8 @@ from fsdc.classifiers import OptimizerConfig, train_logistic
 from fsdc.errors import (DataError, DimensionError, EpisodeError, SpecError)
 from fsdc.features_io import Dataset, SplitManifest, SyntheticSpec, generate_synthetic
 from fsdc.harness import (_DOM_GEN, Episode, EpisodeSpec, EvalReport,
-                          PipelineConfig, apply_sweep_value,
-                          collect_episode_features, evaluate, project_2d,
-                          run_episode, sample_episode, sweep)
+                          PipelineConfig, collect_episode_features, evaluate,
+                          project_2d, run_episode, sample_episode)
 from fsdc.rng import derive_key
 from fsdc.sampling import SamplerConfig, sample_features
 from fsdc.stats import build_base_stats
@@ -111,7 +110,8 @@ def test_run_episode_memorizes_query_equals_support():
     ep = Episode(index=0, class_ids=(4, 9),
                  support_x=x, support_y=np.array([0, 1]),
                  query_x=x, query_y=np.array([0, 1]))
-    cfg = quick_cfg(use_tukey=False, use_generation=False,
+    cfg = quick_cfg(tukey=TukeyParams(lam=1.0),
+                    sampler=SamplerConfig(total_per_class=0, seed=1),
                     optimizer=OptimizerConfig(epochs=200))
     assert run_episode(ep, stats, cfg) == 1.0
 
@@ -120,7 +120,7 @@ def test_run_episode_attaches_index_to_errors():
     ds, split, stats = make_world()
     spec = EpisodeSpec(n_way=2, k_shot=1, q_queries=3, num_episodes=1, seed=2)
     ep = sample_episode(ds, split, spec, 7)
-    cfg = quick_cfg(baseline="nearest_class", baseline_m=1)
+    cfg = quick_cfg(retrieve=1)
     with pytest.raises(SpecError, match="episode 7"):
         run_episode(ep, stats, cfg, base_data=None)
 
@@ -138,15 +138,15 @@ def test_retrieval_baseline_runs():
     ds, split, stats = make_world(per_class=50)
     spec = EpisodeSpec(n_way=2, k_shot=1, q_queries=5, num_episodes=1, seed=6)
     ep = sample_episode(ds, split, spec, 0)
-    cfg = quick_cfg(baseline="nearest_class", baseline_m=5)
+    cfg = quick_cfg(retrieve=5)
     acc = run_episode(ep, stats, cfg, base_data=ds)
     assert 0.0 <= acc <= 1.0
 
 
 @pytest.mark.parametrize("kw, k_shot", [
     ({}, 1),
-    ({"use_generation": False}, 1),
-    ({"baseline": "nearest_class", "baseline_m": 3}, 1),
+    ({"sampler": SamplerConfig(total_per_class=0, seed=1)}, 1),
+    ({"retrieve": 3}, 1),
     ({}, 2),
 ], ids=["default", "no_generation", "retrieval", "two_shot"])
 def test_classifier_trains_on_the_collected_rows(monkeypatch, kw, k_shot):
@@ -177,7 +177,7 @@ def test_classifier_trains_on_the_collected_rows(monkeypatch, kw, k_shot):
 @pytest.mark.parametrize("k_shot, kw", [
     (1, {}),
     (5, {}),
-    (5, {"use_tukey": False}),
+    (5, {"tukey": TukeyParams(lam=1.0)}),
     (5, {"calib": CalibrationParams(use_novel_feature=False)}),
     (5, {"sampler": SamplerConfig(total_per_class=7, seed=1)}),
 ], ids=["one_shot", "five_shot", "no_tukey", "no_novel", "uneven_share"])
@@ -198,8 +198,7 @@ def test_class_at_a_time_generation_equals_one_call(monkeypatch, k_shot, kw):
 
     monkeypatch.setattr("fsdc.harness.train_logistic", capture)
     run_episode(ep, stats, cfg)
-    support_x = (tukey_transform(ep.support_x, cfg.tukey) if cfg.use_tukey
-                 else ep.support_x)
+    support_x = tukey_transform(ep.support_x, cfg.tukey)
     dists = calibrate_support_set(support_x, ep.support_y, stats, cfg.calib)
     sampler = replace(cfg.sampler,
                       seed=derive_key(cfg.sampler.seed, _DOM_GEN, ep.index))
@@ -235,10 +234,8 @@ def test_pipeline_config_validation():
     for classifier in ("forest", "max_likelihood"):
         with pytest.raises(SpecError):
             PipelineConfig(classifier=classifier)
-    with pytest.raises(SpecError):
-        PipelineConfig(baseline="furthest_class")
-    with pytest.raises(SpecError):
-        PipelineConfig(baseline_m=0)
+    with pytest.raises(SpecError, match="retrieve must be non-negative"):
+        PipelineConfig(retrieve=-1)
 
 
 def test_payloads_pin_the_report_format():
@@ -252,17 +249,14 @@ def test_payloads_pin_the_report_format():
         calib=CalibrationParams(k=3, alpha=0.5, use_novel_feature=False),
         sampler=SamplerConfig(total_per_class=40, seed=9),
         optimizer=OptimizerConfig(learning_rate=0.2, epochs=12, l2=0.0),
-        use_tukey=False, use_generation=False, classifier="svm",
-        baseline="nearest_class", baseline_m=4)
+        classifier="svm", retrieve=4)
     assert cfg.to_payload() == {
         "tukey": {"lam": 0.25},
         "calib": {"k": 3, "alpha": 0.5, "use_novel_feature": False},
         "sampler": {"total_per_class": 40, "seed": 9},
         "optimizer": {"learning_rate": 0.2, "epochs": 12, "l2": 0.0},
-        "use_tukey": False,
-        "use_generation": False,
         "classifier": "svm",
-        "baseline": {"kind": "nearest_class", "m": 4},
+        "retrieve": 4,
     }
 
 
@@ -310,56 +304,39 @@ def test_evaluate_signal_free_data_is_random_guess():
 
 
 def test_tukey_off_equals_exponent_one():
-    ds, split, stats = make_world(num_classes=15)
+    # exponent one switches the transform off, so features the power ladder
+    # refuses evaluate untransformed
+    ds, split, _ = make_world(num_classes=15)
+    shifted = Dataset(ds.class_ids, ds.values - 1.0)
+    assert (shifted.values < 0).any()
+    stats = build_base_stats(shifted, split)
     spec = EpisodeSpec(n_way=3, k_shot=1, q_queries=6, num_episodes=5, seed=8)
-    off = evaluate(ds, split, stats, spec, quick_cfg(use_tukey=False))
-    one = evaluate(ds, split, stats, spec,
-                   quick_cfg(use_tukey=True, tukey=TukeyParams(lam=1.0)))
-    assert off.episode_accuracies == one.episode_accuracies
+    off = evaluate(shifted, split, stats, spec,
+                   quick_cfg(tukey=TukeyParams(lam=1.0)))
+    assert len(off.episode_accuracies) == 5
+    with pytest.raises(DataError, match="non-negative"):
+        evaluate(shifted, split, stats, spec,
+                 quick_cfg(tukey=TukeyParams(lam=0.5)))
 
 
-def test_zero_generated_equals_generation_off():
+def test_zero_generated_equals_generation_off(monkeypatch):
+    # zero generated features per class trains on the support rows alone
     ds, split, stats = make_world(num_classes=15)
-    spec = EpisodeSpec(n_way=3, k_shot=1, q_queries=6, num_episodes=5, seed=9)
-    none = evaluate(ds, split, stats, spec, quick_cfg(use_generation=False))
-    zero = evaluate(ds, split, stats, spec,
-                    quick_cfg(use_generation=True,
-                              sampler=SamplerConfig(total_per_class=0, seed=1)))
-    assert none.episode_accuracies == zero.episode_accuracies
+    spec = EpisodeSpec(n_way=3, k_shot=2, q_queries=6, num_episodes=1, seed=9)
+    ep = sample_episode(ds, split, spec, 0)
+    cfg = quick_cfg(sampler=SamplerConfig(total_per_class=0, seed=1))
+    seen = []
 
+    def capture(train, config):
+        seen.append(train)
+        return train_logistic(train, config)
 
-# --------------------------------------------------------------------- sweeps
-
-def test_sweep_identical_values_give_identical_reports():
-    ds, split, stats = make_world()
-    spec = EpisodeSpec(n_way=2, k_shot=1, q_queries=5, num_episodes=4, seed=10)
-    out = sweep(ds, split, stats, spec, quick_cfg(), "alpha", [0.2, 0.2])
-    assert out[0][1].to_json() == out[1][1].to_json()
-
-
-def test_sweep_lambda_covers_identity_cell():
-    ds, split, stats = make_world()
-    spec = EpisodeSpec(n_way=2, k_shot=1, q_queries=5, num_episodes=4, seed=12)
-    cfg = quick_cfg(use_tukey=False)
-    out = sweep(ds, split, stats, spec, cfg, "lambda", [1.0])
-    plain = evaluate(ds, split, stats, spec, cfg)
-    assert out[0][1].episode_accuracies == plain.episode_accuracies
-
-
-def test_sweep_nearest_m_switches_baseline():
-    cfg = apply_sweep_value(quick_cfg(), "nearest_m", 7)
-    assert cfg.baseline == "nearest_class"
-    assert cfg.baseline_m == 7
-    assert not cfg.use_generation
-
-
-def test_sweep_rejects_unknown_param_and_empty_values():
-    ds, split, stats = make_world()
-    spec = EpisodeSpec(n_way=2, k_shot=1, q_queries=5, num_episodes=2, seed=13)
-    with pytest.raises(SpecError):
-        sweep(ds, split, stats, spec, quick_cfg(), "gamma", [1.0])
-    with pytest.raises(SpecError):
-        sweep(ds, split, stats, spec, quick_cfg(), "alpha", [])
+    monkeypatch.setattr("fsdc.harness.train_logistic", capture)
+    run_episode(ep, stats, cfg)
+    (train,) = seen
+    assert np.array_equal(train.features,
+                          tukey_transform(ep.support_x, cfg.tukey))
+    assert np.array_equal(train.labels, ep.support_y)
 
 
 # ----------------------------------------------------------------- projection

@@ -13,7 +13,7 @@ PUBLIC_NAMES = [
     "cholesky_psd", "class_similarity", "derive_key", "evaluate",
     "generate_synthetic", "load_dataset", "load_split", "predict",
     "project_2d", "run_episode", "sample_episode", "sample_features",
-    "save_dataset", "save_split", "sweep", "train_logistic", "train_svm",
+    "save_dataset", "save_split", "train_logistic", "train_svm",
     "tukey_transform",
 ]
 

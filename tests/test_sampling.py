@@ -11,10 +11,9 @@ from fsdc.sampling import (_DOM_SAMPLE, SamplerConfig, cholesky_psd,
                            sample_features)
 
 
-def dist(mean, cov, idx=0):
+def dist(mean, cov):
     return CalibratedDistribution(np.asarray(mean, dtype=np.float64),
                                   np.asarray(cov, dtype=np.float64),
-                                  source_support_index=idx,
                                   neighbor_class_ids=(0,))
 
 
@@ -97,7 +96,7 @@ def test_sample_counts_and_labels():
 
 def test_sample_budget_splits_across_distributions():
     d = np.eye(1)
-    dists = {0: [dist([float(j)], d, idx=j) for j in range(5)]}
+    dists = {0: [dist([float(j)], d) for j in range(5)]}
     x, y = sample_features(dists, SamplerConfig(total_per_class=750, seed=2))
     assert x.shape == (750, 1)
     # 150 draws per distribution; block j is centered near j
@@ -108,7 +107,7 @@ def test_sample_budget_splits_across_distributions():
 
 def test_sample_budget_remainder_goes_first():
     d = np.eye(1)
-    dists = {0: [dist([0.0], d, idx=j) for j in range(3)]}
+    dists = {0: [dist([0.0], d) for _ in range(3)]}
     x, _ = sample_features(dists, SamplerConfig(total_per_class=7, seed=3))
     assert x.shape == (7, 1)
 

@@ -19,6 +19,9 @@ def test_exponent_one_is_exact_identity():
     x = np.array([0.0, 1e-30, 0.3333333, 7.5, 1e20])
     out = tukey_transform(x, TukeyParams(lam=1.0))
     assert np.array_equal(out, x)
+    # exponent one is "transform off": negative features pass unchecked
+    assert np.array_equal(tukey_transform([-2.5, 0.0], TukeyParams(lam=1.0)),
+                          [-2.5, 0.0])
 
 
 def test_log_rung():
