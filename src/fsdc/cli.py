@@ -54,7 +54,6 @@ _SETTINGS = {
     "classifier": ("--classifier", ("logistic", "svm"), None),
     "retrieve": ("--retrieve", int, "base features retrieved per support "
                  "feature instead of generated ones (0 is off)"),
-    "optimizer.learning_rate": ("--lr", float, None),
     "optimizer.epochs": ("--opt-epochs", int, None),
     "optimizer.l2": ("--l2", float, None),
     "workers": ("--workers", int, "episode worker processes (default: 1)"),
@@ -308,10 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        required=True)
     synth.add_argument("--skew-power", dest="skew_power", type=float)
     synth.add_argument("--group-size", dest="group_size", type=int)
-    synth.add_argument("--level", dest="latent_level", type=float)
-    synth.add_argument("--sigma", dest="latent_sigma", type=float)
-    synth.add_argument("--separation", dest="group_separation", type=float)
-    synth.add_argument("--offset", dest="within_group_offset", type=float)
     synth.add_argument("--seed", type=int)
     synth.add_argument("--out-prefix", dest="out_prefix", required=True)
     synth.set_defaults(func=_cmd_synth)

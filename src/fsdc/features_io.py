@@ -301,21 +301,29 @@ def load_split(path) -> SplitManifest:
 # synthetic data with known ground truth
 # ---------------------------------------------------------------------------
 
+# every synthetic world's latent geometry: the level all class means share,
+# the spread, and the weights of a mean's group and own directions
+_LATENT_LEVEL = 0.87
+_LATENT_SIGMA = 0.33
+_GROUP_SEPARATION = 0.8
+_WITHIN_GROUP_OFFSET = 0.41
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a synthetic dataset with controllable skew and class layout.
 
     Latent samples for class c are ``u_c + sigma * z`` with standard normal
-    ``z``; the stored feature is ``|u_c + sigma*z| ** skew_power``.  With
-    ``skew_power > 1`` the marginals are right-skewed, and raising them to
-    ``1 / skew_power`` undoes the skew, so the best transform exponent is
-    known by construction.
+    ``z`` and ``sigma = 0.33``; the stored feature is
+    ``|u_c + sigma*z| ** skew_power``.  With ``skew_power > 1`` the marginals
+    are right-skewed, and raising them to ``1 / skew_power`` undoes the skew,
+    so the best transform exponent is known by construction.
 
     Class means ``u_c`` share a common level and differ by direction vectors
-    of equal length that are orthogonal to the all-ones direction.  Classes in
-    the same group share most of their direction, so their feature statistics
-    stay close.  ``groups`` may list an explicit partition of the class ids;
-    by default classes are grouped in consecutive runs of ``group_size``.
+    of equal length that are orthogonal to the all-ones direction.  Classes
+    are grouped in consecutive runs of ``group_size``; classes in the same
+    group share most of their direction, so their feature statistics stay
+    close.
     """
 
     num_classes: int
@@ -323,11 +331,6 @@ class SyntheticSpec:
     samples_per_class: int
     skew_power: float = 2.0
     group_size: int = 5
-    groups: tuple[tuple[int, ...], ...] | None = None
-    latent_level: float = 0.87
-    latent_sigma: float = 0.33
-    group_separation: float = 0.8
-    within_group_offset: float = 0.41
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -341,19 +344,8 @@ class SyntheticSpec:
             raise SpecError("skew_power must be at least 1")
         if self.group_size < 1:
             raise SpecError("group_size must be at least 1")
-        if self.latent_sigma <= 0:
-            raise SpecError("latent_sigma must be positive")
-        if self.latent_level < 0 or self.group_separation < 0 \
-                or self.within_group_offset < 0:
-            raise SpecError("latent geometry parameters must be non-negative")
-        if self.groups is not None:
-            flat = [c for group in self.groups for c in group]
-            if sorted(flat) != list(range(self.num_classes)):
-                raise SpecError("groups must partition the class ids exactly")
 
     def resolved_groups(self) -> tuple[tuple[int, ...], ...]:
-        if self.groups is not None:
-            return tuple(tuple(int(c) for c in g) for g in self.groups)
         ids = list(range(self.num_classes))
         return tuple(tuple(ids[i:i + self.group_size])
                      for i in range(0, self.num_classes, self.group_size))
@@ -365,8 +357,6 @@ class ClassTruth:
 
     class_id: int
     latent_mean: np.ndarray
-    latent_sigma: float
-    skew_power: float
     feature_mean: np.ndarray
     feature_var: np.ndarray
 
@@ -389,8 +379,8 @@ class SyntheticTruth:
             t = self.classes[cid]
             classes[str(cid)] = {
                 "latent_mean": [float(v) for v in t.latent_mean],
-                "latent_sigma": t.latent_sigma,
-                "skew_power": t.skew_power,
+                "latent_sigma": _LATENT_SIGMA,
+                "skew_power": self.spec.skew_power,
                 "feature_mean": [float(v) for v in t.feature_mean],
                 "feature_var": [float(v) for v in t.feature_var],
             }
@@ -444,42 +434,26 @@ def generate_synthetic(spec: SyntheticSpec):
     group_rng = PortableRng(derive_key(spec.seed, _DOM_GROUP_DIR))
     group_dirs = [_unit_orthogonal_to_ones(group_rng, dim) for _ in groups]
 
-    group_index = {}
-    for gi, group in enumerate(groups):
-        for cid in group:
-            group_index[cid] = gi
-
-    target_norm = math.hypot(spec.group_separation, spec.within_group_offset)
+    target_norm = math.hypot(_GROUP_SEPARATION, _WITHIN_GROUP_OFFSET)
     offset_rng = PortableRng(derive_key(spec.seed, _DOM_CLASS_OFFSET))
-    latent_means = {}
-    for cid in range(spec.num_classes):
-        within = _unit_orthogonal_to_ones(offset_rng, dim)
-        delta = (spec.group_separation * group_dirs[group_index[cid]]
-                 + spec.within_group_offset * within)
-        norm = np.linalg.norm(delta)
-        if norm > 1e-12:
-            delta = delta * (target_norm / norm)
-        latent_means[cid] = spec.latent_level + delta
-
     n = spec.samples_per_class
     all_ids = np.repeat(np.arange(spec.num_classes, dtype=np.int64), n)
     all_values = np.empty((spec.num_classes * n, dim), dtype=np.float32)
     truth_classes = {}
     for cid in range(spec.num_classes):
-        u = latent_means[cid]
+        # the sum of two unit vectors weighted 0.8 and 0.41 has a norm of at
+        # least 0.39, so every class mean lies target_norm from the level
+        delta = (_GROUP_SEPARATION * group_dirs[cid // spec.group_size]
+                 + _WITHIN_GROUP_OFFSET
+                 * _unit_orthogonal_to_ones(offset_rng, dim))
+        u = _LATENT_LEVEL + delta * (target_norm / np.linalg.norm(delta))
         sample_rng = PortableRng(derive_key(spec.seed, _DOM_SAMPLES, cid))
         z = sample_rng.normal(n * dim).reshape(n, dim)
-        feats = np.abs(u + spec.latent_sigma * z) ** spec.skew_power
+        feats = np.abs(u + _LATENT_SIGMA * z) ** spec.skew_power
         all_values[cid * n:(cid + 1) * n] = feats.astype(np.float32)
-        mean, var = _abs_power_moments(u, spec.latent_sigma, spec.skew_power)
+        mean, var = _abs_power_moments(u, _LATENT_SIGMA, spec.skew_power)
         truth_classes[cid] = ClassTruth(
-            class_id=cid,
-            latent_mean=u,
-            latent_sigma=spec.latent_sigma,
-            skew_power=spec.skew_power,
-            feature_mean=mean,
-            feature_var=var,
-        )
+            class_id=cid, latent_mean=u, feature_mean=mean, feature_var=var)
 
     novel = [group[-1] for group in groups if len(group) >= 2]
     base = [c for c in range(spec.num_classes) if c not in set(novel)]

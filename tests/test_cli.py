@@ -52,10 +52,6 @@ def test_synth_outputs_and_determinism(world, tmp_path):
 
 SYNTH_FLAGS = {"--skew-power": ("skew_power", 1.5),
                "--group-size": ("group_size", 3),
-               "--level": ("latent_level", 0.6),
-               "--sigma": ("latent_sigma", 0.2),
-               "--separation": ("group_separation", 0.5),
-               "--offset": ("within_group_offset", 0.3),
                "--seed": ("seed", 9)}
 
 
@@ -203,13 +199,16 @@ def test_config_rejects_tukey_base_key(world, tmp_path, capsys):
     ("use_tukey", False, "unknown config key 'use_tukey'"),
     ("use_generation", False, "unknown config key 'use_generation'"),
     ("baseline", "nearest:3", "unknown config key 'baseline'"),
+    ("optimizer.learning_rate", 0.3,
+     "unknown config key 'optimizer.learning_rate'"),
 ], ids=["sampler.jitter", "tukey.log_epsilon", "classifier", "use_tukey",
-        "use_generation", "baseline"])
+        "use_generation", "baseline", "optimizer.learning_rate"])
 def test_config_rejects_deleted_settings(world, tmp_path, capsys, key, value,
                                          refusal):
     # every episode trains a linear model; the covariance jitter and the
     # log rung's zero shift are fixed; a stage is switched off by its own
-    # value, and retrieval by "retrieve"
+    # value, and retrieval by "retrieve"; the step size follows from the
+    # training rows
     cfg = tmp_path / "old.json"
     cfg.write_text(json.dumps({key: value}))
     assert main(eval_args(world, "--config", str(cfg), "--episodes", "1")) == 2
@@ -242,8 +241,6 @@ SETTING_CASES = {
     "sampler.seed": (["--sample-seed", "4"], 4, ("pipeline", "sampler", "seed")),
     "classifier": (["--classifier", "svm"], "svm", ("pipeline", "classifier")),
     "retrieve": (["--retrieve", "3"], 3, ("pipeline", "retrieve")),
-    "optimizer.learning_rate": (["--lr", "0.3"], 0.3,
-                                ("pipeline", "optimizer", "learning_rate")),
     "optimizer.epochs": (["--opt-epochs", "50"], 50,
                          ("pipeline", "optimizer", "epochs")),
     "optimizer.l2": (["--l2", "0.01"], 0.01, ("pipeline", "optimizer", "l2")),
@@ -330,14 +327,15 @@ def test_readme_lists_every_eval_flag():
     (["eval", "--no-generation"], "unrecognized arguments: --no-generation"),
     (["eval", "--baseline", "nearest:3"],
      "unrecognized arguments: --baseline"),
+    (["eval", "--lr", "0.3"], "unrecognized arguments: --lr"),
 ], ids=["eval-stats", "eval-tukey-base", "stats-out", "stats-lambda",
         "eval-jitter", "eval-log-epsilon", "eval-max-likelihood",
-        "eval-no-tukey", "eval-no-generation", "eval-baseline"])
+        "eval-no-tukey", "eval-no-generation", "eval-baseline", "eval-lr"])
 def test_deleted_flags_are_rejected(world, capsys, argv, refusal):
     # base statistics are always built from the dataset, untransformed;
     # every episode trains a linear model with fixed jitter and zero shift;
     # --lambda 1 and --num-generated 0 switch a stage off, --retrieve M
-    # switches retrieval on
+    # switches retrieval on; the step size follows from the training rows
     with pytest.raises(SystemExit) as exc:
         main([argv[0], "--dataset", world["dataset"], "--split",
               world["split"], *argv[1:]])
@@ -345,7 +343,18 @@ def test_deleted_flags_are_rejected(world, capsys, argv, refusal):
     assert refusal in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--alpha", "--lr", "--l2"])
+@pytest.mark.parametrize("flag", ["--level", "--sigma", "--separation",
+                                  "--offset"])
+def test_deleted_synth_flags_are_rejected(tmp_path, capsys, flag):
+    # every synthetic world has the same latent geometry
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--classes", "6", "--dim", "4", "--per-class", "10",
+              "--out-prefix", str(tmp_path / "x"), flag, "0.5"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--l2"])
 def test_non_finite_setting_exits_before_reading_the_dataset(world, capsys,
                                                              flag):
     # the dataset path does not exist: reading it would exit 1, not 2

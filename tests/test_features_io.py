@@ -405,5 +405,4 @@ def test_synthetic_rejects_bad_spec():
     with pytest.raises(SpecError):
         SyntheticSpec(num_classes=2, dim=4, samples_per_class=5, skew_power=0.5)
     with pytest.raises(SpecError):
-        SyntheticSpec(num_classes=3, dim=4, samples_per_class=5,
-                      groups=((0, 1),))
+        SyntheticSpec(num_classes=3, dim=4, samples_per_class=5, group_size=0)

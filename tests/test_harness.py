@@ -248,13 +248,13 @@ def test_payloads_pin_the_report_format():
         tukey=TukeyParams(lam=0.25),
         calib=CalibrationParams(k=3, alpha=0.5, use_novel_feature=False),
         sampler=SamplerConfig(total_per_class=40, seed=9),
-        optimizer=OptimizerConfig(learning_rate=0.2, epochs=12, l2=0.0),
+        optimizer=OptimizerConfig(epochs=12, l2=0.0),
         classifier="svm", retrieve=4)
     assert cfg.to_payload() == {
         "tukey": {"lam": 0.25},
         "calib": {"k": 3, "alpha": 0.5, "use_novel_feature": False},
         "sampler": {"total_per_class": 40, "seed": 9},
-        "optimizer": {"learning_rate": 0.2, "epochs": 12, "l2": 0.0},
+        "optimizer": {"epochs": 12, "l2": 0.0},
         "classifier": "svm",
         "retrieve": 4,
     }
