@@ -8,10 +8,11 @@ Subcommands:
 * ``sweep``   evaluate one setting over several values on paired episodes
 * ``project`` dump a 2-D projection of one episode's features
 
-Every command that reads a dataset builds its base-class statistics from it,
-from untransformed features.  Settings can come from a JSON config file
-(flat, dotted keys such as ``calib.k``) and from flags; a flag always wins
-over the file.  A stage is switched off by its own value: ``--lambda 1`` for
+Every command that reads a dataset (an FSDC file, the one dataset format,
+with its split manifest) builds its base-class statistics from it, from
+untransformed features.  Settings can come from a JSON config file (flat,
+dotted keys such as ``calib.k``) and from flags; a flag always wins over the
+file.  A stage is switched off by its own value: ``--lambda 1`` for
 the transform, ``--num-generated 0`` for generation; retrieval is on when
 ``--retrieve`` is positive.  All outputs are written atomically.  Errors print
 ``error: <reason>`` to stderr; invalid settings exit with status 2, runtime
@@ -27,7 +28,8 @@ from dataclasses import fields, replace
 
 from .errors import FsdcError, SpecError
 from .features_io import (SyntheticSpec, atomic_write_text, generate_synthetic,
-                          load_dataset, load_split, save_dataset, save_split)
+                          load_dataset, load_split, read_json_object,
+                          save_dataset, save_split)
 from .harness import (EpisodeSpec, PipelineConfig, collect_episode_features,
                       evaluate, project_2d, sample_episode)
 from .stats import build_base_stats, class_similarity
@@ -87,15 +89,8 @@ def _check_config_value(key: str, value):
 
 
 def _load_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"config file is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise SpecError("config file must hold a JSON object")
     out = {}
-    for key, value in payload.items():
+    for key, value in read_json_object(path, SpecError, "config file").items():
         if key not in _SETTINGS:
             raise SpecError(f"unknown config key {key!r}")
         out[key] = _check_config_value(key, value)
@@ -144,7 +139,7 @@ def _resolve_workers(settings: dict) -> int:
 
 
 def _load_world(args):
-    ds = load_dataset(args.dataset, format=args.format)
+    ds = load_dataset(args.dataset)
     split = load_split(args.split)
     return ds, split, build_base_stats(ds, split)
 
@@ -273,10 +268,9 @@ def _cmd_project(args) -> int:
 # --------------------------------------------------------------------- parser
 
 def _add_io_flags(parser):
-    parser.add_argument("--dataset", required=True, help="feature dataset path")
+    parser.add_argument("--dataset", required=True,
+                        help="feature dataset path (FSDC format)")
     parser.add_argument("--split", required=True, help="split manifest path")
-    parser.add_argument("--format", choices=("binary", "csv"),
-                        default="binary", help="dataset file format")
 
 
 def _add_setting_flags(parser):

@@ -1,7 +1,9 @@
-"""Feature datasets: in-memory container, binary and CSV codecs, split
+"""Feature datasets: in-memory container, the FSDC file format, split
 manifests, and a synthetic generator with known ground truth.
 
-Binary layout (little-endian throughout)::
+FSDC is the one dataset format.  Features extracted elsewhere come in as
+``save_dataset(Dataset(class_ids, values), path)``.  Layout (little-endian
+throughout)::
 
     magic   4 bytes  b"FSDC"
     version u32      currently 1
@@ -12,9 +14,7 @@ Binary layout (little-endian throughout)::
         values   dim * f32
 
 Values are stored as float32.  Quantization to float32 happens once, at
-dataset construction, so save followed by load is bit-exact.  The CSV codec
-writes one record per line, class id first, floats with %.9g (enough digits
-to round-trip float32 exactly).
+dataset construction, so save followed by load is bit-exact.
 """
 
 from __future__ import annotations
@@ -22,15 +22,16 @@ from __future__ import annotations
 import json
 import math
 import os
+import secrets
 import stat
 import struct
-import tempfile
 from dataclasses import dataclass
 from typing import Final
 
 import numpy as np
 
-from .errors import DataError, DimensionError, FormatError, SpecError
+from .errors import (DataError, DimensionError, FormatError, FsdcError,
+                     SpecError)
 from .rng import PortableRng, derive_key
 
 _MAGIC: Final = b"FSDC"
@@ -48,10 +49,13 @@ def atomic_write_bytes(path, data: bytes) -> None:
     """Write ``data`` to ``path`` via a temp file and rename, so readers never
     observe a partial file."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fsdc-tmp-")
+    tmp = os.path.join(os.path.dirname(path),
+                       f".fsdc-tmp-{secrets.token_hex(8)}")
+    # open() gives the new file 0666 less the umask, as a file written in
+    # place would get; tempfile.mkstemp would make it 0600, owner-only
+    fh = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -64,6 +68,19 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def read_json_object(path, error: type[FsdcError], what: str) -> dict:
+    """The JSON object in the UTF-8 file at ``path``.  A file that is not
+    UTF-8, not JSON or not an object raises ``error``, named as ``what``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise error(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise error(f"{what} must hold a JSON object")
+    return payload
 
 
 class Dataset:
@@ -179,72 +196,14 @@ def _read_binary(fh) -> Dataset:
     return Dataset(class_ids, values)
 
 
-def _encode_csv(ds: Dataset) -> str:
-    lines = []
-    for cid, row in zip(ds.class_ids, ds.values):
-        cells = [str(int(cid))]
-        cells.extend(format(float(v), ".9g") for v in row)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def save_dataset(ds: Dataset, path) -> None:
+    """Write a dataset to ``path`` atomically as an FSDC file."""
+    atomic_write_bytes(path, _encode_binary(ds))
 
 
-def _decode_csv(text: str) -> Dataset:
-    ids: list[int] = []
-    rows: list[list[float]] = []
-    dim = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) < 2:
-            raise FormatError(f"line {lineno}: need a class id and at least one value")
-        try:
-            cid = int(cells[0])
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad class id {cells[0]!r}") from None
-        if cid < 0:
-            raise FormatError(f"line {lineno}: negative class id")
-        if cid > _MAX_CLASS_ID:
-            raise FormatError(f"line {lineno}: class id {cid} is 2**32 or more")
-        try:
-            values = [float(c) for c in cells[1:]]
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad float value") from None
-        if dim is None:
-            dim = len(values)
-        elif len(values) != dim:
-            raise DimensionError(
-                f"line {lineno}: expected {dim} values, got {len(values)}")
-        ids.append(cid)
-        rows.append(values)
-    if not rows:
-        raise FormatError("no records in CSV input")
-    return Dataset(np.array(ids, dtype=np.int64), np.array(rows, dtype=np.float32))
-
-
-def save_dataset(ds: Dataset, path, format: str = "binary") -> None:
-    """Write a dataset to ``path`` atomically in ``binary`` or ``csv`` form."""
-    if format == "binary":
-        atomic_write_bytes(path, _encode_binary(ds))
-    elif format == "csv":
-        atomic_write_text(path, _encode_csv(ds))
-    else:
-        raise SpecError(f"unknown dataset format {format!r}")
-
-
-def load_dataset(path, format: str = "binary") -> Dataset:
-    if format == "binary":
-        with open(path, "rb") as fh:
-            return _read_binary(fh)
-    if format == "csv":
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError("CSV input is not valid UTF-8") from None
-        return _decode_csv(text)
-    raise SpecError(f"unknown dataset format {format!r}")
+def load_dataset(path) -> Dataset:
+    with open(path, "rb") as fh:
+        return _read_binary(fh)
 
 
 class SplitManifest:
@@ -276,13 +235,7 @@ def save_split(manifest: SplitManifest, path) -> None:
 
 
 def load_split(path) -> SplitManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"split manifest is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise FormatError("split manifest must be a JSON object")
+    payload = read_json_object(path, FormatError, "split manifest")
     extra = set(payload) - {"base", "val", "novel"}
     if extra:
         raise FormatError(f"unknown split manifest keys: {sorted(extra)}")

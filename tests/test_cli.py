@@ -124,6 +124,15 @@ def test_stats_reports_undersized_class(tmp_path, capsys):
     assert "class 1" in err
 
 
+def test_split_that_is_not_utf8_exits_1(world, capsys):
+    # the dataset passed as the split: its bytes are not UTF-8
+    rc = main(["stats", "--dataset", world["dataset"], "--split",
+               world["dataset"]])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: split manifest is not valid JSON")
+
+
 # ----------------------------------------------------------------------- eval
 
 def test_eval_prints_interval_and_writes_report(world, tmp_path, capsys):
@@ -182,6 +191,14 @@ def test_config_rejects_unknown_key(world, tmp_path, capsys):
     cfg.write_text(json.dumps({"calib.kk": 3}))
     assert main(eval_args(world, "--config", str(cfg))) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exits_2(world, tmp_path, capsys):
+    cfg = tmp_path / "utf16.json"
+    cfg.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert main(eval_args(world, "--config", str(cfg))) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config file is not valid JSON")
 
 
 def test_config_rejects_tukey_base_key(world, tmp_path, capsys):
@@ -298,17 +315,27 @@ def test_config_key_and_flag_set_the_same_value(key, tmp_path):
     assert default != value
 
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _options(command: str) -> set[str]:
+    parser = next(action.choices[command]
+                  for action in cli._build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction))
+    return {option for action in parser._actions
+            for option in action.option_strings} - {"-h", "--help"}
+
+
 def test_readme_lists_every_eval_flag():
-    # README's `eval` flag table is the one hand-kept copy of the flags
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = text.split("### `eval` flags", 1)[1].split("\n#", 1)[0]
-    listed = set(re.findall(r"`(--[a-z0-9-]+)", section))
-    eval_parser = next(action.choices["eval"]
-                       for action in cli._build_parser()._actions
-                       if isinstance(action, argparse._SubParsersAction))
-    options = {option for action in eval_parser._actions
-               for option in action.option_strings} - {"-h", "--help"}
-    assert listed == options
+    # README's `eval` flag table is a hand-kept copy of the flags
+    section = README.split("### `eval` flags", 1)[1].split("\n#", 1)[0]
+    assert set(re.findall(r"`(--[a-z0-9-]+)", section)) == _options("eval")
+
+
+def test_readme_lists_every_stats_flag():
+    # and so is README's sentence on what `stats` takes
+    sentence = README.split("`stats` takes only", 1)[1].split(".", 1)[0]
+    assert set(re.findall(r"`(--[a-z0-9-]+)`", sentence)) == _options("stats")
 
 
 @pytest.mark.parametrize("argv, refusal", [
@@ -328,14 +355,18 @@ def test_readme_lists_every_eval_flag():
     (["eval", "--baseline", "nearest:3"],
      "unrecognized arguments: --baseline"),
     (["eval", "--lr", "0.3"], "unrecognized arguments: --lr"),
+    (["eval", "--format", "csv"], "unrecognized arguments: --format"),
+    (["stats", "--format", "csv"], "unrecognized arguments: --format"),
 ], ids=["eval-stats", "eval-tukey-base", "stats-out", "stats-lambda",
         "eval-jitter", "eval-log-epsilon", "eval-max-likelihood",
-        "eval-no-tukey", "eval-no-generation", "eval-baseline", "eval-lr"])
+        "eval-no-tukey", "eval-no-generation", "eval-baseline", "eval-lr",
+        "eval-format", "stats-format"])
 def test_deleted_flags_are_rejected(world, capsys, argv, refusal):
     # base statistics are always built from the dataset, untransformed;
     # every episode trains a linear model with fixed jitter and zero shift;
     # --lambda 1 and --num-generated 0 switch a stage off, --retrieve M
-    # switches retrieval on; the step size follows from the training rows
+    # switches retrieval on; the step size follows from the training rows;
+    # FSDC is the one dataset format
     with pytest.raises(SystemExit) as exc:
         main([argv[0], "--dataset", world["dataset"], "--split",
               world["split"], *argv[1:]])

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import struct
 import threading
 import tracemalloc
@@ -236,60 +237,25 @@ def test_binary_round_trip_random(tmp_path_factory, n, dim, seed):
     assert np.array_equal(back.class_ids, ds.class_ids)
 
 
-# ------------------------------------------------------------------ csv codec
-
-def test_csv_parse():
-    text = "1,0.5,0.25\n1,0.5,0.75\n"
-    p_ids = [1, 1]
-    ds = _load_csv_text(text)
-    assert ds.dim == 2
-    assert [int(c) for c in ds.class_ids] == p_ids
-
-
-def _load_csv_text(text, tmp=None):
-    import tempfile, os
-    fd, path = tempfile.mkstemp(suffix=".csv")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        return load_dataset(path, format="csv")
-    finally:
-        os.unlink(path)
-
-
-def test_csv_round_trip_is_exact(tmp_path):
-    ds = Dataset([0, 7], [[0.1, 1e-8], [12345.678, 3.0]])
+def test_csv_text_is_not_a_dataset(tmp_path):
+    # FSDC is the one dataset format: a CSV file fails on its magic
     p = tmp_path / "d.csv"
-    save_dataset(ds, p, format="csv")
-    back = load_dataset(p, format="csv")
-    # %.9g carries enough digits that float32 values survive the text trip
-    assert back.values.tobytes() == ds.values.tobytes()
+    p.write_text("1,0.5,0.25\n1,0.5,0.75\n")
+    with pytest.raises(FormatError, match="bad magic"):
+        load_dataset(p)
 
 
-def test_csv_ragged_rows_rejected():
-    with pytest.raises(DimensionError):
-        _load_csv_text("0,1.0,2.0\n1,3.0\n")
-
-
-def test_csv_bad_values_rejected():
-    with pytest.raises(FormatError):
-        _load_csv_text("a,1.0\n")
-    with pytest.raises(FormatError):
-        _load_csv_text("0,zzz\n")
-    with pytest.raises(DataError):
-        _load_csv_text("0,nan\n")
-
-
-def test_csv_class_id_beyond_u32_rejected():
-    for cid in (2 ** 32 + 1, 2 ** 70):
-        with pytest.raises(FormatError, match="line 2"):
-            _load_csv_text(f"1,1.0\n{cid},2.0\n")
-
-
-def test_unknown_format_rejected(tmp_path):
-    ds = small_dataset()
-    with pytest.raises(SpecError):
-        save_dataset(ds, tmp_path / "x", format="parquet")
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_written_files_follow_the_umask(tmp_path, umask, mode):
+    # as open() would: 0666 less the umask, not mkstemp's owner-only 0600
+    old = os.umask(umask)
+    try:
+        save_split(SplitManifest(base=[0, 1], novel=[2]), tmp_path / "s.json")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "s.json").st_mode) == mode
+    assert os.listdir(tmp_path) == ["s.json"]
 
 
 # ------------------------------------------------------------ split manifests
