@@ -82,15 +82,17 @@ def softmax_loss_grad(weights, bias, features, labels, l2):
 
     The softmax runs class-major, on a (C, n) array, so that every reduction
     over classes is an elementwise pass along C contiguous rows of length n.
-    The results are bit for bit those of the row-major (n, C) formulation:
-    the two matrix products keep their row-major operands, because BLAS
-    picks its kernel, and with it the summation order, by operand layout,
-    and both sums add their terms in the order numpy used on (n, C).
+    The scores are ``weights @ features.T``: (C, n) as it comes, and faster
+    in OpenBLAS than ``features @ weights.T`` plus a transposing copy.
+    The gradient is ``grad_scores.T @ features`` on an (n, C) copy, as
+    ``probs @ features`` rounds differently at d <= 4.  Both sums add their
+    terms in numpy's (n, C) order, so the results are the row-major
+    formulation's bit for bit wherever the two score products agree; at
+    C >= 12 with d <= 64, OpenBLAS's small-matrix kernels can round them apart.
     """
     m = features.shape[0]
-    num_classes = weights.shape[0]
-    probs = np.add((features @ weights.T).T, bias[:, None],
-                   out=np.empty((num_classes, m)))
+    probs = weights @ features.T
+    probs += bias[:, None]
     probs -= probs.max(axis=0)
     np.exp(probs, out=probs)
     probs /= _row_major_class_sum(probs)
@@ -103,9 +105,7 @@ def softmax_loss_grad(weights, bias, features, labels, l2):
     probs /= m
     grad_scores = np.ascontiguousarray(probs.T)
     grad_w = grad_scores.T @ features + l2 * weights
-    # einsum walks the (n, C) rows in order and so adds each column one term
-    # at a time, as grad_scores.sum(axis=0) does, at a quarter of its cost;
-    # a sum along the class-major rows would add pairwise, in another order
+    # adds term by term down each column, as .sum(axis=0) does, at 1/4 its cost
     grad_b = np.einsum("ij->j", grad_scores)
     return loss, grad_w, grad_b
 
@@ -195,18 +195,14 @@ def _fit(train: TrainSet, config: OptimizerConfig, loss_grad, kind: str) -> Line
     history = []
     for epoch in range(config.epochs):
         loss, grad_w, grad_b = loss_grad(weights, bias, x, y, config.l2)
-        _check_finite(loss, grad_w, grad_b, epoch)
+        if not (math.isfinite(loss) and np.isfinite(grad_w).all()
+                and np.isfinite(grad_b).all()):
+            raise DivergenceError(f"training diverged at epoch {epoch}")
         weights = weights - lr * grad_w
         bias = bias - lr * grad_b
         history.append(loss)
     return LinearModel(kind=kind, weights=weights, bias=bias,
                        loss_history=tuple(history))
-
-
-def _check_finite(loss, grad_w, grad_b, epoch: int) -> None:
-    if not (math.isfinite(loss) and np.isfinite(grad_w).all()
-            and np.isfinite(grad_b).all()):
-        raise DivergenceError(f"training diverged at epoch {epoch}")
 
 
 def train_logistic(train: TrainSet, config: OptimizerConfig = OptimizerConfig()) -> LinearModel:

@@ -53,7 +53,11 @@ def atomic_write_bytes(path, data: bytes) -> None:
                        f".fsdc-tmp-{secrets.token_hex(8)}")
     # open() gives the new file 0666 less the umask, as a file written in
     # place would get; tempfile.mkstemp would make it 0600, owner-only
-    fh = open(tmp, "xb")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:
+        exc.filename = path  # name the file asked for, not the temp file
+        raise
     try:
         with fh:
             fh.write(data)

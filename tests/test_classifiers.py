@@ -169,9 +169,15 @@ def test_analytic_gradients_match_finite_differences(loss_grad):
 # ------------------------------------------------- class-major bit identity
 
 def _row_major_softmax_loss_grad(weights, bias, features, labels, l2):
-    """The (n, C) formulation the class-major gradient must match bit for bit."""
+    """The (n, C) formulation the class-major gradient must match bit for bit.
+
+    Its scores come from the product the gradient uses, ``weights @
+    features.T``, so the reference pins everything after the scores.  That
+    product equals ``(features @ weights.T).T`` only where OpenBLAS's kernels
+    agree; :func:`test_score_products_agree_at_workload_shapes` pins where.
+    """
     m = features.shape[0]
-    scores = features @ weights.T + bias
+    scores = np.ascontiguousarray((weights @ features.T).T) + bias
     scores = scores - scores.max(axis=1, keepdims=True)
     exp = np.exp(scores)
     probs = exp / exp.sum(axis=1, keepdims=True)
@@ -202,13 +208,36 @@ def _assert_bitwise_equal(got, expected):
     assert np.array_equal(grad_b, expected[2])
 
 
-@pytest.mark.parametrize("num_classes", [2, 5, 20])
-@pytest.mark.parametrize("n", [1, 37, 3755])
-@pytest.mark.parametrize("d", [1, 4, 16, 64])
+# a grid of class counts, row counts and widths, then the paper's shape:
+# 5-way at d=640 with 755, 3755 (1-shot) and 3775 (5-shot) training rows
+_BIT_IDENTITY_SHAPES = (
+    [(c, n, d) for d in (1, 4, 16, 64) for n in (1, 37, 3755) for c in (2, 5, 20)]
+    + [(5, n, 640) for n in (755, 3755, 3775)])
+
+
+@pytest.mark.parametrize("num_classes, n, d", _BIT_IDENTITY_SHAPES,
+                         ids=[f"{d}-{n}-{c}" for c, n, d in _BIT_IDENTITY_SHAPES])
 def test_softmax_grad_bitwise_equals_row_major(num_classes, n, d):
     w, b, x, y = _softmax_problem(num_classes, n, d)
     _assert_bitwise_equal(softmax_loss_grad(w, b, x, y, 1e-3),
                           _row_major_softmax_loss_grad(w, b, x, y, 1e-3))
+
+
+# Training rows per episode: 5, 10, 505 and 1255 in the acceptance fixture
+# (bare support, one retrieved row each, 100 and 250 generated), 3755 and
+# 3775 in the 1-shot and 5-shot benchmarks, and 255 and 755 at 50 and 150
+# generated.  At d=640 every way up to 16 is pinned.
+@pytest.mark.parametrize("d, ways", [(16, [5]), (640, range(2, 17))],
+                         ids=["d16", "d640"])
+@pytest.mark.parametrize("n", [5, 10, 255, 505, 755, 1255, 3755, 3775])
+def test_score_products_agree_at_workload_shapes(d, ways, n):
+    # where the gradient's scores, weights @ features.T, equal the row-major
+    # (features @ weights.T).T bit for bit, so do its results and reports
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(n, d))
+    for num_classes in ways:
+        w = 0.5 * rng.normal(size=(num_classes, d))
+        assert np.array_equal(w @ x.T, (x @ w.T).T), num_classes
 
 
 @pytest.mark.parametrize("as_labels", [

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 import re
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -110,6 +111,18 @@ def test_similarity_report_bytes_are_pinned(world, tmp_path):
                  world["split"], "--similarity-report", str(sim)]) == 0
     assert hashlib.sha256(sim.read_bytes()).hexdigest() == (
         "c016443fa7f8e407e1b1c125d7317e04d8d86791837d2136010e624b37c5f868")
+
+
+def test_missing_output_directory_is_named_as_given(world, tmp_path,
+                                                    monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["stats", "--dataset", world["dataset"], "--split",
+                 world["split"], "--similarity-report", "nodir/sim.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "'nodir/sim.csv'" in err
+    assert ".fsdc-tmp" not in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_stats_reports_undersized_class(tmp_path, capsys):
