@@ -80,22 +80,18 @@ def softmax_loss_grad(weights, bias, features, labels, l2):
     Returns ``(loss, grad_weights, grad_bias)``.  The L2 term is
     ``0.5 * l2 * sum(weights**2)`` and leaves the bias alone.
 
-    The softmax runs class-major, on a (C, n) array, so that every reduction
-    over classes is an elementwise pass along C contiguous rows of length n.
-    The scores are ``weights @ features.T``: (C, n) as it comes, and faster
-    in OpenBLAS than ``features @ weights.T`` plus a transposing copy.
-    The gradient is ``grad_scores.T @ features`` on an (n, C) copy, as
-    ``probs @ features`` rounds differently at d <= 4.  Both sums add their
-    terms in numpy's (n, C) order, so the results are the row-major
-    formulation's bit for bit wherever the two score products agree; at
-    C >= 12 with d <= 64, OpenBLAS's small-matrix kernels can round them apart.
+    The softmax runs class-major, on the (C, n) scores ``weights @
+    features.T``, so every reduction over classes is an elementwise pass
+    along C contiguous rows of length n.  The residuals ``G``, probabilities
+    minus one-hot targets divided by n, stay in that layout: the weight
+    gradient is ``G @ features`` and the bias gradient ``G.sum(axis=1)``.
     """
     m = features.shape[0]
     probs = weights @ features.T
     probs += bias[:, None]
     probs -= probs.max(axis=0)
     np.exp(probs, out=probs)
-    probs /= _row_major_class_sum(probs)
+    probs /= probs.sum(axis=0)
     target = np.asarray(labels, dtype=np.intp) * m + np.arange(m)
     flat = probs.reshape(-1)
     picked = flat[target]
@@ -103,39 +99,9 @@ def softmax_loss_grad(weights, bias, features, labels, l2):
                  + 0.5 * l2 * (weights * weights).sum())
     flat[target] = picked - 1.0
     probs /= m
-    grad_scores = np.ascontiguousarray(probs.T)
-    grad_w = grad_scores.T @ features + l2 * weights
-    # adds term by term down each column, as .sum(axis=0) does, at 1/4 its cost
-    grad_b = np.einsum("ij->j", grad_scores)
+    grad_w = probs @ features + l2 * weights
+    grad_b = probs.sum(axis=1)
     return loss, grad_w, grad_b
-
-
-def _row_major_class_sum(rows):
-    """Column sums of a (C, n) array, added in the order numpy's pairwise
-    summation adds one contiguous row of C values.
-
-    That order: fewer than 8 terms one after another; up to 128 terms in 8
-    interleaved partial sums joined as a tree, then the remainder one after
-    another; more terms split in two at a multiple of 8, each half summed
-    alike.
-    """
-    count = rows.shape[0]
-    if count > 128:
-        half = count // 2
-        half -= half % 8
-        return _row_major_class_sum(rows[:half]) + _row_major_class_sum(rows[half:])
-    if count < 8:
-        blocked = 0
-        total = np.zeros(rows.shape[1])
-    else:
-        blocked = count - count % 8
-        r = rows[:8].copy()
-        for start in range(8, blocked, 8):
-            r += rows[start:start + 8]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for row in rows[blocked:]:
-        total += row
-    return total
 
 
 def hinge_loss_grad(weights, bias, features, labels, l2):

@@ -172,9 +172,7 @@ def _cmd_synth(args) -> int:
 def _cmd_stats(args) -> int:
     _, _, table = _load_world(args)
     ids = table.id_array.tolist()
-    for cid, count in zip(ids, table.counts.tolist()):
-        print(f"class {cid}: {count} records")
-    print(f"{len(table)} base classes, dim {table.dim}")
+    # a report that cannot be written fails the command before it prints
     if args.similarity_report:
         lines = ["class_a,class_b,mean_cosine,variance_cosine"]
         for i, a in enumerate(ids):
@@ -182,6 +180,10 @@ def _cmd_stats(args) -> int:
                 mean_cos, var_cos = class_similarity(table, a, b)
                 lines.append(f"{a},{b},{mean_cos:.6f},{var_cos:.6f}")
         atomic_write_text(args.similarity_report, "\n".join(lines) + "\n")
+    for cid, count in zip(ids, table.counts.tolist()):
+        print(f"class {cid}: {count} records")
+    print(f"{len(table)} base classes, dim {table.dim}")
+    if args.similarity_report:
         print(f"similarity report -> {args.similarity_report}")
     return 0
 

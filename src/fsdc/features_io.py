@@ -91,8 +91,7 @@ class Dataset:
     """Labeled feature vectors, one class id and one float32 row per record.
 
     All records share one dimensionality and all values are finite; both are
-    checked at construction.  ``values`` is float32 (the storage precision);
-    use :meth:`features_f64` for computation.
+    checked at construction.  ``values`` is float32, the storage precision.
     """
 
     def __init__(self, class_ids, values) -> None:
@@ -134,13 +133,6 @@ class Dataset:
     def rows_for(self, class_id: int) -> np.ndarray:
         """Row indices of the records belonging to ``class_id``, in file order."""
         return np.flatnonzero(self.class_ids == np.uint32(class_id))
-
-    def features_for(self, class_id: int) -> np.ndarray:
-        """Float64 feature matrix of one class."""
-        return self.values[self.rows_for(class_id)].astype(np.float64)
-
-    def features_f64(self) -> np.ndarray:
-        return self.values.astype(np.float64)
 
 
 def _record_dtype(dim: int) -> np.dtype:

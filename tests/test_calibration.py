@@ -145,7 +145,7 @@ def test_calibrated_covariance_stays_symmetric():
     ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=6, dim=8, samples_per_class=40, group_size=3, seed=6))
     table = build_base_stats(ds, split)
-    d = calibrate(ds.features_f64()[0], table, CalibrationParams())
+    d = calibrate(ds.values[0].astype(np.float64), table, CalibrationParams())
     assert np.array_equal(d.covariance, d.covariance.T)
 
 

@@ -118,7 +118,8 @@ def test_missing_output_directory_is_named_as_given(world, tmp_path,
     monkeypatch.chdir(tmp_path)
     assert main(["stats", "--dataset", world["dataset"], "--split",
                  world["split"], "--similarity-report", "nodir/sim.csv"]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error:")
     assert "'nodir/sim.csv'" in err
     assert ".fsdc-tmp" not in err

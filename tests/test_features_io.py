@@ -15,7 +15,7 @@ from fsdc.errors import (DataError, DimensionError, FormatError, SpecError)
 from fsdc.features_io import (Dataset, SplitManifest, SyntheticSpec,
                               generate_synthetic, load_dataset, load_split,
                               save_dataset, save_split)
-from fsdc.transform import sample_skewness
+from skewness import sample_skewness
 
 
 def small_dataset():
@@ -31,7 +31,6 @@ def test_dataset_basics():
     assert ds.classes() == [1, 3]
     assert list(ds.rows_for(1)) == [0, 1]
     assert ds.values.dtype == np.float32
-    assert ds.features_f64().dtype == np.float64
 
 
 def test_dataset_rejects_empty():
@@ -327,7 +326,7 @@ def test_synthetic_features_are_skewed():
     spec = SyntheticSpec(num_classes=1, dim=4, samples_per_class=10_000,
                          group_size=1, skew_power=2.0, seed=9)
     ds, _, _ = generate_synthetic(spec)
-    skew = sample_skewness(ds.features_f64()[:, 0])
+    skew = sample_skewness(ds.values[:, 0].astype(np.float64))
     assert skew > 0.5
 
 
@@ -336,7 +335,7 @@ def test_synthetic_truth_moments_match_empirical():
                          group_size=2, seed=3)
     ds, _, truth = generate_synthetic(spec)
     for cid in (0, 1):
-        feats = ds.features_for(cid)
+        feats = ds.values[ds.rows_for(cid)].astype(np.float64)
         t = truth.classes[cid]
         n = feats.shape[0]
         # sample mean of each marginal is within 5 standard errors

@@ -67,7 +67,8 @@ def test_sample_episode_support_query_disjoint():
     ep = sample_episode(ds, split, spec, 0)
     # support and query exhaust each class's 20 rows, so each row appears once
     for t, cid in enumerate(ep.class_ids):
-        rows = {tuple(r) for r in ds.features_for(cid)}
+        feats = ds.values[ds.rows_for(cid)].astype(np.float64)
+        rows = {tuple(r) for r in feats}
         used = [tuple(r) for r in ep.support_x[ep.support_y == t]]
         used += [tuple(r) for r in ep.query_x[ep.query_y == t]]
         assert len(used) == 20

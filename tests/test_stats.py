@@ -123,7 +123,7 @@ def test_build_base_stats_matches_per_class_calls():
     table = build_base_stats(ds, split)
     assert set(table.id_array.tolist()) == split.base_classes
     for row, cid in enumerate(table.id_array.tolist()):
-        feats = ds.features_for(cid)
+        feats = ds.values[ds.rows_for(cid)].astype(np.float64)
         assert np.array_equal(table.mean_matrix[row], class_mean(feats))
         assert np.array_equal(
             np.take(table.packed_covariances[row], table.gather_map),
