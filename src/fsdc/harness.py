@@ -178,11 +178,12 @@ def _train_rows(ep: Episode, support_x, stats: BaseStatsTable,
     The extra rows are ``retrieve`` base rows per support feature when
     retrieval is on, else ``total_per_class`` features per class drawn from
     the calibrated Gaussians.
-    Generation calibrates and draws one class at a time, drawing each
-    class's rows straight into its slice of one preallocated matrix, so an
-    episode holds one class's covariances at once and stores each drawn row
-    once.  Draw streams are keyed by (label, distribution), so the rows equal
-    one call over the whole support set.
+    Generation draws one class at a time, straight into its slice of one
+    preallocated matrix, so each drawn row is stored once.  The class's
+    distributions reach the sampler as a sized iterable that calibrates one
+    support row as it is read, so an episode holds one covariance at a
+    time.  Draw streams are keyed by (label, distribution), so the rows
+    equal one call over the whole support set.
     """
     if cfg.retrieve:
         if base_data is None:
@@ -211,14 +212,35 @@ def _train_rows(ep: Episode, support_x, stats: BaseStatsTable,
     for c, label in enumerate(labels):
         rows = np.flatnonzero(ep.support_y == label)
         start = n_support + c * total
-        # passed straight through, so the class's distributions are freed
-        # before the next class is calibrated
-        sample_features(calibrate_support_set(support_x[rows],
-                                              ep.support_y[rows], stats,
-                                              cfg.calib),
+        sample_features({int(label): _Calibrated(support_x[rows], int(label),
+                                                 stats, cfg.calib)},
                         sampler, out=train_x[start:start + total])
         train_y[start:start + total] = label
     return train_x, train_y
+
+
+class _Calibrated:
+    """One class's calibrated distributions, one per support row, each
+    calibrated only when it is read."""
+
+    def __init__(self, support_x, label: int, stats: BaseStatsTable,
+                 params: CalibrationParams) -> None:
+        self._x = support_x
+        self._y = np.full(support_x.shape[0], label)
+        self._label = label
+        self._stats = stats
+        self._params = params
+
+    def __len__(self) -> int:
+        return self._x.shape[0]
+
+    def __iter__(self):
+        for i in range(len(self)):
+            # yielded without a name, so the generator holds no distribution
+            # while the next row is calibrated
+            yield calibrate_support_set(self._x[i:i + 1], self._y[i:i + 1],
+                                        self._stats,
+                                        self._params)[self._label][0]
 
 
 def _run_episode(ep: Episode, stats: BaseStatsTable, cfg: PipelineConfig,

@@ -85,63 +85,77 @@ def cholesky_psd(cov):
 def sample_features(distributions, config: SamplerConfig, out=None):
     """Draw ``config.total_per_class`` features for every class.
 
-    ``distributions`` maps label -> list of calibrated distributions, all of
-    one dimension.  The per-class budget is split evenly across that class's
-    distributions, with the first ``total mod count`` distributions receiving
-    one extra draw.  Returns ``(features, labels)``: float64 (n, dim) and
-    int64 (n,), ordered by ascending label, then by distribution index.  The
-    features are drawn into ``out`` when it is given, a C-contiguous float64
-    (n, dim) array that is returned as ``features``, else into a new array.
+    ``distributions`` maps label -> a list, or any sized iterable, of
+    calibrated distributions, all of one dimension.  Each is read once, in
+    order, and factored and drawn from before the next one is read, so an
+    iterable that makes its distributions as they are read holds one at a
+    time.  The per-class budget is split evenly across that class's
+    distributions, with the first ``total mod count`` distributions
+    receiving one extra draw.  Returns ``(features, labels)``: float64
+    (n, dim) and int64 (n,), ordered by ascending label, then by
+    distribution index.  The features are drawn into ``out`` when it is
+    given, a C-contiguous float64 (n, dim) array that is returned as
+    ``features``, else into a new array.  After an error the contents of
+    ``out`` are unspecified.
     """
     if config.total_per_class < 1:
         raise SpecError("sampling needs total_per_class >= 1")
     if not distributions:
         raise SpecError("no distributions to sample from")
     labels = sorted(distributions)
-    dim = None
     for label in labels:
-        dists = distributions[label]
-        if not dists:
+        if not len(distributions[label]):
             raise SpecError(f"class {label} has no calibrated distributions")
-        for j, dist in enumerate(dists):
-            if dim is None:
-                dim = dist.dim
-            elif dist.dim != dim:
-                raise DimensionError(
-                    f"class {label}, distribution {j} has dim {dist.dim}, "
-                    f"expected {dim}")
     total = config.total_per_class
-    shape = (total * len(labels), dim)
-    if out is None:
-        out = np.empty(shape)
-    elif (out.shape != shape or out.dtype != np.float64
-          or not out.flags.c_contiguous):
+    n = total * len(labels)
+    if out is not None and (out.ndim != 2 or out.shape[0] != n
+                            or out.dtype != np.float64
+                            or not out.flags.c_contiguous):
         raise DimensionError(
-            f"out must be a C-contiguous float64 array of shape {shape}")
+            f"out must be a C-contiguous float64 array of shape ({n}, dim)")
     out_labels = np.repeat(np.asarray(labels, dtype=np.int64), total)
-    step = max(2, _BLOCK_VALUES // dim)
     start = 0
     for label in labels:
         dists = distributions[label]
         share, extra = divmod(total, len(dists))
-        for j, dist in enumerate(dists):
+        reader = iter(dists)
+        for j in range(len(dists)):
             count = share + (1 if j < extra else 0)
-            if count == 0:
-                continue
-            try:
-                factor, _ = cholesky_psd(dist.covariance)
-            except FactorizationError as exc:
-                raise FactorizationError(
-                    f"class {label}, distribution {j}: {exc}") from exc
-            rng = PortableRng(derive_key(config.seed, _DOM_SAMPLE, int(label), j))
-            stop = start + count
-            while start < stop:
-                end = start + step
-                if end >= stop - 1:   # the last row joins this step
-                    end = stop
-                rows = out[start:end]
-                z = rng.normal(rows.size).reshape(rows.shape)
-                np.matmul(z, factor.T, out=rows)
-                rows += dist.mean
-                start = end
+            # the distribution is passed straight through, so it and its
+            # factor are freed before the next one is read
+            out = _draw(next(reader), label, j, count, config.seed, out, n,
+                        start)
+            start += count
     return out, out_labels
+
+
+def _draw(dist, label, j, count: int, seed: int, out, n: int, start: int):
+    """Draw ``count`` rows of distribution ``j`` of class ``label`` into
+    ``out[start:start + count]``; return ``out``, allocated as (n, dim) when
+    it is None."""
+    if out is None:
+        out = np.empty((n, dist.dim))
+    elif dist.dim != out.shape[1]:
+        raise DimensionError(
+            f"class {label}, distribution {j} has dim {dist.dim}, "
+            f"expected {out.shape[1]}")
+    if count == 0:
+        return out
+    try:
+        factor, _ = cholesky_psd(dist.covariance)
+    except FactorizationError as exc:
+        raise FactorizationError(
+            f"class {label}, distribution {j}: {exc}") from exc
+    rng = PortableRng(derive_key(seed, _DOM_SAMPLE, int(label), j))
+    step = max(2, _BLOCK_VALUES // dist.dim)
+    stop = start + count
+    while start < stop:
+        end = start + step
+        if end >= stop - 1:   # the last row joins this step
+            end = stop
+        rows = out[start:end]
+        z = rng.normal(rows.size).reshape(rows.shape)
+        np.matmul(z, factor.T, out=rows)
+        rows += dist.mean
+        start = end
+    return out

@@ -231,6 +231,30 @@ def test_episode_holds_one_class_of_covariances_at_a_time():
     assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
 
+def test_episode_holds_one_covariance_at_a_time():
+    # the same episode: one covariance at d=256 is 0.5 MB; calibrating a
+    # class's 5 before drawing from any of them peaked at 6.29 MB, one at a
+    # time at 3.48 MB.  The bound allows four d×d matrices (a covariance,
+    # its factor and the calibration's temporaries) plus four copies of the
+    # training matrix
+    ds, split, _ = generate_synthetic(SyntheticSpec(
+        num_classes=30, dim=256, samples_per_class=40, group_size=5, seed=2))
+    stats = build_base_stats(ds, split)
+    spec = EpisodeSpec(n_way=5, k_shot=5, q_queries=15, num_episodes=1, seed=4)
+    ep = sample_episode(ds, split, spec, 0)
+    cfg = quick_cfg(optimizer=OptimizerConfig(epochs=2))
+    d = ds.dim
+    n_train = spec.n_way * (spec.k_shot + cfg.sampler.total_per_class)
+    bound = 4 * d * d * 8 + 4 * n_train * d * 8
+    tracemalloc.start()
+    try:
+        run_episode(ep, stats, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
+
+
 def test_pipeline_config_validation():
     for classifier in ("forest", "max_likelihood"):
         with pytest.raises(SpecError):

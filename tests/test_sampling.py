@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -160,12 +161,88 @@ def test_block_draws_equal_one_full_size_draw(d, block_values, monkeypatch):
         assert np.array_equal(x, mean + z[:count] @ factor.T), count
 
 
+class _Stream:
+    """A sized iterable that makes each distribution of ``specs`` (a list of
+    (mean, covariance) pairs) as it is read, logging the read in ``reads``
+    and a weak reference to what it made in ``refs``."""
+
+    def __init__(self, label, specs, reads, refs):
+        self.label, self.specs, self.reads, self.refs = label, specs, reads, refs
+
+    def __len__(self):
+        return len(self.specs)
+
+    def __iter__(self):
+        for j in range(len(self)):
+            assert all(ref() is None for ref in self.refs), \
+                f"a distribution is alive when ({self.label}, {j}) is read"
+            self.reads.append((self.label, j))
+            # made in a call, so no local of this generator keeps it alive
+            yield self._make(j)
+
+    def _make(self, j):
+        made = dist(*self.specs[j])
+        self.refs.append(weakref.ref(made))
+        return made
+
+
+def _random_specs(rng, d, count):
+    specs = []
+    for _ in range(count):
+        a = rng.normal(size=(d, d))
+        specs.append((rng.normal(size=d), a @ a.T + np.eye(d)))
+    return specs
+
+
+@pytest.mark.parametrize("total", [7, 2], ids=["uneven_share", "zero_counts"])
+@pytest.mark.parametrize("into_out", [False, True], ids=["new", "out"])
+def test_sample_reads_each_distribution_once_in_order(total, into_out):
+    # a stream of distributions is read once, in order, and each one is
+    # dropped before the next is made; the rows equal the dict-of-lists call
+    rng = np.random.default_rng(4)
+    specs = {5: _random_specs(rng, 6, 2), 2: _random_specs(rng, 6, 3)}
+    config = SamplerConfig(total_per_class=total, seed=21)
+    reads, refs = [], []
+    streams = {label: _Stream(label, s, reads, refs)
+               for label, s in specs.items()}
+    out = np.empty((2 * total, 6)) if into_out else None
+    x, labels = sample_features(streams, config, out=out)
+    assert reads == [(2, 0), (2, 1), (2, 2), (5, 0), (5, 1)]
+    assert all(ref() is None for ref in refs)
+    if into_out:
+        assert x is out
+    lists = {label: [dist(*p) for p in s] for label, s in specs.items()}
+    want_x, want_labels = sample_features(lists, config)
+    assert np.array_equal(x, want_x)
+    assert np.array_equal(labels, want_labels)
+
+
+def test_sample_stream_checks_dimensions_as_it_reads():
+    rng = np.random.default_rng(5)
+    specs = _random_specs(rng, 2, 1) + _random_specs(rng, 3, 1)
+    reads = []
+    with pytest.raises(DimensionError,
+                       match="class 0, distribution 1 has dim 3, expected 2"):
+        sample_features({0: _Stream(0, specs, reads, [])},
+                        SamplerConfig(total_per_class=4))
+    assert reads == [(0, 0), (0, 1)]
+    # against out's width when out is given
+    with pytest.raises(DimensionError,
+                       match="class 0, distribution 0 has dim 2, expected 3"):
+        sample_features({0: _Stream(0, specs, [], [])},
+                        SamplerConfig(total_per_class=4), out=np.empty((4, 3)))
+
+
 def test_sample_into_out_checks_it():
-    dists = {0: [dist([0.0, 0.0], np.eye(2))]}
+    # a wrong out is refused before any distribution is read
+    specs = _random_specs(np.random.default_rng(6), 2, 2)
     for out in (np.empty((3, 2)), np.empty((4, 2), dtype=np.float32),
-                np.empty((2, 4)).T):
+                np.empty((2, 4)).T, np.empty(8)):
+        reads = []
         with pytest.raises(DimensionError, match="out must be"):
-            sample_features(dists, SamplerConfig(total_per_class=4), out=out)
+            sample_features({0: _Stream(0, specs, reads, [])},
+                            SamplerConfig(total_per_class=4), out=out)
+        assert reads == []
 
 
 def test_drawing_a_class_holds_no_full_size_temporary():
