@@ -243,7 +243,10 @@ def load_split(path) -> SplitManifest:
         if not isinstance(part, list) or not all(
                 isinstance(c, int) and not isinstance(c, bool) for c in part):
             raise FormatError(f"split manifest {key!r} must be a list of integers")
-    return SplitManifest(payload["base"], payload["val"], payload["novel"])
+    try:
+        return SplitManifest(payload["base"], payload["val"], payload["novel"])
+    except SpecError as exc:
+        raise FormatError(f"split manifest: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

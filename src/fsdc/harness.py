@@ -14,7 +14,6 @@ per support feature and, when on, replaces generation.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Final
 
@@ -178,12 +177,11 @@ def _train_rows(ep: Episode, support_x, stats: BaseStatsTable,
     The extra rows are ``retrieve`` base rows per support feature when
     retrieval is on, else ``total_per_class`` features per class drawn from
     the calibrated Gaussians.
-    Generation draws one class at a time, straight into its slice of one
-    preallocated matrix, so each drawn row is stored once.  The class's
+    Generation draws every class in one call, straight into one
+    preallocated matrix, so each drawn row is stored once.  Each class's
     distributions reach the sampler as a sized iterable that calibrates one
     support row as it is read, so an episode holds one covariance at a
-    time.  Draw streams are keyed by (label, distribution), so the rows
-    equal one call over the whole support set.
+    time.
     """
     if cfg.retrieve:
         if base_data is None:
@@ -202,21 +200,17 @@ def _train_rows(ep: Episode, support_x, stats: BaseStatsTable,
         return support_x, ep.support_y
     sampler = replace(cfg.sampler,
                       seed=derive_key(cfg.sampler.seed, _DOM_GEN, ep.index))
-    total = cfg.sampler.total_per_class
-    labels = np.unique(ep.support_y)
     n_support = support_x.shape[0]
-    train_x = np.empty((n_support + labels.size * total, support_x.shape[1]))
-    train_y = np.empty(train_x.shape[0], dtype=np.int64)
+    distributions = {
+        int(label): _Calibrated(support_x[ep.support_y == label], int(label),
+                                stats, cfg.calib)
+        for label in np.unique(ep.support_y)}
+    train_x = np.empty((n_support + len(distributions)
+                        * cfg.sampler.total_per_class, support_x.shape[1]))
     train_x[:n_support] = support_x
-    train_y[:n_support] = ep.support_y
-    for c, label in enumerate(labels):
-        rows = np.flatnonzero(ep.support_y == label)
-        start = n_support + c * total
-        sample_features({int(label): _Calibrated(support_x[rows], int(label),
-                                                 stats, cfg.calib)},
-                        sampler, out=train_x[start:start + total])
-        train_y[start:start + total] = label
-    return train_x, train_y
+    _, drawn_y = sample_features(distributions, sampler,
+                                 out=train_x[n_support:])
+    return train_x, np.concatenate([ep.support_y, drawn_y])
 
 
 class _Calibrated:
@@ -284,6 +278,9 @@ def evaluate(ds: Dataset, split: SplitManifest, stats: BaseStatsTable,
             for i in indices
         ]
     else:
+        # imported here, so that importing the package leaves
+        # multiprocessing unloaded
+        from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, spec.num_episodes // (workers * 8))
         with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker,

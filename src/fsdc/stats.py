@@ -1,5 +1,5 @@
-"""Per-class feature statistics: means, unbiased covariances, and the table
-of base-class statistics that calibration borrows from.
+"""The table of base-class statistics that calibration borrows from: each
+class's mean, record count and unbiased covariance.
 
 The covariance is the standard unbiased estimator
 
@@ -27,33 +27,6 @@ from .errors import DataError, DimensionError
 from .features_io import Dataset, SplitManifest
 
 
-def class_mean(features) -> np.ndarray:
-    """Mean feature vector of one class, float64."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionError("features must be a 2-D array (samples x dim)")
-    if x.shape[0] == 0:
-        raise DataError("cannot take the mean of zero samples")
-    return x.mean(axis=0)
-
-
-def class_covariance(features, mean=None) -> np.ndarray:
-    """Unbiased sample covariance of one class, float64, exactly symmetric."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionError("features must be a 2-D array (samples x dim)")
-    n, d = x.shape
-    if n < 2:
-        raise DataError(f"covariance needs at least 2 samples, got {n}")
-    mu = class_mean(x) if mean is None else np.asarray(mean, dtype=np.float64)
-    if mu.shape != (d,):
-        raise DimensionError("mean has the wrong dimensionality")
-    packed = _pack_covariance(x - mu, np.empty(d * (d + 1) // 2),
-                              np.empty((d, d)), np.empty(d * (d + 1) // 2),
-                              _triangle(d))
-    return np.take(packed, _gather_map(d))
-
-
 def _triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices into a (d, d) matrix of each lower-triangle element, in
     row-major order (the packed layout), and of its mirror above the
@@ -75,27 +48,6 @@ def _gather_map(d: int) -> np.ndarray:
     steps = np.arange(d)
     gather = steps.cumsum()[:, None] + steps
     return np.maximum(gather, gather.T, out=gather)
-
-
-def _pack_covariance(centered, out, cov, mirror, triangle):
-    """Pack the unbiased covariance of the rows of ``centered`` into ``out``.
-
-    With c = centered^T centered / (n - 1), ``out`` gets (c + c^T) / 2 on the
-    lower triangle, row-major, which makes the expanded matrix exactly
-    symmetric.  ``cov`` ((d, d)) and ``mirror`` (like ``out``) are scratch, so
-    a caller packing many classes allocates nothing per class.
-    """
-    np.matmul(centered.T, centered, out=cov)
-    cov /= centered.shape[0] - 1
-    flat = cov.reshape(-1)
-    lower, upper = triangle
-    # mode="clip" writes straight into out ("raise" would buffer it); the
-    # indices are in range
-    np.take(flat, lower, out=out, mode="clip")
-    np.take(flat, upper, out=mirror, mode="clip")
-    out += mirror
-    out /= 2.0
-    return out
 
 
 class BaseStatsTable:
@@ -210,13 +162,19 @@ def build_base_stats(ds: Dataset, split: SplitManifest) -> BaseStatsTable:
 
 def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
     """Write the statistics of the records ``rows[i]`` of ``ds`` into row i
-    of ``means``, ``counts`` and ``packed``."""
+    of ``means``, ``counts`` and ``packed``.
+
+    With c = x^T x / (n - 1) for the class's centered rows x, the packed row
+    gets (c + c^T) / 2 on the lower triangle, row-major, which makes the
+    expanded matrix exactly symmetric.
+    """
     d = ds.dim
-    triangle = _triangle(d)
+    lower, upper = _triangle(d)
     most = max((r.size for r in rows), default=0)
     gathered = np.empty((most, d), dtype=ds.values.dtype)
     features = np.empty((most, d))
     cov = np.empty((d, d))
+    flat = cov.reshape(-1)
     mirror = np.empty(d * (d + 1) // 2)
     for row, r in enumerate(rows):
         n = r.size
@@ -225,7 +183,15 @@ def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
         x[...] = gathered[:n]
         np.mean(x, axis=0, out=means[row])
         x -= means[row]
-        _pack_covariance(x, packed[row], cov, mirror, triangle)
+        np.matmul(x.T, x, out=cov)
+        cov /= n - 1
+        # mode="clip" writes straight into the table row ("raise" would
+        # buffer it); the indices are in range
+        out = packed[row]
+        np.take(flat, lower, out=out, mode="clip")
+        np.take(flat, upper, out=mirror, mode="clip")
+        out += mirror
+        out /= 2.0
         counts[row] = n
 
 

@@ -16,13 +16,12 @@ from fsdc.calibration import CalibratedDistribution, CalibrationParams, calibrat
 from fsdc.classifiers import (OptimizerConfig, hinge_loss_grad,
                               softmax_loss_grad)
 from fsdc.cli import main as cli_main
-from fsdc.features_io import (SyntheticSpec, generate_synthetic, load_dataset,
-                              save_dataset)
+from fsdc.features_io import (Dataset, SplitManifest, SyntheticSpec,
+                              generate_synthetic, load_dataset, save_dataset)
 from fsdc.harness import EpisodeSpec, PipelineConfig, evaluate
 from fsdc.rng import PortableRng, derive_key
 from fsdc.sampling import SamplerConfig, cholesky_psd, sample_features
-from fsdc.stats import (BaseStatsTable, build_base_stats, class_covariance,
-                        class_mean)
+from fsdc.stats import BaseStatsTable, build_base_stats
 from fsdc.transform import TukeyParams, tukey_transform
 from skewness import sample_skewness
 
@@ -106,16 +105,26 @@ def test_statistic_and_calibration_formulas():
     ok = True
     notes = []
 
-    two = np.array([[0.0, 0.0], [2.0, 2.0]])
-    ok &= np.array_equal(class_mean(two), [1.0, 1.0])
-    ok &= np.array_equal(class_covariance(two), [[2.0, 2.0], [2.0, 2.0]])
-    v = np.array([0.3, -1.2, 4.0])
-    ok &= np.array_equal(class_mean(v.reshape(1, -1)), v)
-    ok &= np.array_equal(class_covariance(np.tile(v, (6, 1))), np.zeros((3, 3)))
+    def build(*classes):
+        # class i holds the rows of classes[i]; every input is exact in
+        # float32, the dataset's storage precision
+        ids = np.concatenate([np.full(len(r), i) for i, r in enumerate(classes)])
+        table = build_base_stats(Dataset(ids, np.concatenate(classes)),
+                                 SplitManifest(base=range(len(classes))))
+        return table.mean_matrix, [np.take(p, table.gather_map)
+                                   for p in table.packed_covariances]
+
+    v = np.array([0.25, -1.5, 4.0])
+    means, covs = build(np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]]),
+                        np.tile(v, (2, 1)))
+    ok &= np.array_equal(means[0], [1.0, 1.0, 1.0])
+    ok &= np.array_equal(covs[0], np.full((3, 3), 2.0))
+    ok &= np.array_equal(means[1], v)
+    ok &= np.array_equal(covs[1], np.zeros((3, 3)))
 
     rng = np.random.default_rng(5)
     sample = rng.normal(size=(40, 7))
-    cov = class_covariance(sample)
+    _, (cov,) = build(sample)
     ok &= np.array_equal(cov, cov.T)
     notes.append("covariance symmetric")
 

@@ -147,6 +147,21 @@ def test_split_that_is_not_utf8_exits_1(world, capsys):
         "error: split manifest is not valid JSON")
 
 
+@pytest.mark.parametrize("parts", [
+    {"base": [0, 1], "val": [], "novel": [1]},
+    {"base": [2 ** 32], "val": [], "novel": [1]},
+    {"base": [0], "val": [], "novel": "x"},
+], ids=["overlapping-roles", "id-out-of-range", "not-a-list"])
+def test_malformed_split_manifest_exits_1(world, tmp_path, capsys, parts):
+    # a bad manifest is a bad file, not an invalid setting (status 2)
+    split = tmp_path / "bad.split.json"
+    split.write_text(json.dumps(parts))
+    rc = main(["eval", "--dataset", world["dataset"], "--split", str(split),
+               "--episodes", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: split manifest")
+
+
 # ----------------------------------------------------------------------- eval
 
 def test_eval_prints_interval_and_writes_report(world, tmp_path, capsys):

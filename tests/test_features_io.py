@@ -294,7 +294,7 @@ def test_split_rejects_bad_class_ids(tmp_path):
         load_split(p)
     # a dataset holds u32 class ids, so a larger one could never be found
     p.write_text(json.dumps({"base": [2 ** 32 + 1], "val": [], "novel": []}))
-    with pytest.raises(SpecError):
+    with pytest.raises(FormatError, match=r"split manifest: .*\[0, 2\*\*32\)"):
         load_split(p)
     with pytest.raises(SpecError):
         SplitManifest(base=[-1])

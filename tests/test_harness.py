@@ -183,9 +183,10 @@ def test_classifier_trains_on_the_collected_rows(monkeypatch, kw, k_shot):
     (5, {"sampler": SamplerConfig(total_per_class=7, seed=1)}),
 ], ids=["one_shot", "five_shot", "no_tukey", "no_novel", "uneven_share"])
 def test_class_at_a_time_generation_equals_one_call(monkeypatch, k_shot, kw):
-    # generation calibrates and draws one class at a time; the training rows
-    # must equal, bit for bit, one calibration of the whole support set, one
-    # draw from all of it, and the draws stacked behind the support rows
+    # generation calibrates one support row as the sampler reads it; the
+    # training rows must equal, bit for bit, one calibration of the whole
+    # support set, one draw from all of it, and the draws stacked behind the
+    # support rows
     ds, split, stats = make_world(num_classes=15)
     spec = EpisodeSpec(n_way=3, k_shot=k_shot, q_queries=4, num_episodes=1,
                        seed=2)

@@ -1,4 +1,11 @@
+import importlib
+import re
+from pathlib import Path
+
 import fsdc
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+    encoding="utf-8")
 
 # __all__ is kept by hand; this pins it.  A name leaves or joins the public
 # surface only by an edit here as well.
@@ -25,3 +32,16 @@ def test_all_is_the_pinned_sorted_list():
 
 def test_every_public_name_resolves():
     assert [name for name in fsdc.__all__ if not hasattr(fsdc, name)] == []
+
+
+def test_readme_names_the_submodule_only_helpers():
+    # README's sentence on the helpers imported from their submodules only
+    text = " ".join(README.split())
+    sentence = text.split("imported from their submodules only", 1)[1]
+    names = re.findall(r"`fsdc\.([\w.]+)`", sentence.split(". ", 1)[0])
+    assert len(names) == 3
+    for dotted in names:
+        module, _, name = dotted.rpartition(".")
+        assert callable(getattr(importlib.import_module(f"fsdc.{module}"), name))
+        assert name not in fsdc.__all__
+        assert not hasattr(fsdc, name)

@@ -5,8 +5,7 @@ import pytest
 
 from fsdc.errors import DataError, DimensionError
 from fsdc.features_io import Dataset, SplitManifest, SyntheticSpec, generate_synthetic
-from fsdc.stats import (BaseStatsTable, build_base_stats, class_covariance,
-                        class_mean, class_similarity)
+from fsdc.stats import BaseStatsTable, build_base_stats, class_similarity
 
 
 def packed(cov):
@@ -15,54 +14,68 @@ def packed(cov):
     return cov[np.tril_indices(cov.shape[0])]
 
 
+def table_of(*classes):
+    """``build_base_stats`` over a dataset whose class i holds the rows of
+    ``classes[i]``, stored (as every dataset is) in float32."""
+    ids = np.concatenate([np.full(len(rows), i) for i, rows in enumerate(classes)])
+    ds = Dataset(ids, np.concatenate(classes))
+    return build_base_stats(ds, SplitManifest(base=range(len(classes))))
+
+
+def covariance(table, row=0):
+    """The full covariance of row ``row`` of ``table``."""
+    return np.take(table.packed_covariances[row], table.gather_map)
+
+
 def test_class_mean_basic():
-    assert np.array_equal(class_mean([[0.0, 2.0], [2.0, 4.0]]), [1.0, 3.0])
-
-
-def test_class_mean_empty_rejected():
-    with pytest.raises(DataError):
-        class_mean(np.empty((0, 3)))
+    table = table_of(np.array([[0.0, 2.0], [2.0, 4.0]]))
+    assert np.array_equal(table.mean_matrix[0], [1.0, 3.0])
+    assert table.counts[0] == 2
 
 
 def test_covariance_hand_example():
-    cov = class_covariance([[0.0, 0.0], [2.0, 2.0]])
-    assert np.array_equal(cov, [[2.0, 2.0], [2.0, 2.0]])
+    table = table_of(np.array([[0.0, 0.0], [2.0, 2.0]]))
+    assert np.array_equal(table.mean_matrix[0], [1.0, 1.0])
+    assert np.array_equal(covariance(table), [[2.0, 2.0], [2.0, 2.0]])
 
 
 def test_covariance_identical_samples_is_zero():
-    cov = class_covariance([[1.0, 5.0]] * 4)
-    assert np.array_equal(cov, np.zeros((2, 2)))
-
-
-def test_covariance_needs_two_samples():
-    with pytest.raises(DataError):
-        class_covariance([[1.0, 2.0]])
+    v = np.array([0.25, -1.5, 4.0])
+    table = table_of(np.tile(v, (2, 1)), np.tile(v, (6, 1)))
+    for row in range(2):
+        assert np.array_equal(table.mean_matrix[row], v)
+        assert np.array_equal(covariance(table, row), np.zeros((3, 3)))
 
 
 def test_covariance_is_exactly_symmetric():
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(50, 7))
-    cov = class_covariance(x)
+    cov = covariance(table_of(rng.normal(size=(50, 7))))
     assert np.array_equal(cov, cov.T)
 
 
 def test_covariance_permutation_invariant():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(30, 4))
-    cov_a = class_covariance(x)
-    cov_b = class_covariance(x[rng.permutation(30)])
-    assert np.allclose(cov_a, cov_b, rtol=1e-12, atol=1e-12)
+    table = table_of(x, x[rng.permutation(30)])
+    assert np.allclose(covariance(table, 0), covariance(table, 1),
+                       rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [3, 16, 640])
 @pytest.mark.parametrize("n", [5, 6])
 def test_covariance_rounds_as_the_out_of_place_expression(d, n):
-    # class_covariance divides and symmetrizes in place; every element must
-    # round as (c / (n - 1) + (c / (n - 1)).T) / 2 does
-    x = np.random.default_rng(d + n).normal(size=(n, d))
-    centered = x - x.mean(axis=0)
+    # the build divides and symmetrizes in place; every element must round
+    # as (c / (n - 1) + (c / (n - 1)).T) / 2 does.  A larger class goes
+    # first, so its rows are left in the scratch the build reuses.
+    rng = np.random.default_rng(d + n)
+    x = rng.normal(size=(n, d)).astype(np.float32)
+    table = table_of(rng.normal(size=(n + 3, d)), x)
+    x = x.astype(np.float64)
+    mean = x.mean(axis=0)
+    centered = x - mean
     cov = centered.T @ centered / (n - 1)
-    assert np.array_equal(class_covariance(x), (cov + cov.T) / 2.0)
+    assert np.array_equal(table.mean_matrix[1], mean)
+    assert np.array_equal(covariance(table, 1), (cov + cov.T) / 2.0)
 
 
 def test_covariance_monte_carlo():
@@ -73,15 +86,14 @@ def test_covariance_monte_carlo():
                        [0.0, 0.3, 0.7]])
     chol = np.linalg.cholesky(target)
     x = rng.normal(size=(200_000, 3)) @ chol.T
-    cov = class_covariance(x)
+    cov = covariance(table_of(x))
     err = np.linalg.norm(cov - target) / np.linalg.norm(target)
     assert err < 0.02
 
 
 def test_covariance_unbiased_scaling():
     # n=2 identical offsets: cov = d d^T / 1, which doubles the naive /n value
-    cov = class_covariance([[0.0], [2.0]])
-    assert cov[0, 0] == 2.0
+    assert covariance(table_of(np.array([[0.0], [2.0]])))[0, 0] == 2.0
 
 
 def test_class_statistics_validation():
@@ -123,11 +135,13 @@ def test_build_base_stats_matches_per_class_calls():
     table = build_base_stats(ds, split)
     assert set(table.id_array.tolist()) == split.base_classes
     for row, cid in enumerate(table.id_array.tolist()):
+        # the class's rows alone, in float64, out of place
         feats = ds.values[ds.rows_for(cid)].astype(np.float64)
-        assert np.array_equal(table.mean_matrix[row], class_mean(feats))
-        assert np.array_equal(
-            np.take(table.packed_covariances[row], table.gather_map),
-            class_covariance(feats))
+        mean = feats.mean(axis=0)
+        centered = feats - mean
+        cov = centered.T @ centered / (len(feats) - 1)
+        assert np.array_equal(table.mean_matrix[row], mean)
+        assert np.array_equal(covariance(table, row), (cov + cov.T) / 2.0)
         assert table.counts[row] == 30
 
 
