@@ -20,7 +20,7 @@ from fsdc.transform import TukeyParams
 # 25 classes in groups of 5; the last member of each group is held out as a
 # novel class, so 20 classes provide statistics and 5 provide tasks.
 spec = SyntheticSpec(num_classes=25, dim=16, samples_per_class=200, seed=0)
-ds, split, truth = generate_synthetic(spec)
+ds, split, _ = generate_synthetic(spec)
 print(f"dataset: {ds.count} records, {len(ds.classes())} classes, dim {ds.dim}")
 print(f"split:   {sorted(split.base_classes)} base")
 print(f"         {sorted(split.novel_classes)} novel")

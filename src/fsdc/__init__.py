@@ -13,11 +13,11 @@ from .calibration import (CalibratedDistribution, CalibrationParams,
                           calibrate, calibrate_support_set)
 from .classifiers import (LinearModel, OptimizerConfig, TrainSet, predict,
                           train_logistic, train_svm)
-from .errors import (DataError, DimensionError, DivergenceError, EpisodeError,
+from .errors import (DataError, DimensionError, DivergenceError,
                      FactorizationError, FormatError, FsdcError, SpecError)
 from .features_io import (Dataset, SplitManifest, SyntheticSpec,
-                          SyntheticTruth, generate_synthetic, load_dataset,
-                          load_split, save_dataset, save_split)
+                          generate_synthetic, load_dataset, load_split,
+                          save_dataset, save_split)
 from .harness import (EpisodeSpec, EvalReport, PipelineConfig, evaluate,
                       project_2d, run_episode, sample_episode)
 from .rng import PortableRng, derive_key
@@ -29,11 +29,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseStatsTable", "CalibratedDistribution", "CalibrationParams",
-    "DataError", "Dataset", "DimensionError", "DivergenceError",
-    "EpisodeError", "EpisodeSpec", "EvalReport", "FactorizationError",
-    "FormatError", "FsdcError", "LinearModel", "OptimizerConfig",
-    "PipelineConfig", "PortableRng", "SamplerConfig", "SpecError",
-    "SplitManifest", "SyntheticSpec", "SyntheticTruth", "TrainSet",
+    "DataError", "Dataset", "DimensionError", "DivergenceError", "EpisodeSpec",
+    "EvalReport", "FactorizationError", "FormatError", "FsdcError",
+    "LinearModel", "OptimizerConfig", "PipelineConfig", "PortableRng",
+    "SamplerConfig", "SpecError", "SplitManifest", "SyntheticSpec", "TrainSet",
     "TukeyParams", "build_base_stats", "calibrate", "calibrate_support_set",
     "cholesky_psd", "class_similarity", "derive_key", "evaluate",
     "generate_synthetic", "load_dataset", "load_split", "predict",

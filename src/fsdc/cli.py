@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``synth``   generate a synthetic dataset with known ground truth
+* ``synth``   generate a synthetic dataset and its split manifest
 * ``stats``   print base-class record counts and pairwise similarities
 * ``eval``    run episodic evaluation and report accuracy
 * ``sweep``   evaluate one setting over several values on paired episodes
@@ -82,7 +82,10 @@ def _check_config_value(key: str, value):
     if takes is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SpecError(f"config key {key!r} must be a number")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise SpecError(f"config key {key!r} is too large") from None
     if not isinstance(value, str):
         raise SpecError(f"config key {key!r} must be a string")
     return value
@@ -152,20 +155,15 @@ def _cmd_synth(args) -> int:
     spec = SyntheticSpec(**{f.name: getattr(args, f.name)
                             for f in fields(SyntheticSpec)
                             if getattr(args, f.name, None) is not None})
-    ds, split, truth = generate_synthetic(spec)
+    ds, split, _ = generate_synthetic(spec)
     dataset_path = args.out_prefix + ".fsdc"
     split_path = args.out_prefix + ".split.json"
-    truth_path = args.out_prefix + ".truth.json"
     save_dataset(ds, dataset_path)
     save_split(split, split_path)
-    atomic_write_text(truth_path,
-                      json.dumps(truth.to_payload(), sort_keys=True, indent=2)
-                      + "\n")
     print(f"wrote {ds.count} records ({spec.num_classes} classes x "
           f"{spec.samples_per_class}, dim {spec.dim}) to {dataset_path}")
     print(f"split: {len(split.base_classes)} base / "
           f"{len(split.novel_classes)} novel -> {split_path}")
-    print(f"ground truth -> {truth_path}")
     return 0
 
 

@@ -27,8 +27,9 @@ class DimensionError(FsdcError):
 class DataError(FsdcError):
     """The data cannot support the operation: a value outside its domain
     (non-finite, negative where forbidden), a class with too few records or
-    none, a class id missing from a table, or a statistic with no defined
-    value (zero variance, zero-norm vector)."""
+    none, a split with fewer novel classes than an episode draws, a class id
+    missing from a table, or a statistic with no defined value (zero
+    variance, zero-norm vector)."""
 
 
 class FactorizationError(FsdcError):
@@ -37,7 +38,3 @@ class FactorizationError(FsdcError):
 
 class DivergenceError(FsdcError):
     """Training produced a non-finite loss or gradient."""
-
-
-class EpisodeError(FsdcError):
-    """An episode specification cannot be satisfied by the dataset."""

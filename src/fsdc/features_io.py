@@ -1,5 +1,5 @@
 """Feature datasets: in-memory container, the FSDC file format, split
-manifests, and a synthetic generator with known ground truth.
+manifests, and a synthetic generator.
 
 FSDC is the one dataset format.  Features extracted elsewhere come in as
 ``save_dataset(Dataset(class_ids, values), path)``.  Layout (little-endian
@@ -80,7 +80,7 @@ def read_json_object(path, error: type[FsdcError], what: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:   # not UTF-8, not JSON, too many digits
             raise error(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise error(f"{what} must hold a JSON object")
@@ -250,7 +250,7 @@ def load_split(path) -> SplitManifest:
 
 
 # ---------------------------------------------------------------------------
-# synthetic data with known ground truth
+# synthetic data
 # ---------------------------------------------------------------------------
 
 # every synthetic world's latent geometry: the level all class means share,
@@ -292,8 +292,8 @@ class SyntheticSpec:
             raise SpecError("synthetic feature dimension must be at least 2")
         if self.samples_per_class < 1:
             raise SpecError("samples_per_class must be at least 1")
-        if self.skew_power < 1:
-            raise SpecError("skew_power must be at least 1")
+        if not math.isfinite(self.skew_power) or self.skew_power < 1:
+            raise SpecError("skew_power must be finite and at least 1")
         if self.group_size < 1:
             raise SpecError("group_size must be at least 1")
 
@@ -301,64 +301,6 @@ class SyntheticSpec:
         ids = list(range(self.num_classes))
         return tuple(tuple(ids[i:i + self.group_size])
                      for i in range(0, self.num_classes, self.group_size))
-
-
-@dataclass(frozen=True)
-class ClassTruth:
-    """Exact latent parameters and feature moments for one synthetic class."""
-
-    class_id: int
-    latent_mean: np.ndarray
-    feature_mean: np.ndarray
-    feature_var: np.ndarray
-
-
-@dataclass(frozen=True)
-class SyntheticTruth:
-    spec: SyntheticSpec
-    groups: tuple[tuple[int, ...], ...]
-    classes: dict[int, ClassTruth]
-
-    def group_of(self, class_id: int) -> int:
-        for gi, group in enumerate(self.groups):
-            if class_id in group:
-                return gi
-        raise SpecError(f"class {class_id} not in any group")
-
-    def to_payload(self) -> dict:
-        classes = {}
-        for cid in sorted(self.classes):
-            t = self.classes[cid]
-            classes[str(cid)] = {
-                "latent_mean": [float(v) for v in t.latent_mean],
-                "latent_sigma": _LATENT_SIGMA,
-                "skew_power": self.spec.skew_power,
-                "feature_mean": [float(v) for v in t.feature_mean],
-                "feature_var": [float(v) for v in t.feature_var],
-            }
-        return {
-            "groups": [list(g) for g in self.groups],
-            "classes": classes,
-        }
-
-
-def _abs_power_moments(u: np.ndarray, sigma: float, power: float):
-    """Exact mean and variance of |u + sigma*z|**power per component.
-
-    Closed form at power 2; Gauss-Hermite quadrature otherwise (the integrand
-    is smooth away from a measure-zero kink, and 96 nodes are plenty for the
-    moderate powers used here).
-    """
-    if power == 2:
-        mean = u ** 2 + sigma ** 2
-        var = 4.0 * u ** 2 * sigma ** 2 + 2.0 * sigma ** 4
-        return mean, var
-    nodes, weights = np.polynomial.hermite.hermgauss(96)
-    y = np.abs(u[:, None] + sigma * math.sqrt(2.0) * nodes[None, :])
-    w = weights / math.sqrt(math.pi)
-    m1 = (w * y ** power).sum(axis=1)
-    m2 = (w * y ** (2.0 * power)).sum(axis=1)
-    return m1, m2 - m1 ** 2
 
 
 def _unit_orthogonal_to_ones(rng: PortableRng, dim: int) -> np.ndarray:
@@ -373,12 +315,13 @@ def _unit_orthogonal_to_ones(rng: PortableRng, dim: int) -> np.ndarray:
 
 
 def generate_synthetic(spec: SyntheticSpec):
-    """Build a synthetic dataset, its split manifest, and its ground truth.
+    """Build a synthetic dataset, its split manifest, and its class centers.
 
-    Returns ``(dataset, split, truth)``.  The last class of every group with
-    two or more members becomes a novel class; everything else is base.  All
-    randomness is derived from ``spec.seed``, so the output is a pure function
-    of the spec.
+    Returns ``(dataset, split, latent_means)``, where row c of the float64
+    ``(num_classes, dim)`` array ``latent_means`` is class c's latent mean
+    ``u_c``.  The last class of every group with two or more members becomes
+    a novel class; everything else is base.  All randomness is derived from
+    ``spec.seed``, so the output is a pure function of the spec.
     """
     groups = spec.resolved_groups()
     dim = spec.dim
@@ -391,7 +334,7 @@ def generate_synthetic(spec: SyntheticSpec):
     n = spec.samples_per_class
     all_ids = np.repeat(np.arange(spec.num_classes, dtype=np.int64), n)
     all_values = np.empty((spec.num_classes * n, dim), dtype=np.float32)
-    truth_classes = {}
+    latent_means = np.empty((spec.num_classes, dim))
     for cid in range(spec.num_classes):
         # the sum of two unit vectors weighted 0.8 and 0.41 has a norm of at
         # least 0.39, so every class mean lies target_norm from the level
@@ -399,16 +342,13 @@ def generate_synthetic(spec: SyntheticSpec):
                  + _WITHIN_GROUP_OFFSET
                  * _unit_orthogonal_to_ones(offset_rng, dim))
         u = _LATENT_LEVEL + delta * (target_norm / np.linalg.norm(delta))
+        latent_means[cid] = u
         sample_rng = PortableRng(derive_key(spec.seed, _DOM_SAMPLES, cid))
         z = sample_rng.normal(n * dim).reshape(n, dim)
         feats = np.abs(u + _LATENT_SIGMA * z) ** spec.skew_power
         all_values[cid * n:(cid + 1) * n] = feats.astype(np.float32)
-        mean, var = _abs_power_moments(u, _LATENT_SIGMA, spec.skew_power)
-        truth_classes[cid] = ClassTruth(
-            class_id=cid, latent_mean=u, feature_mean=mean, feature_var=var)
 
     novel = [group[-1] for group in groups if len(group) >= 2]
     base = [c for c in range(spec.num_classes) if c not in set(novel)]
     split = SplitManifest(base=base, val=(), novel=novel)
-    truth = SyntheticTruth(spec=spec, groups=groups, classes=truth_classes)
-    return Dataset(all_ids, all_values), split, truth
+    return Dataset(all_ids, all_values), split, latent_means

@@ -23,8 +23,7 @@ from .calibration import CalibrationParams, calibrate_support_set, \
     retrieve_nearest_class_features
 from .classifiers import (OptimizerConfig, TrainSet, predict, train_logistic,
                           train_svm)
-from .errors import (DataError, DimensionError, EpisodeError, FsdcError,
-                     SpecError)
+from .errors import DataError, DimensionError, FsdcError, SpecError
 from .features_io import Dataset, SplitManifest
 from .rng import PortableRng, derive_key
 from .sampling import SamplerConfig, sample_features
@@ -122,7 +121,7 @@ def sample_episode(ds: Dataset, split: SplitManifest, spec: EpisodeSpec,
     q_queries query rows each, all without replacement."""
     novel = sorted(split.novel_classes)
     if len(novel) < spec.n_way:
-        raise EpisodeError(
+        raise DataError(
             f"episode needs {spec.n_way} novel classes, split has {len(novel)}")
     rng = PortableRng(derive_key(spec.seed, _DOM_EPISODE, index))
     chosen = [novel[i] for i in rng.permutation_prefix(len(novel), spec.n_way)]
@@ -132,7 +131,7 @@ def sample_episode(ds: Dataset, split: SplitManifest, spec: EpisodeSpec,
     for cid in chosen:
         rows = ds.rows_for(cid)
         if rows.size < need:
-            raise EpisodeError(
+            raise DataError(
                 f"class {cid} has {rows.size} records, episode needs {need}")
         picked = rng.permutation_prefix(rows.size, need)
         support_rows.append(rows[np.asarray(picked[:spec.k_shot])])

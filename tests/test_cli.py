@@ -25,7 +25,6 @@ def world(tmp_path_factory):
     return {
         "dataset": prefix + ".fsdc",
         "split": prefix + ".split.json",
-        "truth": prefix + ".truth.json",
         "root": root,
     }
 
@@ -46,9 +45,8 @@ def test_synth_outputs_and_determinism(world, tmp_path):
                  "--seed", "3", "--out-prefix", prefix]) == 0
     with open(prefix + ".fsdc", "rb") as fh:
         assert fh.read() == first
-    truth = json.loads(open(world["truth"]).read())
-    assert set(truth) == {"groups", "classes"}
-    assert len(truth["classes"]) == 10
+    # the dataset and its split are all that synth writes
+    assert sorted(os.listdir(tmp_path)) == ["again.fsdc", "again.split.json"]
 
 
 SYNTH_FLAGS = {"--skew-power": ("skew_power", 1.5),
@@ -81,6 +79,16 @@ def test_synth_rejects_bad_spec(tmp_path, capsys):
                "--out-prefix", str(tmp_path / "x")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("power", ["nan", "inf"])
+def test_synth_rejects_non_finite_skew_power(tmp_path, capsys, power):
+    # refused as a setting, before any feature is generated
+    rc = main(["synth", "--classes", "4", "--dim", "4", "--per-class", "5",
+               "--skew-power", power, "--out-prefix", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: skew_power must be")
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------- stats
@@ -162,6 +170,17 @@ def test_malformed_split_manifest_exits_1(world, tmp_path, capsys, parts):
     assert capsys.readouterr().err.startswith("error: split manifest")
 
 
+def test_split_with_an_overlong_integer_exits_1(world, tmp_path, capsys):
+    # more digits than Python converts to an int by default
+    split = tmp_path / "long.split.json"
+    split.write_text('{"base": [' + "9" * 5001 + '], "val": [], "novel": [1]}')
+    rc = main(["eval", "--dataset", world["dataset"], "--split", str(split),
+               "--episodes", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: split manifest is not valid JSON")
+
+
 # ----------------------------------------------------------------------- eval
 
 def test_eval_prints_interval_and_writes_report(world, tmp_path, capsys):
@@ -228,6 +247,24 @@ def test_config_that_is_not_utf8_exits_2(world, tmp_path, capsys):
     assert main(eval_args(world, "--config", str(cfg))) == 2
     assert capsys.readouterr().err.startswith(
         "error: config file is not valid JSON")
+
+
+def test_config_with_an_overlong_integer_exits_2(world, tmp_path, capsys):
+    # more digits than Python converts to an int by default
+    cfg = tmp_path / "long.json"
+    cfg.write_text('{"calib.k": ' + "9" * 5001 + "}")
+    assert main(eval_args(world, "--config", str(cfg))) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config file is not valid JSON")
+
+
+def test_config_number_beyond_float_range_exits_2(world, tmp_path, capsys):
+    # an integer is a valid number, but this one has no float
+    cfg = tmp_path / "huge.json"
+    cfg.write_text('{"calib.alpha": 1' + "0" * 400 + "}")
+    assert main(eval_args(world, "--config", str(cfg))) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config key 'calib.alpha' is too large")
 
 
 def test_config_rejects_tukey_base_key(world, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from fsdc.calibration import CalibrationParams, calibrate_support_set
 from fsdc.classifiers import OptimizerConfig, train_logistic
-from fsdc.errors import (DataError, DimensionError, EpisodeError, SpecError)
+from fsdc.errors import DataError, DimensionError, SpecError
 from fsdc.features_io import Dataset, SplitManifest, SyntheticSpec, generate_synthetic
 from fsdc.harness import (_DOM_GEN, Episode, EpisodeSpec, EvalReport,
                           PipelineConfig, collect_episode_features, evaluate,
@@ -77,10 +77,10 @@ def test_sample_episode_support_query_disjoint():
 
 def test_sample_episode_errors():
     ds, split, _ = make_world(num_classes=4, group_size=2, per_class=5)
-    with pytest.raises(EpisodeError):
+    with pytest.raises(DataError, match="needs 5 novel classes"):
         sample_episode(ds, split, EpisodeSpec(n_way=5, k_shot=1, q_queries=2,
                                               num_episodes=1), 0)
-    with pytest.raises(EpisodeError):
+    with pytest.raises(DataError, match="has 5 records, episode needs 6"):
         sample_episode(ds, split, EpisodeSpec(n_way=2, k_shot=1, q_queries=5,
                                               num_episodes=1), 0)
 

@@ -11,11 +11,10 @@ README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
 # surface only by an edit here as well.
 PUBLIC_NAMES = [
     "BaseStatsTable", "CalibratedDistribution", "CalibrationParams",
-    "DataError", "Dataset", "DimensionError", "DivergenceError",
-    "EpisodeError", "EpisodeSpec", "EvalReport", "FactorizationError",
-    "FormatError", "FsdcError", "LinearModel", "OptimizerConfig",
-    "PipelineConfig", "PortableRng", "SamplerConfig", "SpecError",
-    "SplitManifest", "SyntheticSpec", "SyntheticTruth", "TrainSet",
+    "DataError", "Dataset", "DimensionError", "DivergenceError", "EpisodeSpec",
+    "EvalReport", "FactorizationError", "FormatError", "FsdcError",
+    "LinearModel", "OptimizerConfig", "PipelineConfig", "PortableRng",
+    "SamplerConfig", "SpecError", "SplitManifest", "SyntheticSpec", "TrainSet",
     "TukeyParams", "build_base_stats", "calibrate", "calibrate_support_set",
     "cholesky_psd", "class_similarity", "derive_key", "evaluate",
     "generate_synthetic", "load_dataset", "load_split", "predict",

@@ -6,6 +6,7 @@ import pytest
 from fsdc.errors import DataError, DimensionError
 from fsdc.features_io import Dataset, SplitManifest, SyntheticSpec, generate_synthetic
 from fsdc.stats import BaseStatsTable, build_base_stats, class_similarity
+from synthetic_moments import feature_moments
 
 
 def packed(cov):
@@ -216,15 +217,14 @@ def test_build_base_stats_single_record_class():
 def test_stats_accuracy_on_synthetic_truth():
     spec = SyntheticSpec(num_classes=2, dim=4, samples_per_class=50_000,
                          group_size=2, seed=13)
-    ds, _, truth = generate_synthetic(spec)
+    ds, _, latent_means = generate_synthetic(spec)
     split = SplitManifest(base=[0, 1])
     table = build_base_stats(ds, split)
     for cid in (0, 1):
-        t = truth.classes[cid]
-        se = np.sqrt(t.feature_var / 50_000)
-        assert np.all(np.abs(table.mean_matrix[cid] - t.feature_mean) < 5 * se)
-        assert np.allclose(table.variance_matrix[cid], t.feature_var,
-                           rtol=0.05)
+        mean, var = feature_moments(latent_means[cid], spec.skew_power)
+        se = np.sqrt(var / 50_000)
+        assert np.all(np.abs(table.mean_matrix[cid] - mean) < 5 * se)
+        assert np.allclose(table.variance_matrix[cid], var, rtol=0.05)
 
 
 def test_similarity_self_and_orthogonal():
@@ -239,7 +239,7 @@ def test_similarity_self_and_orthogonal():
 
 
 def test_similarity_same_group_beats_cross_group():
-    ds, split, truth = generate_synthetic(SyntheticSpec(
+    ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=6, dim=16, samples_per_class=200, group_size=3, seed=21))
     table = build_base_stats(ds, SplitManifest(base=list(range(6))))
     same, _ = class_similarity(table, 0, 1)
