@@ -5,18 +5,17 @@ The covariance is the standard unbiased estimator
 
     cov = (1 / (n - 1)) * sum_j (x_j - mean) (x_j - mean)^T
 
-computed in float64 and symmetrized exactly (averaged with its transpose), so
-``cov == cov.T`` holds bitwise.  The base table is built from the untransformed
-base features of the dataset being evaluated, every time it is needed; it is
+computed in float64.  The base table is built from the untransformed base
+features of the dataset being evaluated, every time it is needed; it is
 never stored, so it cannot come from another dataset or feature space.
 
 :class:`BaseStatsTable` is the one form in which class statistics are kept:
-a row per class of mean, record count and covariance.  Because every
-covariance is exactly symmetric, it keeps only the lower triangle, packed
-row by row: ``d(d+1)/2`` float64 values per class instead of ``d*d``, 1.6 MB
-instead of 3.3 MB at d=640.  A shared ``(d, d)`` gather map expands a packed
-row, or a sum of packed rows, back into the full matrix, and the variances
-are read off the packed rows once, for :func:`class_similarity`.
+a row per class of mean, record count and covariance.  It keeps only each
+covariance's lower triangle, packed row by row: ``d(d+1)/2`` float64 values
+per class instead of ``d*d``, 1.6 MB instead of 3.3 MB at d=640.  A shared
+``(d, d)`` gather map expands a packed row, or a sum of packed rows, back
+into the full matrix, which is therefore exactly symmetric, and
+:func:`class_similarity` reads the variances straight off the packed rows.
 """
 
 from __future__ import annotations
@@ -27,17 +26,13 @@ from .errors import DataError, DimensionError
 from .features_io import Dataset, SplitManifest
 
 
-def _triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices into a (d, d) matrix of each lower-triangle element, in
-    row-major order (the packed layout), and of its mirror above the
-    diagonal."""
+def _lower_triangle(d: int) -> np.ndarray:
+    """Flat indices into a (d, d) matrix of its lower-triangle elements, in
+    row-major order: the packed layout."""
     i, j = np.tril_indices(d)
-    lower = i * d
-    lower += j
-    upper = j   # in place: the build holds these while packing
-    upper *= d
-    upper += i
-    return lower, upper
+    i *= d   # in place: the build holds this while packing
+    i += j
+    return i
 
 
 def _gather_map(d: int) -> np.ndarray:
@@ -89,16 +84,9 @@ class BaseStatsTable:
         self._counts = counts
         self._packed = packed
         self._gather = _gather_map(d)
-        # the packed index of diagonal element i is i(i+1)/2 + i
-        steps = np.arange(d)
-        self._variances = np.take(packed, steps * (steps + 3) // 2, axis=1)
-        self._variances.flags.writeable = False
 
     def __len__(self) -> int:
         return self._ids.size
-
-    def __contains__(self, class_id: int) -> bool:
-        return int(class_id) in self._rows
 
     @property
     def id_array(self) -> np.ndarray:
@@ -119,12 +107,6 @@ class BaseStatsTable:
         return self._packed
 
     @property
-    def variance_matrix(self) -> np.ndarray:
-        """``(classes, d)`` float64, read-only: each class's variances, the
-        diagonal of its covariance."""
-        return self._variances
-
-    @property
     def gather_map(self) -> np.ndarray:
         """``(d, d)`` intp: the packed index of every element of a covariance."""
         return self._gather
@@ -134,9 +116,10 @@ def build_base_stats(ds: Dataset, split: SplitManifest) -> BaseStatsTable:
     """Compute mean, covariance and record count for every base class in
     ``split``, from its untransformed features in ``ds``.
 
-    Every class goes through one set of buffers sized for the largest class,
-    and its covariance is packed straight into its table row, so the build
-    allocates nothing per class.
+    Each class takes one pass through one set of buffers sized for the
+    largest class: its rows are gathered, centered and multiplied once, and
+    the product's lower triangle is packed straight into its table row, so
+    the build allocates nothing per class.
     """
     ids = sorted(split.base_classes)
     # one stable sort groups every class's rows, each in file order, where
@@ -164,34 +147,29 @@ def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
     """Write the statistics of the records ``rows[i]`` of ``ds`` into row i
     of ``means``, ``counts`` and ``packed``.
 
-    With c = x^T x / (n - 1) for the class's centered rows x, the packed row
-    gets (c + c^T) / 2 on the lower triangle, row-major, which makes the
-    expanded matrix exactly symmetric.
+    The mean is taken from the stored float32 rows in float64; the packed
+    row gets the lower triangle of x^T x for the class's centered rows x,
+    row-major, divided by n - 1.
     """
     d = ds.dim
-    lower, upper = _triangle(d)
+    lower = _lower_triangle(d)
     most = max((r.size for r in rows), default=0)
     gathered = np.empty((most, d), dtype=ds.values.dtype)
-    features = np.empty((most, d))
-    cov = np.empty((d, d))
-    flat = cov.reshape(-1)
-    mirror = np.empty(d * (d + 1) // 2)
+    centered = np.empty((most, d))
+    product = np.empty((d, d))
     for row, r in enumerate(rows):
         n = r.size
-        np.take(ds.values, r, axis=0, out=gathered[:n], mode="clip")
-        x = features[:n]
-        x[...] = gathered[:n]
-        np.mean(x, axis=0, out=means[row])
-        x -= means[row]
-        np.matmul(x.T, x, out=cov)
-        cov /= n - 1
+        rows32 = gathered[:n]
+        np.take(ds.values, r, axis=0, out=rows32, mode="clip")
+        np.mean(rows32, axis=0, dtype=np.float64, out=means[row])
+        x = centered[:n]
+        np.subtract(rows32, means[row], out=x)
+        np.matmul(x.T, x, out=product)
         # mode="clip" writes straight into the table row ("raise" would
         # buffer it); the indices are in range
         out = packed[row]
-        np.take(flat, lower, out=out, mode="clip")
-        np.take(flat, upper, out=mirror, mode="clip")
-        out += mirror
-        out /= 2.0
+        np.take(product.reshape(-1), lower, out=out, mode="clip")
+        out /= n - 1
         counts[row] = n
 
 
@@ -215,5 +193,9 @@ def class_similarity(table: BaseStatsTable, a: int,
         ra, rb = table._rows[int(a)], table._rows[int(b)]
     except KeyError as exc:
         raise DataError(f"no statistics for class {exc.args[0]}") from None
+    # the packed index of diagonal element i is i(i+1)/2 + i
+    steps = np.arange(table.dim)
+    diagonal = steps * (steps + 3) // 2
+    packed = table.packed_covariances
     return (_cosine(table.mean_matrix[ra], table.mean_matrix[rb]),
-            _cosine(table.variance_matrix[ra], table.variance_matrix[rb]))
+            _cosine(packed[ra, diagonal], packed[rb, diagonal]))

@@ -62,15 +62,29 @@ def test_covariance_permutation_invariant():
                        rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("d", [3, 16, 640])
-@pytest.mark.parametrize("n", [5, 6])
-def test_covariance_rounds_as_the_out_of_place_expression(d, n):
-    # the build divides and symmetrizes in place; every element must round
-    # as (c / (n - 1) + (c / (n - 1)).T) / 2 does.  A larger class goes
+@pytest.mark.parametrize("n, d, interleaved", [
+    *(pytest.param(n, d, False, id=f"{n}-{d}")
+      for n in (5, 6) for d in (3, 16, 640)),
+    # the class's rows alternate with the other class's in the file, so
+    # the build gathers rows that are not contiguous
+    pytest.param(6, 16, True, id="6-16-interleaved"),
+    # the paper world's class size: the float32 rows are cast to float64
+    # for the mean in several buffered chunks
+    pytest.param(600, 640, False, id="600-640"),
+])
+def test_covariance_rounds_as_the_out_of_place_expression(n, d, interleaved):
+    # the build divides in place; every element must round as
+    # (c / (n - 1) + (c / (n - 1)).T) / 2 does.  A larger class goes
     # first, so its rows are left in the scratch the build reuses.
     rng = np.random.default_rng(d + n)
     x = rng.normal(size=(n, d)).astype(np.float32)
-    table = table_of(rng.normal(size=(n + 3, d)), x)
+    values = np.concatenate([rng.normal(size=(n + 3, d)), x])
+    ids = np.repeat([0, 1], [n + 3, n])
+    if interleaved:
+        order = np.argsort(np.r_[np.arange(n + 3), np.arange(n) + 0.5],
+                           kind="stable")
+        values, ids = values[order], ids[order]
+    table = build_base_stats(Dataset(ids, values), SplitManifest(base=[0, 1]))
     x = x.astype(np.float64)
     mean = x.mean(axis=0)
     centered = x - mean
@@ -171,27 +185,32 @@ def test_table_entries_equal_their_inputs_in_id_order():
             lower + np.tril(lower, -1).T)
 
 
-def test_variance_matrix_is_the_covariance_diagonal():
+def test_variance_cosine_is_that_of_the_covariance_diagonals():
     ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=20, dim=33, samples_per_class=40, group_size=5, seed=6))
     table = build_base_stats(ds, split)
-    variances = table.variance_matrix
-    assert variances.shape == (len(table), 33)
-    assert not variances.flags.writeable
-    for row in range(len(table)):
-        full = np.take(table.packed_covariances[row], table.gather_map)
-        assert np.array_equal(variances[row], full.diagonal())
-    assert table.variance_matrix is variances
+    # contiguous copies: BLAS may round a dot product over strided
+    # elements differently
+    diagonals = [covariance(table, row).diagonal().copy()
+                 for row in range(len(table))]
+    ids = table.id_array.tolist()
+    for ra, a in enumerate(ids):
+        for rb, b in enumerate(ids):
+            u, v = diagonals[ra], diagonals[rb]
+            expected = float(np.dot(u, v)
+                             / (np.linalg.norm(u) * np.linalg.norm(v)))
+            assert class_similarity(table, a, b)[1] == expected
 
 
 def test_build_base_stats_holds_one_full_covariance_at_a_time():
     # 12 base classes at d=256: the packed table takes 3.16 MB, all 12 full
-    # covariances 6.29 MB; the bound allows the table plus four full
-    # matrices (the gather map is one, the class being computed another)
+    # covariances 6.29 MB; the bound allows the table plus three full
+    # matrices (the product of the class being computed is one; the gather
+    # map, briefly two while the table builds it, comes after the fill)
     ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=15, dim=256, samples_per_class=64, group_size=5, seed=4))
     n, d = len(split.base_classes), ds.dim
-    bound = n * d * (d + 1) // 2 * 8 + 4 * d * d * 8
+    bound = n * d * (d + 1) // 2 * 8 + 3 * d * d * 8
     tracemalloc.start()
     try:
         table = build_base_stats(ds, split)
@@ -224,7 +243,7 @@ def test_stats_accuracy_on_synthetic_truth():
         mean, var = feature_moments(latent_means[cid], spec.skew_power)
         se = np.sqrt(var / 50_000)
         assert np.all(np.abs(table.mean_matrix[cid] - mean) < 5 * se)
-        assert np.allclose(table.variance_matrix[cid], var, rtol=0.05)
+        assert np.allclose(covariance(table, cid).diagonal(), var, rtol=0.05)
 
 
 def test_similarity_self_and_orthogonal():
@@ -262,8 +281,6 @@ def test_similarity_errors():
 
 def test_table_lookup_errors():
     table = BaseStatsTable([3], [np.zeros(2)], [5], [packed(np.eye(2))])
-    assert 3 in table
-    assert 4 not in table
     assert table.dim == 2
     with pytest.raises(DataError, match="class 4"):
         class_similarity(table, 3, 4)
