@@ -10,9 +10,9 @@ classifier, and score the queries.
 import numpy as np
 
 from fsdc import (CalibrationParams, EpisodeSpec, OptimizerConfig,
-                  PipelineConfig, SamplerConfig, SyntheticSpec, TrainSet,
-                  build_base_stats, calibrate, generate_synthetic, predict,
-                  sample_episode, sample_features, train_logistic,
+                  PipelineConfig, PortableRng, SyntheticSpec, TrainSet,
+                  build_base_stats, calibrate, derive_key, generate_synthetic,
+                  predict, sample_episode, sample_features, train_logistic,
                   tukey_transform)
 from fsdc.transform import TukeyParams
 
@@ -55,13 +55,15 @@ for i in range(support.shape[0]):
           f"classes {dist.neighbor_class_ids}, mean moved {moved:.3f}")
 
 # ------------------------------------------------------------------ sampling
-by_label = {}
-for i, dist in enumerate(dists):
-    by_label.setdefault(int(ep.support_y[i]), []).append(dist)
-gen_x, gen_y = sample_features(by_label, SamplerConfig(total_per_class=750,
-                                                       seed=0))
+# One support feature per class, so each Gaussian draws its class's whole
+# budget of 750, each from its own stream.
+per_class = 750
+gen_x = np.concatenate([
+    sample_features(dist, per_class, PortableRng(derive_key(0, i)))[0]
+    for i, dist in enumerate(dists)])
+gen_y = np.repeat(ep.support_y, per_class)
 print(f"\nsampled {gen_x.shape[0]} synthetic features "
-      f"({gen_x.shape[0] // len(by_label)} per class)")
+      f"({per_class} per class)")
 
 # ------------------------------------------------------------------ training
 train_x = np.concatenate([support, gen_x])

@@ -68,7 +68,6 @@ class TrainSet:
 class LinearModel:
     """Trained weights, biases, and the per-epoch loss trace."""
 
-    kind: str
     weights: np.ndarray
     bias: np.ndarray
     loss_history: tuple[float, ...]
@@ -152,7 +151,7 @@ def _step_size(x, l2: float) -> float:
     return min(_MAX_STEP, 1.9 / curvature)
 
 
-def _fit(train: TrainSet, config: OptimizerConfig, loss_grad, kind: str) -> LinearModel:
+def _fit(train: TrainSet, config: OptimizerConfig, loss_grad) -> LinearModel:
     x = train.features
     y = train.labels
     weights = np.zeros((train.num_classes, x.shape[1]))
@@ -167,7 +166,7 @@ def _fit(train: TrainSet, config: OptimizerConfig, loss_grad, kind: str) -> Line
         weights = weights - lr * grad_w
         bias = bias - lr * grad_b
         history.append(loss)
-    return LinearModel(kind=kind, weights=weights, bias=bias,
+    return LinearModel(weights=weights, bias=bias,
                        loss_history=tuple(history))
 
 
@@ -176,12 +175,12 @@ def train_logistic(train: TrainSet, config: OptimizerConfig = OptimizerConfig())
     # a diverging run can overflow exp or hit log(0) in its final epoch; the
     # finite check turns that into DivergenceError, so keep numpy quiet here
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _fit(train, config, softmax_loss_grad, "logistic")
+        return _fit(train, config, softmax_loss_grad)
 
 
 def train_svm(train: TrainSet, config: OptimizerConfig = OptimizerConfig()) -> LinearModel:
     """One-vs-rest linear SVM by subgradient descent."""
-    return _fit(train, config, hinge_loss_grad, "svm")
+    return _fit(train, config, hinge_loss_grad)
 
 
 def predict(model: LinearModel, features):

@@ -341,15 +341,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
+    except (FsdcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FsdcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, SpecError) else 1
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ per support feature and, when on, replaces generation.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Final
 
 import numpy as np
@@ -33,6 +33,7 @@ from .transform import TukeyParams, tukey_transform
 _DOM_EPISODE: Final = 0x45
 _DOM_GEN: Final = 0x47
 _DOM_RETRIEVE: Final = 0x52
+_DOM_SAMPLE: Final = 0x5A
 
 
 @dataclass(frozen=True)
@@ -175,12 +176,15 @@ def _train_rows(ep: Episode, support_x, stats: BaseStatsTable,
 
     The extra rows are ``retrieve`` base rows per support feature when
     retrieval is on, else ``total_per_class`` features per class drawn from
-    the calibrated Gaussians.
-    Generation draws every class in one call, straight into one
-    preallocated matrix, so each drawn row is stored once.  Each class's
-    distributions reach the sampler as a sized iterable that calibrates one
-    support row as it is read, so an episode holds one covariance at a
-    time.
+    the calibrated Gaussians, one per support row.  Classes come in
+    ascending label order and rows in support order; a class's budget is
+    split evenly across its rows, the first ``total mod K`` rows drawing one
+    extra and a row with no draws skipped.  Row j of class ``label`` draws
+    from its own stream, keyed by the sampler seed, the episode, ``label``
+    and j, so a class's draws do not depend on the other classes.  Each row
+    is calibrated only when it is drawn from, and drawn straight into its
+    place in one preallocated matrix, so an episode holds one covariance at
+    a time and each drawn row is stored once.
     """
     if cfg.retrieve:
         if base_data is None:
@@ -195,45 +199,35 @@ def _train_rows(ep: Episode, support_x, stats: BaseStatsTable,
         return (np.concatenate([support_x, *blocks]),
                 np.concatenate([ep.support_y,
                                 np.repeat(ep.support_y, cfg.retrieve)]))
-    if cfg.sampler.total_per_class == 0:
+    total = cfg.sampler.total_per_class
+    if total == 0:
         return support_x, ep.support_y
-    sampler = replace(cfg.sampler,
-                      seed=derive_key(cfg.sampler.seed, _DOM_GEN, ep.index))
-    n_support = support_x.shape[0]
-    distributions = {
-        int(label): _Calibrated(support_x[ep.support_y == label], int(label),
-                                stats, cfg.calib)
-        for label in np.unique(ep.support_y)}
-    train_x = np.empty((n_support + len(distributions)
-                        * cfg.sampler.total_per_class, support_x.shape[1]))
-    train_x[:n_support] = support_x
-    _, drawn_y = sample_features(distributions, sampler,
-                                 out=train_x[n_support:])
-    return train_x, np.concatenate([ep.support_y, drawn_y])
-
-
-class _Calibrated:
-    """One class's calibrated distributions, one per support row, each
-    calibrated only when it is read."""
-
-    def __init__(self, support_x, label: int, stats: BaseStatsTable,
-                 params: CalibrationParams) -> None:
-        self._x = support_x
-        self._y = np.full(support_x.shape[0], label)
-        self._label = label
-        self._stats = stats
-        self._params = params
-
-    def __len__(self) -> int:
-        return self._x.shape[0]
-
-    def __iter__(self):
-        for i in range(len(self)):
-            # yielded without a name, so the generator holds no distribution
-            # while the next row is calibrated
-            yield calibrate_support_set(self._x[i:i + 1], self._y[i:i + 1],
-                                        self._stats,
-                                        self._params)[self._label][0]
+    seed = derive_key(cfg.sampler.seed, _DOM_GEN, ep.index)
+    labels = np.unique(ep.support_y)
+    start = support_x.shape[0]
+    train_x = np.empty((start + labels.size * total, support_x.shape[1]))
+    train_x[:start] = support_x
+    for label in labels.tolist():
+        rows = support_x[ep.support_y == label]
+        share, extra = divmod(total, rows.shape[0])
+        for j in range(rows.shape[0]):
+            count = share + (j < extra)
+            if count == 0:
+                continue
+            try:
+                # the distribution is made inside the call and held by no
+                # name, so it is freed before the next row is calibrated
+                sample_features(
+                    calibrate_support_set(rows[j:j + 1], [label], stats,
+                                          cfg.calib)[label][0],
+                    count,
+                    PortableRng(derive_key(seed, _DOM_SAMPLE, label, j)),
+                    out=train_x[start:start + count])
+            except FsdcError as exc:
+                raise type(exc)(
+                    f"class {label}, distribution {j}: {exc}") from exc
+            start += count
+    return train_x, np.concatenate([ep.support_y, np.repeat(labels, total)])
 
 
 def _run_episode(ep: Episode, stats: BaseStatsTable, cfg: PipelineConfig,

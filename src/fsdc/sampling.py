@@ -5,9 +5,9 @@ standard normal z.  Factorization tolerates slightly indefinite matrices by
 adding jitter to the diagonal in escalating powers of ten; the shift actually
 used is reported back so callers can notice badly conditioned covariances.
 
-Each (class, distribution) pair samples from its own derived random stream,
-so the draw for one class never depends on how many other classes there are
-or in which order they are processed.  A distribution's rows are drawn a
+Each call draws from one distribution and the stream it is given; which
+stream, how many rows and where they go are decided by the caller (the
+harness keys a stream per class and support row).  The rows are drawn a
 block at a time, straight into the output; the stream is position-based, so
 the rows equal one draw of the whole count.
 """
@@ -20,9 +20,7 @@ from typing import Final
 import numpy as np
 
 from .errors import DataError, DimensionError, FactorizationError, SpecError
-from .rng import PortableRng, derive_key
-
-_DOM_SAMPLE: Final = 0x5A
+from .rng import PortableRng
 
 #: First diagonal shift tried when a covariance does not factorize.
 _JITTER: Final = 1e-6
@@ -82,80 +80,34 @@ def cholesky_psd(cov):
         f"covariance not factorizable even with diagonal shift {_JITTER * 10.0 ** (_JITTER_STEPS - 2):g}")
 
 
-def sample_features(distributions, config: SamplerConfig, out=None):
-    """Draw ``config.total_per_class`` features for every class.
+def sample_features(dist, count: int, rng: PortableRng, out=None):
+    """Draw ``count`` features from one calibrated distribution.
 
-    ``distributions`` maps label -> a list, or any sized iterable, of
-    calibrated distributions, all of one dimension.  Each is read once, in
-    order, and factored and drawn from before the next one is read, so an
-    iterable that makes its distributions as they are read holds one at a
-    time.  The per-class budget is split evenly across that class's
-    distributions, with the first ``total mod count`` distributions
-    receiving one extra draw.  Returns ``(features, labels)``: float64
-    (n, dim) and int64 (n,), ordered by ascending label, then by
-    distribution index.  The features are drawn into ``out`` when it is
-    given, a C-contiguous float64 (n, dim) array that is returned as
-    ``features``, else into a new array.  After an error the contents of
-    ``out`` are unspecified.
+    Returns ``(features, shift)``: float64 (count, dim) rows drawn from
+    ``rng``, and the diagonal shift :func:`cholesky_psd` needed to factor
+    the covariance.  The rows are drawn into ``out`` when it is given, a
+    C-contiguous float64 (count, dim) array that is returned as
+    ``features``, else into a new array; a wrong ``out`` is refused before
+    the covariance is factored.  After an error the contents of ``out`` are
+    unspecified.
     """
-    if config.total_per_class < 1:
-        raise SpecError("sampling needs total_per_class >= 1")
-    if not distributions:
-        raise SpecError("no distributions to sample from")
-    labels = sorted(distributions)
-    for label in labels:
-        if not len(distributions[label]):
-            raise SpecError(f"class {label} has no calibrated distributions")
-    total = config.total_per_class
-    n = total * len(labels)
-    if out is not None and (out.ndim != 2 or out.shape[0] != n
-                            or out.dtype != np.float64
-                            or not out.flags.c_contiguous):
-        raise DimensionError(
-            f"out must be a C-contiguous float64 array of shape ({n}, dim)")
-    out_labels = np.repeat(np.asarray(labels, dtype=np.int64), total)
-    start = 0
-    for label in labels:
-        dists = distributions[label]
-        share, extra = divmod(total, len(dists))
-        reader = iter(dists)
-        for j in range(len(dists)):
-            count = share + (1 if j < extra else 0)
-            # the distribution is passed straight through, so it and its
-            # factor are freed before the next one is read
-            out = _draw(next(reader), label, j, count, config.seed, out, n,
-                        start)
-            start += count
-    return out, out_labels
-
-
-def _draw(dist, label, j, count: int, seed: int, out, n: int, start: int):
-    """Draw ``count`` rows of distribution ``j`` of class ``label`` into
-    ``out[start:start + count]``; return ``out``, allocated as (n, dim) when
-    it is None."""
     if out is None:
-        out = np.empty((n, dist.dim))
-    elif dist.dim != out.shape[1]:
+        out = np.empty((count, dist.dim))
+    elif (out.shape != (count, dist.dim) or out.dtype != np.float64
+          or not out.flags.c_contiguous):
         raise DimensionError(
-            f"class {label}, distribution {j} has dim {dist.dim}, "
-            f"expected {out.shape[1]}")
-    if count == 0:
-        return out
-    try:
-        factor, _ = cholesky_psd(dist.covariance)
-    except FactorizationError as exc:
-        raise FactorizationError(
-            f"class {label}, distribution {j}: {exc}") from exc
-    rng = PortableRng(derive_key(seed, _DOM_SAMPLE, int(label), j))
+            f"out must be a C-contiguous float64 array of shape "
+            f"({count}, {dist.dim})")
+    factor, shift = cholesky_psd(dist.covariance)
     step = max(2, _BLOCK_VALUES // dist.dim)
-    stop = start + count
-    while start < stop:
+    start = 0
+    while start < count:
         end = start + step
-        if end >= stop - 1:   # the last row joins this step
-            end = stop
+        if end >= count - 1:   # the last row joins this step
+            end = count
         rows = out[start:end]
         z = rng.normal(rows.size).reshape(rows.shape)
         np.matmul(z, factor.T, out=rows)
         rows += dist.mean
         start = end
-    return out
+    return out, shift

@@ -173,8 +173,8 @@ def test_sampler_moment_match():
                                       neighbor_class_ids=(0,))
         _, shift = cholesky_psd(dist.covariance)
         target = dist.covariance + shift * np.eye(d)
-        feats, _ = sample_features({0: [dist]},
-                                   SamplerConfig(total_per_class=n, seed=d))
+        feats, _ = sample_features(
+            dist, n, PortableRng(derive_key(d, 0x5A, 0, 0)))
         se = np.sqrt(np.diag(target) / n)
         worst_mean = max(worst_mean,
                          float(np.max(np.abs(feats.mean(axis=0) - mu) / se)))

@@ -240,22 +240,20 @@ def test_softmax_grad_leaves_inputs_alone():
 # ----------------------------------------------------------------- prediction
 
 def test_predict_rows_of_identity():
-    model = LinearModel(kind="logistic", weights=np.eye(3), bias=np.zeros(3),
-                        loss_history=())
+    model = LinearModel(weights=np.eye(3), bias=np.zeros(3), loss_history=())
     assert predict(model, [0.0, 1.0, 0.0]) == 1
     out = predict(model, np.eye(3))
     assert np.array_equal(out, [0, 1, 2])
 
 
 def test_predict_tie_goes_to_lowest_label():
-    model = LinearModel(kind="svm", weights=np.zeros((3, 2)), bias=np.zeros(3),
+    model = LinearModel(weights=np.zeros((3, 2)), bias=np.zeros(3),
                         loss_history=())
     assert predict(model, [1.0, 1.0]) == 0
 
 
 def test_predict_checks_dimensions():
-    model = LinearModel(kind="logistic", weights=np.eye(2), bias=np.zeros(2),
-                        loss_history=())
+    model = LinearModel(weights=np.eye(2), bias=np.zeros(2), loss_history=())
     with pytest.raises(DimensionError):
         predict(model, [1.0, 2.0, 3.0])
 

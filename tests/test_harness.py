@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+import weakref
 
 import numpy as np
 import pytest
@@ -8,12 +8,12 @@ from fsdc.calibration import CalibrationParams, calibrate_support_set
 from fsdc.classifiers import OptimizerConfig, train_logistic
 from fsdc.errors import DataError, DimensionError, SpecError
 from fsdc.features_io import Dataset, SplitManifest, SyntheticSpec, generate_synthetic
-from fsdc.harness import (_DOM_GEN, Episode, EpisodeSpec, EvalReport,
-                          PipelineConfig, collect_episode_features, evaluate,
-                          project_2d, run_episode, sample_episode)
-from fsdc.rng import derive_key
+from fsdc.harness import (_DOM_GEN, _DOM_SAMPLE, Episode, EpisodeSpec,
+                          EvalReport, PipelineConfig, collect_episode_features,
+                          evaluate, project_2d, run_episode, sample_episode)
+from fsdc.rng import PortableRng, derive_key
 from fsdc.sampling import SamplerConfig, sample_features
-from fsdc.stats import build_base_stats
+from fsdc.stats import BaseStatsTable, build_base_stats
 from fsdc.transform import TukeyParams, tukey_transform
 
 
@@ -181,12 +181,15 @@ def test_classifier_trains_on_the_collected_rows(monkeypatch, kw, k_shot):
     (5, {"tukey": TukeyParams(lam=1.0)}),
     (5, {"calib": CalibrationParams(use_novel_feature=False)}),
     (5, {"sampler": SamplerConfig(total_per_class=7, seed=1)}),
-], ids=["one_shot", "five_shot", "no_tukey", "no_novel", "uneven_share"])
+    (3, {"sampler": SamplerConfig(total_per_class=2, seed=1)}),
+], ids=["one_shot", "five_shot", "no_tukey", "no_novel", "uneven_share",
+        "zero_counts"])
 def test_class_at_a_time_generation_equals_one_call(monkeypatch, k_shot, kw):
-    # generation calibrates one support row as the sampler reads it; the
-    # training rows must equal, bit for bit, one calibration of the whole
-    # support set, one draw from all of it, and the draws stacked behind the
-    # support rows
+    # generation calibrates one support row at a time; the training rows
+    # must equal, bit for bit, one calibration of the whole support set and
+    # draws from it stacked behind the support rows: labels ascending, rows
+    # in support order, the first total mod K rows of a class drawing one
+    # extra, and row j of a class drawing from the stream of (label, j)
     ds, split, stats = make_world(num_classes=15)
     spec = EpisodeSpec(n_way=3, k_shot=k_shot, q_queries=4, num_episodes=1,
                        seed=2)
@@ -202,34 +205,58 @@ def test_class_at_a_time_generation_equals_one_call(monkeypatch, k_shot, kw):
     run_episode(ep, stats, cfg)
     support_x = tukey_transform(ep.support_x, cfg.tukey)
     dists = calibrate_support_set(support_x, ep.support_y, stats, cfg.calib)
-    sampler = replace(cfg.sampler,
-                      seed=derive_key(cfg.sampler.seed, _DOM_GEN, ep.index))
-    extra_x, extra_y = sample_features(dists, sampler)
+    seed = derive_key(cfg.sampler.seed, _DOM_GEN, ep.index)
+    total = cfg.sampler.total_per_class
+    extra_x, extra_y = [], []
+    for label in sorted(dists):
+        share, extra = divmod(total, len(dists[label]))
+        for j, dist in enumerate(dists[label]):
+            count = share + (1 if j < extra else 0)
+            rng = PortableRng(derive_key(seed, _DOM_SAMPLE, label, j))
+            extra_x.append(sample_features(dist, count, rng)[0])
+        extra_y += [label] * total
     (train,) = seen
-    assert np.array_equal(train.features, np.concatenate([support_x, extra_x]))
-    assert np.array_equal(train.labels, np.concatenate([ep.support_y, extra_y]))
+    assert np.array_equal(train.features,
+                          np.concatenate([support_x, *extra_x]))
+    assert np.array_equal(train.labels, np.concatenate([ep.support_y,
+                                                        extra_y]))
 
 
-def test_episode_holds_one_class_of_covariances_at_a_time():
-    # 5 classes of 5 shots at d=256: all 25 covariances would take 13.1 MB,
-    # one class's 2.6 MB; the bound allows two classes' covariances plus
-    # four copies of the training matrix
-    ds, split, _ = generate_synthetic(SyntheticSpec(
-        num_classes=30, dim=256, samples_per_class=40, group_size=5, seed=2))
-    stats = build_base_stats(ds, split)
-    spec = EpisodeSpec(n_way=5, k_shot=5, q_queries=15, num_episodes=1, seed=4)
+def test_episode_holds_one_distribution_at_a_time(monkeypatch):
+    # every distribution the episode calibrates is dead by the time the
+    # next support row is calibrated, and by the end of the episode
+    ds, split, stats = make_world(num_classes=15)
+    spec = EpisodeSpec(n_way=3, k_shot=5, q_queries=4, num_episodes=1,
+                       seed=2)
     ep = sample_episode(ds, split, spec, 0)
-    cfg = quick_cfg(optimizer=OptimizerConfig(epochs=2))
-    k, d = spec.k_shot, ds.dim
-    n_train = spec.n_way * (spec.k_shot + cfg.sampler.total_per_class)
-    bound = 2 * k * d * d * 8 + 4 * n_train * d * 8
-    tracemalloc.start()
-    try:
-        run_episode(ep, stats, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
+    cfg = quick_cfg(sampler=SamplerConfig(total_per_class=7, seed=1))
+    refs = []
+
+    def tracked(*args):
+        alive = [i for i, ref in enumerate(refs) if ref() is not None]
+        assert not alive, f"distributions {alive} alive at call {len(refs)}"
+        made = calibrate_support_set(*args)
+        refs.extend(weakref.ref(d) for dists in made.values() for d in dists)
+        return made
+
+    monkeypatch.setattr("fsdc.harness.calibrate_support_set", tracked)
+    run_episode(ep, stats, cfg)
+    assert len(refs) == spec.n_way * spec.k_shot
+    assert all(ref() is None for ref in refs)
+
+
+def test_non_finite_calibrated_covariance_names_its_row():
+    # the covariance a NaN base statistic spreads into is refused when it is
+    # factored, with the class and row it was calibrated for
+    nan = float("nan")
+    stats = BaseStatsTable([0, 1], [[1.0, 1.0], [2.0, 2.0]], [10, 10],
+                           [[1.0, 0.0, 1.0], [nan, 0.0, 1.0]])
+    x = np.array([[1.0, 0.0], [0.0, 1.0]])
+    ep = Episode(index=0, class_ids=(4, 9),
+                 support_x=x, support_y=np.array([0, 1]),
+                 query_x=x, query_y=np.array([0, 1]))
+    with pytest.raises(DataError, match="episode 0: class 0, distribution 0"):
+        run_episode(ep, stats, quick_cfg())
 
 
 def test_episode_holds_one_covariance_at_a_time():
