@@ -13,8 +13,7 @@ from .calibration import (CalibratedDistribution, CalibrationParams,
                           calibrate, calibrate_support_set)
 from .classifiers import (LinearModel, OptimizerConfig, TrainSet, predict,
                           train_logistic, train_svm)
-from .errors import (DataError, DimensionError, DivergenceError,
-                     FactorizationError, FormatError, FsdcError, SpecError)
+from .errors import DataError, FormatError, FsdcError, SpecError
 from .features_io import (Dataset, SplitManifest, SyntheticSpec,
                           generate_synthetic, load_dataset, load_split,
                           save_dataset, save_split)
@@ -29,14 +28,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseStatsTable", "CalibratedDistribution", "CalibrationParams",
-    "DataError", "Dataset", "DimensionError", "DivergenceError", "EpisodeSpec",
-    "EvalReport", "FactorizationError", "FormatError", "FsdcError",
-    "LinearModel", "OptimizerConfig", "PipelineConfig", "PortableRng",
-    "SamplerConfig", "SpecError", "SplitManifest", "SyntheticSpec", "TrainSet",
-    "TukeyParams", "build_base_stats", "calibrate", "calibrate_support_set",
-    "cholesky_psd", "class_similarity", "derive_key", "evaluate",
-    "generate_synthetic", "load_dataset", "load_split", "predict",
-    "project_2d", "run_episode", "sample_episode", "sample_features",
-    "save_dataset", "save_split", "train_logistic", "train_svm",
-    "tukey_transform",
+    "DataError", "Dataset", "EpisodeSpec", "EvalReport", "FormatError",
+    "FsdcError", "LinearModel", "OptimizerConfig", "PipelineConfig",
+    "PortableRng", "SamplerConfig", "SpecError", "SplitManifest",
+    "SyntheticSpec", "TrainSet", "TukeyParams", "build_base_stats",
+    "calibrate", "calibrate_support_set", "cholesky_psd", "class_similarity",
+    "derive_key", "evaluate", "generate_synthetic", "load_dataset",
+    "load_split", "predict", "project_2d", "run_episode", "sample_episode",
+    "sample_features", "save_dataset", "save_split", "train_logistic",
+    "train_svm", "tukey_transform",
 ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError, SpecError
+from .errors import DataError, SpecError
 from .features_io import Dataset
 from .rng import PortableRng
 from .stats import BaseStatsTable
@@ -59,7 +59,7 @@ class CalibratedDistribution:
         self.covariance = np.asarray(self.covariance, dtype=np.float64)
         d = self.mean.shape[0]
         if self.covariance.shape != (d, d):
-            raise DimensionError("covariance must be square and match the mean")
+            raise DataError("covariance must be square and match the mean")
 
     @property
     def dim(self) -> int:
@@ -79,7 +79,7 @@ def _nearest_rows(x, table: BaseStatsTable, k: int) -> np.ndarray:
     """Table rows of the k nearest base classes, nearest first."""
     xv = np.asarray(x, dtype=np.float64)
     if xv.shape != (table.dim,):
-        raise DimensionError(f"feature has shape {xv.shape}, table dim is {table.dim}")
+        raise DataError(f"feature has shape {xv.shape}, table dim is {table.dim}")
     if k < 1:
         raise SpecError("k must be at least 1")
     if k > len(table):
@@ -130,9 +130,9 @@ def calibrate_support_set(support_x, support_y, table: BaseStatsTable,
     xs = np.asarray(support_x, dtype=np.float64)
     ys = np.asarray(support_y)
     if xs.ndim != 2:
-        raise DimensionError("support features must be 2-D")
+        raise DataError("support features must be 2-D")
     if ys.shape != (xs.shape[0],):
-        raise DimensionError("support labels must match support features")
+        raise DataError("support labels must match support features")
     out: dict[int, list[CalibratedDistribution]] = {}
     for i in range(xs.shape[0]):
         out.setdefault(int(ys[i]), []).append(calibrate(xs[i], table, params))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError, DivergenceError, SpecError
+from .errors import DataError, SpecError
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,9 @@ class TrainSet:
         y = np.asarray(labels, dtype=np.int64)
         self.class_map = tuple(int(c) for c in class_map)
         if x.ndim != 2:
-            raise DimensionError("features must be 2-D")
+            raise DataError("features must be 2-D")
         if y.shape != (x.shape[0],):
-            raise DimensionError("labels must match features")
+            raise DataError("labels must match features")
         if len(self.class_map) < 2:
             raise SpecError("training needs at least 2 classes")
         if not np.isfinite(x).all():
@@ -136,7 +136,7 @@ def _step_size(x, l2: float) -> float:
     the Rayleigh quotient after fixed rounds of power iteration from X̃ᵀ1,
     which is never zero (its last entry is n), so the step is a pure function
     of the rows.  The quotient never exceeds λmax; 1.9 rather than 2 leaves
-    room for that.  Raises :class:`DivergenceError` when L overflows.
+    room for that.  Raises :class:`DataError` when L overflows.
     """
     u = np.ones(x.shape[0])
     # rows large enough to overflow L turn it into inf or nan, not a warning
@@ -147,7 +147,7 @@ def _step_size(x, l2: float) -> float:
             u = x @ v[:-1] + v[-1]
         curvature = 0.5 * float(u @ u) / (u.size * float(v @ v)) + l2
     if not math.isfinite(curvature):
-        raise DivergenceError("training rows overflow the curvature bound")
+        raise DataError("training rows overflow the curvature bound")
     return min(_MAX_STEP, 1.9 / curvature)
 
 
@@ -162,7 +162,7 @@ def _fit(train: TrainSet, config: OptimizerConfig, loss_grad) -> LinearModel:
         loss, grad_w, grad_b = loss_grad(weights, bias, x, y, config.l2)
         if not (math.isfinite(loss) and np.isfinite(grad_w).all()
                 and np.isfinite(grad_b).all()):
-            raise DivergenceError(f"training diverged at epoch {epoch}")
+            raise DataError(f"training diverged at epoch {epoch}")
         weights = weights - lr * grad_w
         bias = bias - lr * grad_b
         history.append(loss)
@@ -173,7 +173,7 @@ def _fit(train: TrainSet, config: OptimizerConfig, loss_grad) -> LinearModel:
 def train_logistic(train: TrainSet, config: OptimizerConfig = OptimizerConfig()) -> LinearModel:
     """Multinomial logistic regression by full-batch gradient descent."""
     # a diverging run can overflow exp or hit log(0) in its final epoch; the
-    # finite check turns that into DivergenceError, so keep numpy quiet here
+    # finite check turns that into DataError, so keep numpy quiet here
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return _fit(train, config, softmax_loss_grad)
 
@@ -184,17 +184,11 @@ def train_svm(train: TrainSet, config: OptimizerConfig = OptimizerConfig()) -> L
 
 
 def predict(model: LinearModel, features):
-    """Predicted task labels; ties go to the lowest label.
-
-    A 1-D input yields an int, a 2-D input an int64 array.
-    """
+    """Predicted task labels of 2-D query rows, an int64 array; ties go to
+    the lowest label."""
     x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != model.weights.shape[1]:
-        raise DimensionError("query features do not match the trained model")
+        raise DataError("query features do not match the trained model")
     scores = x @ model.weights.T + model.bias
-    labels = np.argmax(scores, axis=1)
-    return int(labels[0]) if single else labels
+    return np.argmax(scores, axis=1)
 

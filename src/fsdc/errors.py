@@ -2,8 +2,8 @@
 
 All errors raised on purpose derive from :class:`FsdcError`, so callers (and
 the command line front end) can catch one type and report the message.  Plain
-``OSError`` from the filesystem is deliberately left alone.  Each subclass
-names a failure that a caller can tell apart from the others; the command
+``OSError`` from the filesystem is deliberately left alone.  A failure comes
+down to what the caller must fix: a setting, a file, or the data; the command
 line exits with status 2 for a :class:`SpecError` and 1 for any other.
 """
 
@@ -20,21 +20,11 @@ class FormatError(FsdcError):
     """A file does not conform to its on-disk format (magic, version, layout)."""
 
 
-class DimensionError(FsdcError):
-    """Shapes or dimensionalities disagree."""
-
-
 class DataError(FsdcError):
-    """The data cannot support the operation: a value outside its domain
+    """The data's values or shape cannot support the operation: arrays whose
+    shapes or dimensionalities disagree, a value outside its domain
     (non-finite, negative where forbidden), a class with too few records or
     none, a split with fewer novel classes than an episode draws, a class id
-    missing from a table, or a statistic with no defined value (zero
-    variance, zero-norm vector)."""
-
-
-class FactorizationError(FsdcError):
-    """A covariance could not be Cholesky-factorized even after jitter."""
-
-
-class DivergenceError(FsdcError):
-    """Training produced a non-finite loss or gradient."""
+    missing from a table, a statistic with no defined value (zero variance,
+    zero-norm vector), a covariance that cannot be Cholesky-factorized even
+    after jitter, or training whose loss or gradient became non-finite."""

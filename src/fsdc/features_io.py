@@ -30,8 +30,7 @@ from typing import Final
 
 import numpy as np
 
-from .errors import (DataError, DimensionError, FormatError, FsdcError,
-                     SpecError)
+from .errors import DataError, FormatError, FsdcError, SpecError
 from .rng import PortableRng, derive_key
 
 _MAGIC: Final = b"FSDC"
@@ -98,13 +97,13 @@ class Dataset:
         ids = np.asarray(class_ids)
         vals = np.asarray(values)
         if vals.ndim != 2:
-            raise DimensionError("values must be a 2-D array (records x features)")
+            raise DataError("values must be a 2-D array (records x features)")
         if ids.ndim != 1 or ids.shape[0] != vals.shape[0]:
-            raise DimensionError("class_ids must have one entry per record")
+            raise DataError("class_ids must have one entry per record")
         if vals.shape[0] == 0:
             raise SpecError("dataset must contain at least one record")
         if vals.shape[1] == 0:
-            raise DimensionError("feature dimension must be at least 1")
+            raise DataError("feature dimension must be at least 1")
         if ids.dtype.kind not in "iu":
             raise SpecError("class ids must be integers")
         if ids.dtype.kind == "i" and (ids < 0).any():

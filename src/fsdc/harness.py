@@ -23,7 +23,7 @@ from .calibration import CalibrationParams, calibrate_support_set, \
     retrieve_nearest_class_features
 from .classifiers import (OptimizerConfig, TrainSet, predict, train_logistic,
                           train_svm)
-from .errors import DataError, DimensionError, FsdcError, SpecError
+from .errors import DataError, FsdcError, SpecError
 from .features_io import Dataset, SplitManifest
 from .rng import PortableRng, derive_key
 from .sampling import SamplerConfig, sample_features
@@ -323,9 +323,9 @@ def project_2d(features) -> np.ndarray:
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
-        raise DimensionError("features must be 2-D")
+        raise DataError("features must be 2-D")
     if x.shape[1] < 2:
-        raise DimensionError("projection needs at least 2 feature dimensions")
+        raise DataError("projection needs at least 2 feature dimensions")
     if x.shape[0] < 2:
         raise SpecError("projection needs at least 2 feature vectors")
     if not np.isfinite(x).all():

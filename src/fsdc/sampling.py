@@ -19,7 +19,7 @@ from typing import Final
 
 import numpy as np
 
-from .errors import DataError, DimensionError, FactorizationError, SpecError
+from .errors import DataError, SpecError
 from .rng import PortableRng
 
 #: First diagonal shift tried when a covariance does not factorize.
@@ -50,17 +50,18 @@ def cholesky_psd(cov):
 
     Tries the matrix as-is, then with c = 1e-6 * 10^t added to the diagonal
     for t = 0..6.  Returns ``(L, c)`` where c is the shift that succeeded
-    (0.0 when none was needed).  Raises FactorizationError when even the
-    largest shift fails.
+    (0.0 when none was needed).  Raises DataError for a matrix that is not
+    square, or when even the largest shift fails.
 
     This is the value check for calibrated covariances, which are built
-    unchecked: it raises DataError for a matrix that is not finite or not
-    symmetric to within rounding.  ``np.linalg.cholesky`` would not; it reads
-    only the lower triangle and returns a NaN or inf factor for such input.
+    unchecked: it also raises DataError for a matrix that is not finite or
+    not symmetric to within rounding.  ``np.linalg.cholesky`` would not; it
+    reads only the lower triangle and returns a NaN or inf factor for such
+    input.
     """
     s = np.asarray(cov, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise DimensionError("covariance must be square")
+        raise DataError("covariance must be square")
     if not np.isfinite(s).all():
         raise DataError("covariance must be finite")
     # the exact comparison settles the usual, exactly symmetric case at a
@@ -76,7 +77,7 @@ def cholesky_psd(cov):
             return np.linalg.cholesky(shifted), shift
         except np.linalg.LinAlgError:
             shift = _JITTER * 10.0 ** attempt
-    raise FactorizationError(
+    raise DataError(
         f"covariance not factorizable even with diagonal shift {_JITTER * 10.0 ** (_JITTER_STEPS - 2):g}")
 
 
@@ -88,14 +89,16 @@ def sample_features(dist, count: int, rng: PortableRng, out=None):
     the covariance.  The rows are drawn into ``out`` when it is given, a
     C-contiguous float64 (count, dim) array that is returned as
     ``features``, else into a new array; a wrong ``out`` is refused before
-    the covariance is factored.  After an error the contents of ``out`` are
-    unspecified.
+    the covariance is factored, as is a ``count`` below 1.  After an error
+    the contents of ``out`` are unspecified.
     """
+    if count < 1:
+        raise SpecError("count must be at least 1")
     if out is None:
         out = np.empty((count, dist.dim))
     elif (out.shape != (count, dist.dim) or out.dtype != np.float64
           or not out.flags.c_contiguous):
-        raise DimensionError(
+        raise DataError(
             f"out must be a C-contiguous float64 array of shape "
             f"({count}, {dist.dim})")
     factor, shift = cholesky_psd(dist.covariance)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, DimensionError
+from .errors import DataError
 from .features_io import Dataset, SplitManifest
 
 
@@ -66,11 +66,11 @@ class BaseStatsTable:
         counts = np.asarray(counts, dtype=np.int64)
         packed = np.asarray(packed_covariances, dtype=np.float64)
         if means.ndim != 2:
-            raise DimensionError("means must be a 2-D array (classes x dim)")
+            raise DataError("means must be a 2-D array (classes x dim)")
         n, d = means.shape
         if (ids.shape != (n,) or counts.shape != (n,)
                 or packed.shape != (n, d * (d + 1) // 2)):
-            raise DimensionError(
+            raise DataError(
                 f"{n} means of dim {d} need {n} class ids, {n} counts and "
                 f"{n} packed covariances of {d * (d + 1) // 2} values")
         if np.any(ids[1:] <= ids[:-1]):

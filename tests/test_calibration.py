@@ -4,7 +4,7 @@ import pytest
 from fsdc.calibration import (CalibrationParams, calibrate,
                               calibrate_support_set, nearest_base_classes,
                               retrieve_nearest_class_features)
-from fsdc.errors import DataError, DimensionError, SpecError
+from fsdc.errors import DataError, SpecError
 from fsdc.features_io import Dataset, SplitManifest, SyntheticSpec, generate_synthetic
 from fsdc.rng import PortableRng
 from fsdc.stats import BaseStatsTable, build_base_stats
@@ -54,7 +54,7 @@ def test_nearest_rejects_bad_arguments():
         nearest_base_classes([0.0], t, 3)
     with pytest.raises(SpecError):
         nearest_base_classes([0.0], t, 0)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DataError, match=r"feature has shape \(2,\)"):
         nearest_base_classes([0.0, 1.0], t, 1)
 
 
@@ -187,9 +187,9 @@ def test_identical_support_features_calibrate_identically():
 
 def test_calibrate_support_set_shape_errors():
     t = table_from_means([[0.0]])
-    with pytest.raises(DimensionError):
+    with pytest.raises(DataError, match="support labels must match"):
         calibrate_support_set(np.zeros((2, 1)), [0], t, CalibrationParams(k=1))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DataError, match="support features must be 2-D"):
         calibrate_support_set(np.zeros(3), [0, 1, 2], t, CalibrationParams(k=1))
 
 
@@ -235,7 +235,7 @@ def test_retrieval_without_replacement():
 def test_retrieval_m_too_large():
     ds = Dataset([0, 0], [[1.0], [2.0]])
     t = table_from_means([[0.0]])
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="has 2 records, cannot retrieve 3"):
         retrieve_nearest_class_features([0.0], ds, t, 3, PortableRng(1))
     with pytest.raises(SpecError):
         retrieve_nearest_class_features([0.0], ds, t, 0, PortableRng(1))

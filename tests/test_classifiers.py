@@ -5,7 +5,7 @@ from fsdc import classifiers
 from fsdc.classifiers import (LinearModel, OptimizerConfig, TrainSet,
                               hinge_loss_grad, predict, softmax_loss_grad,
                               train_logistic, train_svm)
-from fsdc.errors import DimensionError, DivergenceError, SpecError
+from fsdc.errors import DataError, SpecError
 from fsdc.features_io import SyntheticSpec, generate_synthetic
 from fsdc.harness import (EpisodeSpec, PipelineConfig,
                           collect_episode_features, sample_episode)
@@ -69,7 +69,7 @@ def test_overflowing_curvature_is_reported_as_divergence(train):
     # fail the test, as pytest turns it into an error
     ts = blobs(1)
     huge = TrainSet(ts.features * 1e200, ts.labels, ts.class_map)
-    with pytest.raises(DivergenceError, match="overflow"):
+    with pytest.raises(DataError, match="overflow"):
         train(huge)
 
 
@@ -241,7 +241,9 @@ def test_softmax_grad_leaves_inputs_alone():
 
 def test_predict_rows_of_identity():
     model = LinearModel(weights=np.eye(3), bias=np.zeros(3), loss_history=())
-    assert predict(model, [0.0, 1.0, 0.0]) == 1
+    one = predict(model, [[0.0, 1.0, 0.0]])
+    assert one.dtype == np.int64
+    assert np.array_equal(one, [1])
     out = predict(model, np.eye(3))
     assert np.array_equal(out, [0, 1, 2])
 
@@ -249,13 +251,16 @@ def test_predict_rows_of_identity():
 def test_predict_tie_goes_to_lowest_label():
     model = LinearModel(weights=np.zeros((3, 2)), bias=np.zeros(3),
                         loss_history=())
-    assert predict(model, [1.0, 1.0]) == 0
+    assert np.array_equal(predict(model, [[1.0, 1.0]]), [0])
 
 
 def test_predict_checks_dimensions():
     model = LinearModel(weights=np.eye(2), bias=np.zeros(2), loss_history=())
-    with pytest.raises(DimensionError):
-        predict(model, [1.0, 2.0, 3.0])
+    with pytest.raises(DataError, match="do not match the trained model"):
+        predict(model, [[1.0, 2.0, 3.0]])
+    # one query is a one-row matrix, not a vector
+    with pytest.raises(DataError, match="do not match the trained model"):
+        predict(model, [1.0, 2.0])
 
 
 def test_rescaled_features_do_not_flip_confident_predictions():
@@ -275,7 +280,7 @@ def test_trainset_validation():
         TrainSet(np.zeros((2, 2)), [0, 2], class_map=(0, 1))
     with pytest.raises(SpecError):
         TrainSet(np.zeros((2, 2)), [0, 0], class_map=(0, 1))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DataError, match="labels must match features"):
         TrainSet(np.zeros((2, 2)), [0], class_map=(0, 1))
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsdc import features_io
-from fsdc.errors import (DataError, DimensionError, FormatError, SpecError)
+from fsdc.errors import DataError, FormatError, SpecError
 from fsdc.features_io import (Dataset, SplitManifest, SyntheticSpec,
                               generate_synthetic, load_dataset, load_split,
                               save_dataset, save_split)
@@ -42,13 +42,13 @@ def test_dataset_rejects_empty():
 
 def test_dataset_rejects_nonfinite():
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="must be finite"):
             Dataset([0, 1], [[1.0, 2.0], [bad, 3.0]])
         # values are checked a block of rows at a time; the last row of
         # 2 MB of values lies beyond the first block
         values = np.zeros((2048, 256), dtype=np.float32)
         values[-1, -1] = bad
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="must be finite"):
             Dataset(np.zeros(2048, dtype=np.uint32), values)
 
 
@@ -91,7 +91,7 @@ def test_dataset_rejects_class_id_beyond_u32():
 
 
 def test_dataset_rejects_ragged_via_object_array():
-    with pytest.raises((DimensionError, ValueError)):
+    with pytest.raises(DataError, match="values must be a 2-D array"):
         Dataset([0, 1], np.array([[1.0], [1.0, 2.0]], dtype=object))
 
 

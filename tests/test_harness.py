@@ -6,7 +6,7 @@ import pytest
 
 from fsdc.calibration import CalibrationParams, calibrate_support_set
 from fsdc.classifiers import OptimizerConfig, train_logistic
-from fsdc.errors import DataError, DimensionError, SpecError
+from fsdc.errors import DataError, SpecError
 from fsdc.features_io import Dataset, SplitManifest, SyntheticSpec, generate_synthetic
 from fsdc.harness import (_DOM_GEN, _DOM_SAMPLE, Episode, EpisodeSpec,
                           EvalReport, PipelineConfig, collect_episode_features,
@@ -212,6 +212,8 @@ def test_class_at_a_time_generation_equals_one_call(monkeypatch, k_shot, kw):
         share, extra = divmod(total, len(dists[label]))
         for j, dist in enumerate(dists[label]):
             count = share + (1 if j < extra else 0)
+            if count == 0:   # a row with no draws is skipped
+                continue
             rng = PortableRng(derive_key(seed, _DOM_SAMPLE, label, j))
             extra_x.append(sample_features(dist, count, rng)[0])
         extra_y += [label] * total
@@ -261,10 +263,14 @@ def test_non_finite_calibrated_covariance_names_its_row():
 
 def test_episode_holds_one_covariance_at_a_time():
     # the same episode: one covariance at d=256 is 0.5 MB; calibrating a
-    # class's 5 before drawing from any of them peaked at 6.29 MB, one at a
-    # time at 3.48 MB.  The bound allows four d×d matrices (a covariance,
-    # its factor and the calibration's temporaries) plus four copies of the
-    # training matrix
+    # class's 5 before drawing from any of them peaked at 6.29 MB.  In a
+    # fresh process the episode now peaks at 3.51 MB and _train_rows at
+    # 3.31 MB, the same when each previous distribution is kept alive: the
+    # peak comes from the draw (a covariance, its factor and a block's
+    # normals and their temporaries), not from calibration.  So this bounds
+    # the draw; test_episode_holds_one_distribution_at_a_time is the one
+    # that checks a distribution's lifetime.  The bound allows four d×d
+    # matrices plus four copies of the training matrix
     ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=30, dim=256, samples_per_class=40, group_size=5, seed=2))
     stats = build_base_stats(ds, split)
@@ -434,9 +440,9 @@ def test_project_2d_sign_convention_is_stable():
 
 
 def test_project_2d_errors():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="zero variance"):
         project_2d(np.ones((10, 3)))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DataError, match="features must be 2-D"):
         project_2d(np.ones((10,)))
     with pytest.raises(SpecError):
         project_2d(np.ones((1, 3)))

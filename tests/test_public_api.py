@@ -11,16 +11,15 @@ README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
 # surface only by an edit here as well.
 PUBLIC_NAMES = [
     "BaseStatsTable", "CalibratedDistribution", "CalibrationParams",
-    "DataError", "Dataset", "DimensionError", "DivergenceError", "EpisodeSpec",
-    "EvalReport", "FactorizationError", "FormatError", "FsdcError",
-    "LinearModel", "OptimizerConfig", "PipelineConfig", "PortableRng",
-    "SamplerConfig", "SpecError", "SplitManifest", "SyntheticSpec", "TrainSet",
-    "TukeyParams", "build_base_stats", "calibrate", "calibrate_support_set",
-    "cholesky_psd", "class_similarity", "derive_key", "evaluate",
-    "generate_synthetic", "load_dataset", "load_split", "predict",
-    "project_2d", "run_episode", "sample_episode", "sample_features",
-    "save_dataset", "save_split", "train_logistic", "train_svm",
-    "tukey_transform",
+    "DataError", "Dataset", "EpisodeSpec", "EvalReport", "FormatError",
+    "FsdcError", "LinearModel", "OptimizerConfig", "PipelineConfig",
+    "PortableRng", "SamplerConfig", "SpecError", "SplitManifest",
+    "SyntheticSpec", "TrainSet", "TukeyParams", "build_base_stats",
+    "calibrate", "calibrate_support_set", "cholesky_psd", "class_similarity",
+    "derive_key", "evaluate", "generate_synthetic", "load_dataset",
+    "load_split", "predict", "project_2d", "run_episode", "sample_episode",
+    "sample_features", "save_dataset", "save_split", "train_logistic",
+    "train_svm", "tukey_transform",
 ]
 
 
@@ -31,6 +30,13 @@ def test_all_is_the_pinned_sorted_list():
 
 def test_every_public_name_resolves():
     assert [name for name in fsdc.__all__ if not hasattr(fsdc, name)] == []
+
+
+def test_three_kinds_of_error():
+    # a setting, a file or the data; the command line exits 2 for a setting
+    assert set(fsdc.FsdcError.__subclasses__()) == {
+        fsdc.SpecError, fsdc.FormatError, fsdc.DataError}
+    assert issubclass(fsdc.SpecError, ValueError)
 
 
 def test_readme_names_the_submodule_only_helpers():

@@ -5,7 +5,7 @@ import pytest
 
 import fsdc.sampling
 from fsdc.calibration import CalibratedDistribution
-from fsdc.errors import DataError, DimensionError, FactorizationError, SpecError
+from fsdc.errors import DataError, SpecError
 from fsdc.rng import PortableRng
 from fsdc.sampling import SamplerConfig, cholesky_psd, sample_features
 
@@ -41,7 +41,7 @@ def test_cholesky_rank_deficient_gets_small_shift():
 
 def test_cholesky_gives_up_eventually():
     s = np.diag([-5.0, -5.0])
-    with pytest.raises(FactorizationError):
+    with pytest.raises(DataError, match="not factorizable"):
         cholesky_psd(s)
 
 
@@ -54,11 +54,11 @@ def test_cholesky_accepts_rounding_level_asymmetry():
 
 
 def test_cholesky_input_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="must be symmetric"):
         cholesky_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="must be finite"):
         cholesky_psd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DataError, match="covariance must be square"):
         cholesky_psd(np.ones((2, 3)))
 
 
@@ -68,7 +68,7 @@ def test_cholesky_input_validation():
 def test_calibrated_covariance_values_are_checked_when_factored(cov):
     # a calibrated distribution checks only shapes; its one reader factors
     # the covariance, and the factorization refuses bad values
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="must be (symmetric|finite)"):
         sample_features(dist([0.0, 0.0], cov), 4, PortableRng(0))
 
 
@@ -128,9 +128,23 @@ def test_sample_into_out_checks_it(monkeypatch):
                         lambda c: factored.append(c) or cholesky_psd(c))
     for out in (np.empty((3, 2)), np.empty((4, 2), dtype=np.float32),
                 np.empty((2, 4)).T, np.empty(8), np.empty((4, 3))):
-        with pytest.raises(DimensionError, match="out must be"):
+        with pytest.raises(DataError, match="out must be"):
             sample_features(dist([0.0, 0.0], np.eye(2)), 4, PortableRng(0),
                             out=out)
+    assert factored == []
+
+
+@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("with_out", [False, True], ids=["new", "out"])
+def test_sample_refuses_count_below_one(monkeypatch, count, with_out):
+    # refused before out is checked and before the covariance is factored
+    factored = []
+    monkeypatch.setattr(fsdc.sampling, "cholesky_psd",
+                        lambda c: factored.append(c) or cholesky_psd(c))
+    out = np.empty((max(count, 0), 2)) if with_out else None
+    with pytest.raises(SpecError, match="count must be at least 1"):
+        sample_features(dist([0.0, 0.0], np.eye(2)), count, PortableRng(0),
+                        out=out)
     assert factored == []
 
 
@@ -171,14 +185,14 @@ def test_sample_covariance_includes_jitter_shift():
 
 
 def test_sample_rejects_bad_inputs():
-    with pytest.raises(FactorizationError):
+    with pytest.raises(DataError, match="not factorizable"):
         sample_features(dist([0.0, 0.0], np.diag([-4.0, -4.0])), 10,
                         PortableRng(0))
 
 
 def test_sample_rejects_mixed_dimensions():
     # rows of one dimension are not drawn into a matrix of another
-    with pytest.raises(DimensionError, match=r"shape \(4, 3\)"):
+    with pytest.raises(DataError, match=r"shape \(4, 3\)"):
         sample_features(dist([0.0, 0.0, 0.0], np.eye(3)), 4, PortableRng(0),
                         out=np.empty((4, 2)))
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fsdc.errors import DataError, DimensionError
+from fsdc.errors import DataError
 from fsdc.features_io import Dataset, SplitManifest, SyntheticSpec, generate_synthetic
 from fsdc.stats import BaseStatsTable, build_base_stats, class_similarity
 from synthetic_moments import feature_moments
@@ -120,15 +120,15 @@ def test_class_statistics_validation():
             BaseStatsTable(bad_ids, means, counts, covs)
     with pytest.raises(DataError, match="count >= 2"):
         BaseStatsTable(ids, means, [5, 1], covs)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DataError, match="2 means of dim 3 need 2 class ids"):
         BaseStatsTable(ids, np.zeros((2, 3)), counts, covs)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DataError, match="means must be a 2-D array"):
         BaseStatsTable(ids, np.zeros(2), counts, covs)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DataError, match="need 2 class ids"):
         BaseStatsTable([0, 1, 2], means, counts, covs)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DataError, match="need 2 class ids"):
         BaseStatsTable(ids, means, [5], covs)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DataError, match="need 2 class ids"):
         BaseStatsTable(ids, means, counts, covs[:1])
 
 
