@@ -10,11 +10,11 @@ Subcommands:
 
 Every command that reads a dataset (an FSDC file, the one dataset format,
 with its split manifest) builds its base-class statistics from it, from
-untransformed features.  Settings can come from a JSON config file (flat,
-dotted keys such as ``calib.k``) and from flags; a flag always wins over the
-file.  A stage is switched off by its own value: ``--lambda 1`` for
-the transform, ``--num-generated 0`` for generation; retrieval is on when
-``--retrieve`` is positive.  All outputs are written atomically.  Errors print
+untransformed features.  Each setting is one flag; a setting whose flag is
+not given keeps its default from ``EpisodeSpec`` or ``PipelineConfig``.  A
+stage is switched off by its own value: ``--lambda 1`` for the transform,
+``--num-generated 0`` for generation; retrieval is on when ``--retrieve`` is
+positive.  All outputs are written atomically.  Errors print
 ``error: <reason>`` to stderr; invalid settings exit with status 2, runtime
 failures with 1.
 """
@@ -28,17 +28,15 @@ from dataclasses import fields, replace
 
 from .errors import FsdcError, SpecError
 from .features_io import (SyntheticSpec, atomic_write_text, generate_synthetic,
-                          load_dataset, load_split, read_json_object,
-                          save_dataset, save_split)
+                          load_dataset, load_split, save_dataset, save_split)
 from .harness import (EpisodeSpec, PipelineConfig, collect_episode_features,
                       evaluate, project_2d, sample_episode)
 from .stats import build_base_stats, class_similarity
 
-# dotted config key -> (flag, what the flag takes, help).  What the flag
-# takes is a type, a tuple of choices, or the value a switch flag stores.
-# The key names a field of EpisodeSpec ("episode.") or of PipelineConfig
-# and its nested dataclasses, which hold every default; "workers" belongs to
-# the command line alone.
+# settings key -> (flag, what the flag takes, help).  What the flag takes is
+# a type, a tuple of choices, or the value a switch flag stores.  Each key
+# names one field of EpisodeSpec ("episode.") or of PipelineConfig and its
+# nested dataclasses, which hold every default; ``sweep --param`` takes it.
 _SETTINGS = {
     "episode.n_way": ("--n-way", int, None),
     "episode.k_shot": ("--k-shot", int, None),
@@ -58,57 +56,19 @@ _SETTINGS = {
                  "feature instead of generated ones (0 is off)"),
     "optimizer.epochs": ("--opt-epochs", int, None),
     "optimizer.l2": ("--l2", float, None),
-    "workers": ("--workers", int, "episode worker processes (default: 1)"),
 }
 
 # the keys ``sweep`` varies: every int or float setting of the pipeline.  The
-# episode keys and "workers" are left out, so every cell runs the same
-# episodes.
+# episode keys are left out, so every cell runs the same episodes.
 _SWEEP_KEYS = tuple(key for key, (_, takes, _) in _SETTINGS.items()
-                    if takes in (int, float)
-                    and not key.startswith("episode.") and key != "workers")
-
-
-def _check_config_value(key: str, value):
-    takes = _SETTINGS[key][1]
-    if isinstance(takes, bool):
-        if not isinstance(value, bool):
-            raise SpecError(f"config key {key!r} must be true or false")
-        return value
-    if takes is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SpecError(f"config key {key!r} must be an integer")
-        return value
-    if takes is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SpecError(f"config key {key!r} must be a number")
-        try:
-            return float(value)
-        except OverflowError:
-            raise SpecError(f"config key {key!r} is too large") from None
-    if not isinstance(value, str):
-        raise SpecError(f"config key {key!r} must be a string")
-    return value
-
-
-def _load_config(path) -> dict:
-    out = {}
-    for key, value in read_json_object(path, SpecError, "config file").items():
-        if key not in _SETTINGS:
-            raise SpecError(f"unknown config key {key!r}")
-        out[key] = _check_config_value(key, value)
-    return out
+                    if takes in (int, float) and not key.startswith("episode."))
 
 
 def _gather_settings(args) -> dict:
-    """The explicitly set keys: the config file's, then the flags', which
-    win.  Keys set by neither are absent and keep their dataclass default."""
-    settings = _load_config(args.config) if args.config else {}
-    for key in _SETTINGS:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
-    return settings
+    """The keys whose flags were given.  The others are absent and keep
+    their dataclass default."""
+    return {key: getattr(args, key) for key in _SETTINGS
+            if getattr(args, key) is not None}
 
 
 def _configs(settings: dict) -> tuple[EpisodeSpec, PipelineConfig]:
@@ -121,8 +81,6 @@ def _configs(settings: dict) -> tuple[EpisodeSpec, PipelineConfig]:
     """
     by_section: dict[str, dict] = {}
     for key, value in settings.items():
-        if key == "workers":
-            continue
         section, _, name = key.rpartition(".")
         name = "lam" if name == "lambda" else name
         by_section.setdefault(section, {})[name] = value
@@ -134,11 +92,10 @@ def _configs(settings: dict) -> tuple[EpisodeSpec, PipelineConfig]:
     return spec, replace(cfg, **nested, **top)
 
 
-def _resolve_workers(settings: dict) -> int:
-    count = settings.get("workers", 1)
-    if count < 1:
+def _check_workers(args) -> int:
+    if args.workers < 1:
         raise SpecError("workers must be at least 1")
-    return count
+    return args.workers
 
 
 def _load_world(args):
@@ -187,11 +144,10 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    settings = _gather_settings(args)
-    spec, cfg = _configs(settings)
+    spec, cfg = _configs(_gather_settings(args))
+    workers = _check_workers(args)
     ds, split, table = _load_world(args)
-    report = evaluate(ds, split, table, spec, cfg,
-                      workers=_resolve_workers(settings))
+    report = evaluate(ds, split, table, spec, cfg, workers=workers)
     print(f"accuracy: {100 * report.mean_accuracy:.2f}% "
           f"± {100 * report.ci95:.2f}% "
           f"({len(report.episode_accuracies)} episodes)")
@@ -223,7 +179,7 @@ def _cmd_sweep(args) -> int:
     # value exits 2 without the work
     cells = [(value, _configs({**settings, args.param: value})[1])
              for value in _parse_sweep_values(args.param, args.values)]
-    workers = _resolve_workers(settings)
+    workers = _check_workers(args)
     ds, split, table = _load_world(args)
     csv_lines = ["value,mean_accuracy,ci95"]
     payload = []
@@ -244,8 +200,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    settings = _gather_settings(args)
-    spec, cfg = _configs(settings)
+    spec, cfg = _configs(_gather_settings(args))
     ds, split, table = _load_world(args)
     if not 0 <= args.episode_index < spec.num_episodes:
         raise SpecError(f"episode index {args.episode_index} outside "
@@ -274,9 +229,8 @@ def _add_io_flags(parser):
 
 
 def _add_setting_flags(parser):
-    """``--config`` and one flag per settings key, with the key as its
-    destination."""
-    parser.add_argument("--config", help="JSON config file with dotted keys")
+    """One flag per settings key, with the key as its destination, and
+    ``--workers``."""
     for key, (flag, takes, help_text) in _SETTINGS.items():
         if isinstance(takes, bool):
             parser.add_argument(flag, dest=key, action="store_const",
@@ -285,6 +239,8 @@ def _add_setting_flags(parser):
             parser.add_argument(flag, dest=key, choices=takes, help=help_text)
         else:
             parser.add_argument(flag, dest=key, type=takes, help=help_text)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="episode worker processes (default: 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -30,7 +30,7 @@ from typing import Final
 
 import numpy as np
 
-from .errors import DataError, FormatError, FsdcError, SpecError
+from .errors import DataError, FormatError, SpecError
 from .rng import PortableRng, derive_key
 
 _MAGIC: Final = b"FSDC"
@@ -71,19 +71,6 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
-
-
-def read_json_object(path, error: type[FsdcError], what: str) -> dict:
-    """The JSON object in the UTF-8 file at ``path``.  A file that is not
-    UTF-8, not JSON or not an object raises ``error``, named as ``what``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:   # not UTF-8, not JSON, too many digits
-            raise error(f"{what} is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise error(f"{what} must hold a JSON object")
-    return payload
 
 
 class Dataset:
@@ -230,7 +217,14 @@ def save_split(manifest: SplitManifest, path) -> None:
 
 
 def load_split(path) -> SplitManifest:
-    payload = read_json_object(path, FormatError, "split manifest")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:   # not UTF-8, not JSON, too many digits
+            raise FormatError(
+                f"split manifest is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise FormatError("split manifest must hold a JSON object")
     extra = set(payload) - {"base", "val", "novel"}
     if extra:
         raise FormatError(f"unknown split manifest keys: {sorted(extra)}")

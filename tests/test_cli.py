@@ -218,95 +218,10 @@ def test_eval_workers_flag_matches_serial(world, tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-# --------------------------------------------------------------------- config
-
-def test_config_file_merges_and_flags_win(world, tmp_path):
-    cfg = tmp_path / "settings.json"
-    cfg.write_text(json.dumps({"calib.k": 3, "sampler.total_per_class": 20}))
-    out = str(tmp_path / "r.json")
-    assert main(eval_args(world, "--config", str(cfg), "--out", out)) == 0
-    report = json.loads(open(out).read())
-    assert report["pipeline"]["calib"]["k"] == 3
-    assert report["pipeline"]["sampler"]["total_per_class"] == 30  # flag wins
-    out2 = str(tmp_path / "r2.json")
-    assert main(eval_args(world, "--config", str(cfg), "--k", "4",
-                          "--out", out2)) == 0
-    assert json.loads(open(out2).read())["pipeline"]["calib"]["k"] == 4
-
-
-def test_config_rejects_unknown_key(world, tmp_path, capsys):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"calib.kk": 3}))
-    assert main(eval_args(world, "--config", str(cfg))) == 2
-    assert "unknown config key" in capsys.readouterr().err
-
-
-def test_config_that_is_not_utf8_exits_2(world, tmp_path, capsys):
-    cfg = tmp_path / "utf16.json"
-    cfg.write_bytes(b"\xff\xfe{\x00}\x00")
-    assert main(eval_args(world, "--config", str(cfg))) == 2
-    assert capsys.readouterr().err.startswith(
-        "error: config file is not valid JSON")
-
-
-def test_config_with_an_overlong_integer_exits_2(world, tmp_path, capsys):
-    # more digits than Python converts to an int by default
-    cfg = tmp_path / "long.json"
-    cfg.write_text('{"calib.k": ' + "9" * 5001 + "}")
-    assert main(eval_args(world, "--config", str(cfg))) == 2
-    assert capsys.readouterr().err.startswith(
-        "error: config file is not valid JSON")
-
-
-def test_config_number_beyond_float_range_exits_2(world, tmp_path, capsys):
-    # an integer is a valid number, but this one has no float
-    cfg = tmp_path / "huge.json"
-    cfg.write_text('{"calib.alpha": 1' + "0" * 400 + "}")
-    assert main(eval_args(world, "--config", str(cfg))) == 2
-    assert capsys.readouterr().err.startswith(
-        "error: config key 'calib.alpha' is too large")
-
-
-def test_config_rejects_tukey_base_key(world, tmp_path, capsys):
-    # base statistics are always taken from untransformed features
-    cfg = tmp_path / "old.json"
-    cfg.write_text(json.dumps({"tukey_base": True}))
-    assert main(eval_args(world, "--config", str(cfg), "--episodes", "1")) == 2
-    assert "unknown config key 'tukey_base'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("key, value, refusal", [
-    ("sampler.jitter", 1e-5, "unknown config key 'sampler.jitter'"),
-    ("tukey.log_epsilon", 1e-3, "unknown config key 'tukey.log_epsilon'"),
-    ("classifier", "max_likelihood", "unknown classifier 'max_likelihood'"),
-    ("use_tukey", False, "unknown config key 'use_tukey'"),
-    ("use_generation", False, "unknown config key 'use_generation'"),
-    ("baseline", "nearest:3", "unknown config key 'baseline'"),
-    ("optimizer.learning_rate", 0.3,
-     "unknown config key 'optimizer.learning_rate'"),
-], ids=["sampler.jitter", "tukey.log_epsilon", "classifier", "use_tukey",
-        "use_generation", "baseline", "optimizer.learning_rate"])
-def test_config_rejects_deleted_settings(world, tmp_path, capsys, key, value,
-                                         refusal):
-    # every episode trains a linear model; the covariance jitter and the
-    # log rung's zero shift are fixed; a stage is switched off by its own
-    # value, and retrieval by "retrieve"; the step size follows from the
-    # training rows
-    cfg = tmp_path / "old.json"
-    cfg.write_text(json.dumps({key: value}))
-    assert main(eval_args(world, "--config", str(cfg), "--episodes", "1")) == 2
-    assert refusal in capsys.readouterr().err
-
-
-def test_config_rejects_wrong_type(world, tmp_path, capsys):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"calib.k": "two"}))
-    assert main(eval_args(world, "--config", str(cfg))) == 2
-    assert "must be an integer" in capsys.readouterr().err
-
+# ------------------------------------------------------------------- settings
 
 # every settings key: its flag arguments, the value they set, and where that
-# value lands in the report (None for keys that only the command line has)
+# value lands in the report
 SETTING_CASES = {
     "episode.n_way": (["--n-way", "3"], 3, ("episode_spec", "n_way")),
     "episode.k_shot": (["--k-shot", "2"], 2, ("episode_spec", "k_shot")),
@@ -327,7 +242,6 @@ SETTING_CASES = {
     "optimizer.epochs": (["--opt-epochs", "50"], 50,
                          ("pipeline", "optimizer", "epochs")),
     "optimizer.l2": (["--l2", "0.01"], 0.01, ("pipeline", "optimizer", "l2")),
-    "workers": (["--workers", "2"], 2, None),
 }
 
 
@@ -349,28 +263,19 @@ def _leaf_keys(cls, prefix=""):
 
 def test_every_setting_has_one_name():
     # each field of the episode spec and the pipeline config is set by
-    # exactly one settings key, and each key but "workers" sets one field
+    # exactly one settings key, and each key sets one field
     keys = (_leaf_keys(EpisodeSpec, "episode.") + _leaf_keys(PipelineConfig))
     assert len(keys) == len(set(keys))
-    assert set(keys) == set(cli._SETTINGS) - {"workers"}
+    assert set(keys) == set(cli._SETTINGS)
 
 
 @pytest.mark.parametrize("key", sorted(SETTING_CASES))
-def test_config_key_and_flag_set_the_same_value(key, tmp_path):
+def test_flag_sets_its_key_and_report_field(key):
     argv, value, path = SETTING_CASES[key]
-    cfg_file = tmp_path / "one.json"
-    cfg_file.write_text(json.dumps({key: value}))
-    parser = cli._build_parser()
     io = ["eval", "--dataset", "d.fsdc", "--split", "s.json"]
-    from_flag = cli._gather_settings(parser.parse_args(io + argv))
-    from_file = cli._gather_settings(
-        parser.parse_args(io + ["--config", str(cfg_file)]))
-    assert from_flag == from_file == {key: value}
-    configs = cli._configs(from_flag)
-    assert configs == cli._configs(from_file)
-    if path is None:
-        assert configs == cli._configs({})
-        return
+    settings = cli._gather_settings(cli._build_parser().parse_args(io + argv))
+    assert settings == {key: value}
+    configs = cli._configs(settings)
     payload = {"episode_spec": configs[0].to_payload(),
                "pipeline": configs[1].to_payload()}
     default = {"episode_spec": EpisodeSpec().to_payload(),
@@ -423,16 +328,17 @@ def test_readme_lists_every_stats_flag():
     (["eval", "--lr", "0.3"], "unrecognized arguments: --lr"),
     (["eval", "--format", "csv"], "unrecognized arguments: --format"),
     (["stats", "--format", "csv"], "unrecognized arguments: --format"),
+    (["eval", "--config", "x.json"], "unrecognized arguments: --config"),
 ], ids=["eval-stats", "eval-tukey-base", "stats-out", "stats-lambda",
         "eval-jitter", "eval-log-epsilon", "eval-max-likelihood",
         "eval-no-tukey", "eval-no-generation", "eval-baseline", "eval-lr",
-        "eval-format", "stats-format"])
+        "eval-format", "stats-format", "eval-config"])
 def test_deleted_flags_are_rejected(world, capsys, argv, refusal):
     # base statistics are always built from the dataset, untransformed;
     # every episode trains a linear model with fixed jitter and zero shift;
     # --lambda 1 and --num-generated 0 switch a stage off, --retrieve M
     # switches retrieval on; the step size follows from the training rows;
-    # FSDC is the one dataset format
+    # FSDC is the one dataset format; settings come from flags only
     with pytest.raises(SystemExit) as exc:
         main([argv[0], "--dataset", world["dataset"], "--split",
               world["split"], *argv[1:]])
@@ -459,6 +365,16 @@ def test_non_finite_setting_exits_before_reading_the_dataset(world, capsys,
                "--split", world["split"], flag, "inf"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", [
+    ["eval"], ["sweep", "--param", "calib.k", "--values", "2",
+               "--out-prefix", "never"]], ids=["eval", "sweep"])
+def test_zero_workers_exit_before_reading_the_dataset(world, capsys, command):
+    rc = main([*command, "--dataset", str(world["root"] / "absent.fsdc"),
+               "--split", world["split"], "--workers", "0"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: workers must be at least 1\n"
 
 
 def test_one_way_episodes_exit_before_reading_the_dataset(world, capsys):
