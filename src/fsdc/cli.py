@@ -229,8 +229,7 @@ def _add_io_flags(parser):
 
 
 def _add_setting_flags(parser):
-    """One flag per settings key, with the key as its destination, and
-    ``--workers``."""
+    """One flag per settings key, with the key as its destination."""
     for key, (flag, takes, help_text) in _SETTINGS.items():
         if isinstance(takes, bool):
             parser.add_argument(flag, dest=key, action="store_const",
@@ -239,8 +238,6 @@ def _add_setting_flags(parser):
             parser.add_argument(flag, dest=key, choices=takes, help=help_text)
         else:
             parser.add_argument(flag, dest=key, type=takes, help=help_text)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="episode worker processes (default: 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -282,6 +279,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma-separated list, e.g. 0.2,0.5,1.0")
     sw.add_argument("--out-prefix", dest="out_prefix", required=True)
     sw.set_defaults(func=_cmd_sweep)
+
+    # ``project`` runs its one episode in this process
+    for runs_episodes in (ev, sw):
+        runs_episodes.add_argument(
+            "--workers", type=int, default=1,
+            help="episode worker processes (default: 1)")
 
     proj = sub.add_parser("project", help="2-D projection of one episode")
     _add_io_flags(proj)

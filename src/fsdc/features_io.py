@@ -98,12 +98,14 @@ class Dataset:
         if (ids > _MAX_CLASS_ID).any():
             raise SpecError("class ids must be below 2**32")
         self.class_ids = ids.astype(np.uint32, copy=False)
-        self.values = np.ascontiguousarray(vals, dtype=np.float32)
+        # a value beyond float32's range becomes inf, refused below
+        with np.errstate(over="ignore"):
+            self.values = np.ascontiguousarray(vals, dtype=np.float32)
         # a block of rows at a time: no mask of one byte per value
         step = max(1, _CHUNK_BYTES // self.values[0].nbytes)
         for lo in range(0, self.count, step):
             if not np.isfinite(self.values[lo:lo + step]).all():
-                raise DataError("feature values must be finite")
+                raise DataError("feature values must be finite in float32")
 
     @property
     def count(self) -> int:

@@ -5,17 +5,21 @@ The covariance is the standard unbiased estimator
 
     cov = (1 / (n - 1)) * sum_j (x_j - mean) (x_j - mean)^T
 
-computed in float64.  The base table is built from the untransformed base
-features of the dataset being evaluated, every time it is needed; it is
-never stored, so it cannot come from another dataset or feature space.
+computed in float64 and rounded once to float32, the precision of the
+features it is estimated from: its sampling error from a few hundred rows
+(about 1/sqrt(n)) is far above float32's rounding.  The base table is built
+from the untransformed base features of the dataset being evaluated, every
+time it is needed; it is never stored, so it cannot come from another
+dataset or feature space.
 
 :class:`BaseStatsTable` is the one form in which class statistics are kept:
 a row per class of mean, record count and covariance.  It keeps only each
-covariance's lower triangle, packed row by row: ``d(d+1)/2`` float64 values
-per class instead of ``d*d``, 1.6 MB instead of 3.3 MB at d=640.  A shared
-``(d, d)`` gather map expands a packed row, or a sum of packed rows, back
-into the full matrix, which is therefore exactly symmetric, and
-:func:`class_similarity` reads the variances straight off the packed rows.
+covariance's lower triangle, packed row by row: ``d(d+1)/2`` float32 values
+per class instead of ``d*d`` float64 ones, 0.8 MB instead of 3.3 MB at
+d=640.  A shared ``(d, d)`` gather map expands a packed row, or a sum of
+packed rows, back into the full matrix, which is therefore exactly
+symmetric, and :func:`class_similarity` reads the variances straight off
+the packed rows.
 """
 
 from __future__ import annotations
@@ -57,14 +61,17 @@ class BaseStatsTable:
 
     The arrays are kept as given, without a copy: ``class_ids`` (n,) strictly
     ascending, ``means`` (n, d), ``counts`` (n,) of at least 2 each, and
-    ``packed_covariances`` (n, d(d+1)/2).
+    ``packed_covariances`` (n, d(d+1)/2), float32 or float64; covariances
+    of any other dtype are converted to float64.
     """
 
     def __init__(self, class_ids, means, counts, packed_covariances) -> None:
         ids = np.asarray(class_ids, dtype=np.int64)
         means = np.asarray(means, dtype=np.float64)
         counts = np.asarray(counts, dtype=np.int64)
-        packed = np.asarray(packed_covariances, dtype=np.float64)
+        packed = np.asarray(packed_covariances)
+        if packed.dtype not in (np.float32, np.float64):
+            packed = packed.astype(np.float64)
         if means.ndim != 2:
             raise DataError("means must be a 2-D array (classes x dim)")
         n, d = means.shape
@@ -103,7 +110,8 @@ class BaseStatsTable:
 
     @property
     def packed_covariances(self) -> np.ndarray:
-        """``(classes, d(d+1)/2)`` float64: each class's packed covariance."""
+        """``(classes, d(d+1)/2)`` float32 (float64 if built from float64
+        values): each class's packed covariance."""
         return self._packed
 
     @property
@@ -118,8 +126,9 @@ def build_base_stats(ds: Dataset, split: SplitManifest) -> BaseStatsTable:
 
     Each class takes one pass through one set of buffers sized for the
     largest class: its rows are gathered, centered and multiplied once, and
-    the product's lower triangle is packed straight into its table row, so
-    the build allocates nothing per class.
+    the product's lower triangle is packed, divided by n - 1 and rounded
+    once into its float32 table row, so the build allocates nothing per
+    class.
     """
     ids = sorted(split.base_classes)
     # one stable sort groups every class's rows, each in file order, where
@@ -136,7 +145,7 @@ def build_base_stats(ds: Dataset, split: SplitManifest) -> BaseStatsTable:
     d = ds.dim
     means = np.empty((len(ids), d))
     counts = np.empty(len(ids), dtype=np.int64)
-    packed = np.empty((len(ids), d * (d + 1) // 2))
+    packed = np.empty((len(ids), d * (d + 1) // 2), dtype=np.float32)
     _fill_class_rows(ds, rows, means, counts, packed)
     # the table builds its gather map, briefly two (d, d) arrays, once the
     # fill's scratch is freed
@@ -149,7 +158,8 @@ def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
 
     The mean is taken from the stored float32 rows in float64; the packed
     row gets the lower triangle of x^T x for the class's centered rows x,
-    row-major, divided by n - 1.
+    row-major, divided by n - 1 in float64 and then rounded once to the
+    row's dtype.
     """
     d = ds.dim
     lower = _lower_triangle(d)
@@ -157,6 +167,10 @@ def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
     gathered = np.empty((most, d), dtype=ds.values.dtype)
     centered = np.empty((most, d))
     product = np.empty((d, d))
+    # the float64 triangle, rounded once into the row; np.take with a
+    # float32 ``out`` would read the row's old contents into a buffer of
+    # its own on every call
+    triangle = np.empty(lower.size)
     for row, r in enumerate(rows):
         n = r.size
         rows32 = gathered[:n]
@@ -165,11 +179,11 @@ def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
         x = centered[:n]
         np.subtract(rows32, means[row], out=x)
         np.matmul(x.T, x, out=product)
-        # mode="clip" writes straight into the table row ("raise" would
+        # mode="clip" writes straight into ``triangle`` ("raise" would
         # buffer it); the indices are in range
-        out = packed[row]
-        np.take(product.reshape(-1), lower, out=out, mode="clip")
-        out /= n - 1
+        np.take(product.reshape(-1), lower, out=triangle, mode="clip")
+        triangle /= n - 1
+        packed[row] = triangle
         counts[row] = n
 
 
@@ -197,5 +211,7 @@ def class_similarity(table: BaseStatsTable, a: int,
     steps = np.arange(table.dim)
     diagonal = steps * (steps + 3) // 2
     packed = table.packed_covariances
+    # the cosine of the stored variances is taken in float64
     return (_cosine(table.mean_matrix[ra], table.mean_matrix[rb]),
-            _cosine(packed[ra, diagonal], packed[rb, diagonal]))
+            _cosine(packed[ra, diagonal].astype(np.float64),
+                    packed[rb, diagonal].astype(np.float64)))

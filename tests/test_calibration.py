@@ -11,10 +11,13 @@ from fsdc.stats import BaseStatsTable, build_base_stats
 
 
 def table_from_means(means, covs=None):
+    """A table of ``means``, each with count 10 and the covariance of the
+    same row of ``covs`` (the identity when None), packed at the covariances'
+    dtype."""
     means = np.asarray(means, dtype=np.float64)
     n, d = means.shape
     lower = np.tril_indices(d)
-    covs = [np.eye(d)] * n if covs is None else np.asarray(covs, dtype=np.float64)
+    covs = [np.eye(d)] * n if covs is None else np.asarray(covs)
     return BaseStatsTable(range(n), means, [10] * n,
                           np.stack([cov[lower] for cov in covs]))
 
@@ -121,24 +124,30 @@ def test_calibrate_alpha_is_affine_in_covariance():
 def test_calibrate_covariance_equals_out_of_place_expression(k, alpha):
     # calibrate sums packed lower triangles in place and expands the sum;
     # each element must round exactly as the full-matrix expression
-    # (0 + cov_n1 + ... + cov_nk) / k + alpha does, in neighbor order
+    # (0 + cov_n1 + ... + cov_nk) / k + alpha does, in neighbor order and
+    # in float64, from a float64 table or a float32 one as built
     rng = np.random.default_rng(12)
     covs = []
     for _ in range(3):
         a = rng.normal(size=(9, 5))
         covs.append(a.T @ a / 8)
-    t = table_from_means(rng.normal(size=(3, 5)), covs)
-    kept = t.packed_covariances.copy()
+    means = rng.normal(size=(3, 5))
     x = rng.normal(size=5)
-    cov_sum = np.zeros((5, 5))
-    for cid in nearest_base_classes(x, t, k):
-        cov_sum += covs[cid]
-    for use_novel_feature in (True, False):
-        d = calibrate(x, t, CalibrationParams(
-            k=k, alpha=alpha, use_novel_feature=use_novel_feature))
-        assert np.array_equal(d.covariance, cov_sum / k + alpha)
-        assert np.array_equal(d.covariance, d.covariance.T)
-    assert np.array_equal(t.packed_covariances, kept)
+    for dtype in (np.float64, np.float32):
+        stored = [cov.astype(dtype) for cov in covs]
+        t = table_from_means(means, stored)
+        assert t.packed_covariances.dtype == dtype
+        kept = t.packed_covariances.copy()
+        cov_sum = np.zeros((5, 5))
+        for cid in nearest_base_classes(x, t, k):
+            cov_sum += stored[cid]
+        for use_novel_feature in (True, False):
+            d = calibrate(x, t, CalibrationParams(
+                k=k, alpha=alpha, use_novel_feature=use_novel_feature))
+            assert d.covariance.dtype == np.float64
+            assert np.array_equal(d.covariance, cov_sum / k + alpha)
+            assert np.array_equal(d.covariance, d.covariance.T)
+        assert np.array_equal(t.packed_covariances, kept)
 
 
 def test_calibrated_covariance_stays_symmetric():

@@ -329,16 +329,21 @@ def test_readme_lists_every_stats_flag():
     (["eval", "--format", "csv"], "unrecognized arguments: --format"),
     (["stats", "--format", "csv"], "unrecognized arguments: --format"),
     (["eval", "--config", "x.json"], "unrecognized arguments: --config"),
+    # the output directory does not exist, so a run that took the flag
+    # would exit 1 without writing
+    (["project", "--out", "absent-dir/p.csv", "--workers", "2"],
+     "unrecognized arguments: --workers"),
 ], ids=["eval-stats", "eval-tukey-base", "stats-out", "stats-lambda",
         "eval-jitter", "eval-log-epsilon", "eval-max-likelihood",
         "eval-no-tukey", "eval-no-generation", "eval-baseline", "eval-lr",
-        "eval-format", "stats-format", "eval-config"])
+        "eval-format", "stats-format", "eval-config", "project-workers"])
 def test_deleted_flags_are_rejected(world, capsys, argv, refusal):
     # base statistics are always built from the dataset, untransformed;
     # every episode trains a linear model with fixed jitter and zero shift;
     # --lambda 1 and --num-generated 0 switch a stage off, --retrieve M
     # switches retrieval on; the step size follows from the training rows;
-    # FSDC is the one dataset format; settings come from flags only
+    # FSDC is the one dataset format; settings come from flags only;
+    # project runs its one episode in-process, so it takes no --workers
     with pytest.raises(SystemExit) as exc:
         main([argv[0], "--dataset", world["dataset"], "--split",
               world["split"], *argv[1:]])

@@ -52,6 +52,14 @@ def test_dataset_rejects_nonfinite():
             Dataset(np.zeros(2048, dtype=np.uint32), values)
 
 
+@pytest.mark.parametrize("big", [1e39, -1e39, 1e300])
+def test_dataset_rejects_values_beyond_float32(big):
+    # finite in float64 but not in float32, the storage precision: an
+    # FsdcError, with no numpy overflow warning on the way
+    with pytest.raises(DataError, match="must be finite in float32"):
+        Dataset([0], [[big, 1.0]])
+
+
 def test_dataset_construction_holds_no_per_value_mask():
     # a finiteness check over the whole array at once holds one byte per
     # value, a quarter of the values' bytes

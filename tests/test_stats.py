@@ -74,8 +74,9 @@ def test_covariance_permutation_invariant():
 ])
 def test_covariance_rounds_as_the_out_of_place_expression(n, d, interleaved):
     # the build divides in place; every element must round as
-    # (c / (n - 1) + (c / (n - 1)).T) / 2 does.  A larger class goes
-    # first, so its rows are left in the scratch the build reuses.
+    # (c / (n - 1) + (c / (n - 1)).T) / 2 does in float64, rounded once to
+    # float32.  A larger class goes first, so its rows are left in the
+    # scratch the build reuses.
     rng = np.random.default_rng(d + n)
     x = rng.normal(size=(n, d)).astype(np.float32)
     values = np.concatenate([rng.normal(size=(n + 3, d)), x])
@@ -90,7 +91,8 @@ def test_covariance_rounds_as_the_out_of_place_expression(n, d, interleaved):
     centered = x - mean
     cov = centered.T @ centered / (n - 1)
     assert np.array_equal(table.mean_matrix[1], mean)
-    assert np.array_equal(covariance(table, 1), (cov + cov.T) / 2.0)
+    assert np.array_equal(covariance(table, 1),
+                          ((cov + cov.T) / 2.0).astype(np.float32))
 
 
 def test_covariance_monte_carlo():
@@ -136,12 +138,28 @@ def test_table_keeps_its_arrays_without_a_copy():
     ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=6, dim=5, samples_per_class=30, group_size=3, seed=2))
     built = build_base_stats(ds, split)
-    table = BaseStatsTable(built.id_array, built.mean_matrix, built.counts,
-                           built.packed_covariances)
-    assert table.id_array is built.id_array
-    assert table.mean_matrix is built.mean_matrix
-    assert table.counts is built.counts
-    assert table.packed_covariances is built.packed_covariances
+    for covs in (built.packed_covariances,
+                 built.packed_covariances.astype(np.float64)):
+        table = BaseStatsTable(built.id_array, built.mean_matrix,
+                               built.counts, covs)
+        assert table.id_array is built.id_array
+        assert table.mean_matrix is built.mean_matrix
+        assert table.counts is built.counts
+        assert table.packed_covariances is covs
+
+
+def test_built_table_is_float32_and_a_float64_one_keeps_its_bits():
+    ds, split, _ = generate_synthetic(SyntheticSpec(
+        num_classes=6, dim=5, samples_per_class=30, group_size=3, seed=2))
+    assert build_base_stats(ds, split).packed_covariances.dtype == np.float32
+    # 1/3 and 0.1 have no float32 form: a rounded table would change them
+    covs = np.array([packed([[1 / 3, 0.1], [0.1, 2 / 3]])])
+    table = BaseStatsTable([0], [[0.0, 0.0]], [5], covs)
+    assert table.packed_covariances.dtype == np.float64
+    assert np.array_equal(table.packed_covariances, covs)
+    # other dtypes, such as integers, become float64
+    ints = BaseStatsTable([0], [[0.0, 0.0]], [5], [[2, 1, 3]])
+    assert ints.packed_covariances.dtype == np.float64
 
 
 def test_build_base_stats_matches_per_class_calls():
@@ -156,7 +174,8 @@ def test_build_base_stats_matches_per_class_calls():
         centered = feats - mean
         cov = centered.T @ centered / (len(feats) - 1)
         assert np.array_equal(table.mean_matrix[row], mean)
-        assert np.array_equal(covariance(table, row), (cov + cov.T) / 2.0)
+        assert np.array_equal(covariance(table, row),
+                              ((cov + cov.T) / 2.0).astype(np.float32))
         assert table.counts[row] == 30
 
 
@@ -189,9 +208,9 @@ def test_variance_cosine_is_that_of_the_covariance_diagonals():
     ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=20, dim=33, samples_per_class=40, group_size=5, seed=6))
     table = build_base_stats(ds, split)
-    # contiguous copies: BLAS may round a dot product over strided
-    # elements differently
-    diagonals = [covariance(table, row).diagonal().copy()
+    # contiguous float64 copies of the stored float32 variances: BLAS may
+    # round a dot product over strided elements differently
+    diagonals = [covariance(table, row).diagonal().astype(np.float64)
                  for row in range(len(table))]
     ids = table.id_array.tolist()
     for ra, a in enumerate(ids):
@@ -203,14 +222,15 @@ def test_variance_cosine_is_that_of_the_covariance_diagonals():
 
 
 def test_build_base_stats_holds_one_full_covariance_at_a_time():
-    # 12 base classes at d=256: the packed table takes 3.16 MB, all 12 full
-    # covariances 6.29 MB; the bound allows the table plus three full
-    # matrices (the product of the class being computed is one; the gather
-    # map, briefly two while the table builds it, comes after the fill)
+    # 12 base classes at d=256: the packed float32 table takes 1.58 MB, all
+    # 12 full float64 covariances 6.29 MB; the bound allows the table plus
+    # three full float64 matrices (the product of the class being computed
+    # is one; the gather map, briefly two while the table builds it, comes
+    # after the fill).  The build peaked at 3.00 MB: the table plus 2.71.
     ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=15, dim=256, samples_per_class=64, group_size=5, seed=4))
     n, d = len(split.base_classes), ds.dim
-    bound = n * d * (d + 1) // 2 * 8 + 3 * d * d * 8
+    bound = n * d * (d + 1) // 2 * 4 + 3 * d * d * 8
     tracemalloc.start()
     try:
         table = build_base_stats(ds, split)
