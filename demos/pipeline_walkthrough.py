@@ -68,14 +68,14 @@ print(f"\nsampled {gen_x.shape[0]} synthetic features "
 # ------------------------------------------------------------------ training
 train_x = np.concatenate([support, gen_x])
 train_y = np.concatenate([ep.support_y, gen_y])
-model = train_logistic(TrainSet(train_x, train_y, ep.class_ids),
+model = train_logistic(TrainSet(train_x, train_y, len(ep.class_ids)),
                        OptimizerConfig())
 guesses = predict(model, query)
 acc = float(np.mean(guesses == ep.query_y))
 print(f"query accuracy with calibration: {acc:.1%}")
 
 # Same task without any of it: train on the five raw support features alone.
-bare = train_logistic(TrainSet(ep.support_x, ep.support_y, ep.class_ids),
+bare = train_logistic(TrainSet(ep.support_x, ep.support_y, len(ep.class_ids)),
                       OptimizerConfig())
 bare_acc = float(np.mean(predict(bare, ep.query_x) == ep.query_y))
 print(f"query accuracy without:          {bare_acc:.1%}")

@@ -66,22 +66,16 @@ class CalibratedDistribution:
         return self.mean.shape[0]
 
 
-def nearest_base_classes(x, table: BaseStatsTable, k: int) -> list[int]:
-    """The k base classes whose means are closest to ``x``.
+def _nearest_rows(x, table: BaseStatsTable, k: int) -> np.ndarray:
+    """Table rows of the k base classes whose means are closest to ``x``,
+    nearest first.
 
     Distance is squared euclidean; exact ties break toward the smaller class
-    id, so the result never depends on table iteration order.
+    id, so the result never depends on table order.
     """
-    return [int(table.id_array[row]) for row in _nearest_rows(x, table, k)]
-
-
-def _nearest_rows(x, table: BaseStatsTable, k: int) -> np.ndarray:
-    """Table rows of the k nearest base classes, nearest first."""
     xv = np.asarray(x, dtype=np.float64)
     if xv.shape != (table.dim,):
         raise DataError(f"feature has shape {xv.shape}, table dim is {table.dim}")
-    if k < 1:
-        raise SpecError("k must be at least 1")
     if k > len(table):
         raise SpecError(f"k={k} exceeds the {len(table)} classes in the table")
     diffs = table.mean_matrix - xv
@@ -149,7 +143,7 @@ def retrieve_nearest_class_features(x, ds: Dataset, table: BaseStatsTable,
     """
     if m < 1:
         raise SpecError("m must be at least 1")
-    nearest = nearest_base_classes(x, table, 1)[0]
+    nearest = int(table.id_array[_nearest_rows(x, table, 1)[0]])
     rows = ds.rows_for(nearest)
     if rows.size < m:
         raise DataError(

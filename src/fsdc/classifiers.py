@@ -36,32 +36,28 @@ class OptimizerConfig:
 
 
 class TrainSet:
-    """Features with dense task labels 0..N-1 and the map back to class ids."""
+    """Features with dense task labels 0..num_classes-1."""
 
-    def __init__(self, features, labels, class_map) -> None:
+    def __init__(self, features, labels, num_classes: int) -> None:
         x = np.asarray(features, dtype=np.float64)
         y = np.asarray(labels, dtype=np.int64)
-        self.class_map = tuple(int(c) for c in class_map)
         if x.ndim != 2:
             raise DataError("features must be 2-D")
         if y.shape != (x.shape[0],):
             raise DataError("labels must match features")
-        if len(self.class_map) < 2:
+        if num_classes < 2:
             raise SpecError("training needs at least 2 classes")
         if not np.isfinite(x).all():
             raise DataError("training features must be finite")
-        if y.min(initial=0) < 0 or y.max(initial=0) >= len(self.class_map):
+        if y.min(initial=0) < 0 or y.max(initial=0) >= num_classes:
             raise SpecError("labels must lie in [0, num_classes)")
-        present = np.bincount(y, minlength=len(self.class_map))
+        present = np.bincount(y, minlength=num_classes)
         if (present == 0).any():
             missing = int(np.flatnonzero(present == 0)[0])
             raise SpecError(f"no training samples for task label {missing}")
         self.features = x
         self.labels = y
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.class_map)
+        self.num_classes = num_classes
 
 
 @dataclass

@@ -292,11 +292,6 @@ class SyntheticSpec:
         if self.group_size < 1:
             raise SpecError("group_size must be at least 1")
 
-    def resolved_groups(self) -> tuple[tuple[int, ...], ...]:
-        ids = list(range(self.num_classes))
-        return tuple(tuple(ids[i:i + self.group_size])
-                     for i in range(0, self.num_classes, self.group_size))
-
 
 def _unit_orthogonal_to_ones(rng: PortableRng, dim: int) -> np.ndarray:
     # direction with zero component along the all-ones vector, so a shared
@@ -318,7 +313,8 @@ def generate_synthetic(spec: SyntheticSpec):
     a novel class; everything else is base.  All randomness is derived from
     ``spec.seed``, so the output is a pure function of the spec.
     """
-    groups = spec.resolved_groups()
+    size, count = spec.group_size, spec.num_classes
+    groups = [range(i, min(i + size, count)) for i in range(0, count, size)]
     dim = spec.dim
 
     group_rng = PortableRng(derive_key(spec.seed, _DOM_GROUP_DIR))

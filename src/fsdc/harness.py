@@ -215,8 +215,10 @@ def _train_rows(ep: Episode, support_x, stats: BaseStatsTable,
             if count == 0:
                 continue
             try:
-                # the distribution is made inside the call and held by no
-                # name, so it is freed before the next row is calibrated
+                # one row goes through the support-set helper because
+                # perfbench's tracer wraps it and reads its dict of lists;
+                # the distribution, held by no name, is freed before the
+                # next row is calibrated
                 sample_features(
                     calibrate_support_set(rows[j:j + 1], [label], stats,
                                           cfg.calib)[label][0],
@@ -234,7 +236,7 @@ def _run_episode(ep: Episode, stats: BaseStatsTable, cfg: PipelineConfig,
                  base_data: Dataset | None) -> float:
     support_x, query_x = _transformed(ep, cfg)
     train_x, train_y = _train_rows(ep, support_x, stats, cfg, base_data)
-    train = TrainSet(train_x, train_y, class_map=ep.class_ids)
+    train = TrainSet(train_x, train_y, len(ep.class_ids))
     fit = train_logistic if cfg.classifier == "logistic" else train_svm
     predicted = predict(fit(train, cfg.optimizer), query_x)
     return float((predicted == ep.query_y).mean())

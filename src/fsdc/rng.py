@@ -29,6 +29,8 @@ from typing import Final
 
 import numpy as np
 
+from .errors import SpecError
+
 _MASK: Final = (1 << 64) - 1
 _GOLDEN: Final = 0x9E3779B97F4A7C15
 _MIX1: Final = 0xBF58476D1CE4E5B9
@@ -212,7 +214,7 @@ class PortableRng:
     def next_u64(self, count: int) -> np.ndarray:
         """Return the next ``count`` stream words as a uint64 array."""
         if count < 0:
-            raise ValueError("count must be non-negative")
+            raise SpecError("count must be non-negative")
         available = self._buffer.size - self._start
         if available >= count:
             out = self._buffer[self._start:self._start + count].copy()
@@ -249,7 +251,7 @@ class PortableRng:
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound) by bitmask rejection."""
         if bound <= 0:
-            raise ValueError("bound must be positive")
+            raise SpecError("bound must be positive")
         if bound == 1:
             return 0
         mask = (1 << (bound - 1).bit_length()) - 1
@@ -266,7 +268,7 @@ class PortableRng:
         is discarded.
         """
         if not 0 <= take <= n:
-            raise ValueError("take must be in [0, n]")
+            raise SpecError("take must be in [0, n]")
         items = list(range(n))
         for i in range(take):
             j = i + self.randbelow(n - i)

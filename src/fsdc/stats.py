@@ -30,15 +30,6 @@ from .errors import DataError
 from .features_io import Dataset, SplitManifest
 
 
-def _lower_triangle(d: int) -> np.ndarray:
-    """Flat indices into a (d, d) matrix of its lower-triangle elements, in
-    row-major order: the packed layout."""
-    i, j = np.tril_indices(d)
-    i *= d   # in place: the build holds this while packing
-    i += j
-    return i
-
-
 def _gather_map(d: int) -> np.ndarray:
     """(d, d) intp: the packed index of every element of a (d, d) matrix."""
     # packed index of (i, j) for j <= i is i(i+1)/2 + j; above the diagonal
@@ -53,16 +44,15 @@ class BaseStatsTable:
     """Mean, record count and packed covariance of a set of classes, one row
     per class in ascending class id.
 
-    Row ``r`` of ``packed_covariances`` holds the lower triangle of the
-    covariance of the class in row ``r``, row-major (``(0,0), (1,0), (1,1),
-    (2,0), ...``), and ``np.take(packed, gather_map)`` expands a packed row
-    into the full symmetric matrix.  ``mean_matrix`` stacks the means in
-    the same order for vectorized distance computations.
-
-    The arrays are kept as given, without a copy: ``class_ids`` (n,) strictly
-    ascending, ``means`` (n, d), ``counts`` (n,) of at least 2 each, and
-    ``packed_covariances`` (n, d(d+1)/2), float32 or float64; covariances
-    of any other dtype are converted to float64.
+    The attributes are the arrays as given, without a copy: ``id_array``
+    (n,) int64, strictly ascending; ``mean_matrix`` (n, d) float64, stacked
+    for vectorized distances; ``counts`` (n,) int64, at least 2 each; and
+    ``packed_covariances`` (n, d(d+1)/2), float32 from
+    :func:`build_base_stats` (a table built by hand keeps float32 or float64
+    and converts any other dtype to float64).  Row ``r`` holds the lower
+    triangle of class ``r``'s covariance, row-major (``(0,0), (1,0), (1,1),
+    (2,0), ...``), and ``np.take(packed, gather_map)`` expands it into the
+    full symmetric matrix; ``gather_map`` is (d, d) intp.
     """
 
     def __init__(self, class_ids, means, counts, packed_covariances) -> None:
@@ -85,39 +75,15 @@ class BaseStatsTable:
         if np.any(counts < 2):
             raise DataError("class statistics need count >= 2")
         self.dim = d
-        self._ids = ids
+        self.id_array = ids
         self._rows = {cid: row for row, cid in enumerate(ids.tolist())}
-        self._means = means
-        self._counts = counts
-        self._packed = packed
-        self._gather = _gather_map(d)
+        self.mean_matrix = means
+        self.counts = counts
+        self.packed_covariances = packed
+        self.gather_map = _gather_map(d)
 
     def __len__(self) -> int:
-        return self._ids.size
-
-    @property
-    def id_array(self) -> np.ndarray:
-        return self._ids
-
-    @property
-    def mean_matrix(self) -> np.ndarray:
-        return self._means
-
-    @property
-    def counts(self) -> np.ndarray:
-        """``(classes,)`` int64: each class's record count."""
-        return self._counts
-
-    @property
-    def packed_covariances(self) -> np.ndarray:
-        """``(classes, d(d+1)/2)`` float32 (float64 if built from float64
-        values): each class's packed covariance."""
-        return self._packed
-
-    @property
-    def gather_map(self) -> np.ndarray:
-        """``(d, d)`` intp: the packed index of every element of a covariance."""
-        return self._gather
+        return self.id_array.size
 
 
 def build_base_stats(ds: Dataset, split: SplitManifest) -> BaseStatsTable:
@@ -162,7 +128,9 @@ def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
     row's dtype.
     """
     d = ds.dim
-    lower = _lower_triangle(d)
+    # flat indices of a (d, d) matrix's lower triangle, row-major: the
+    # packed layout
+    lower = np.flatnonzero(np.tri(d, dtype=bool))
     most = max((r.size for r in rows), default=0)
     gathered = np.empty((most, d), dtype=ds.values.dtype)
     centered = np.empty((most, d))
@@ -207,9 +175,7 @@ def class_similarity(table: BaseStatsTable, a: int,
         ra, rb = table._rows[int(a)], table._rows[int(b)]
     except KeyError as exc:
         raise DataError(f"no statistics for class {exc.args[0]}") from None
-    # the packed index of diagonal element i is i(i+1)/2 + i
-    steps = np.arange(table.dim)
-    diagonal = steps * (steps + 3) // 2
+    diagonal = np.diagonal(table.gather_map)
     packed = table.packed_covariances
     # the cosine of the stored variances is taken in float64
     return (_cosine(table.mean_matrix[ra], table.mean_matrix[rb]),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fsdc.calibration import (CalibrationParams, calibrate,
-                              calibrate_support_set, nearest_base_classes,
+                              calibrate_support_set,
                               retrieve_nearest_class_features)
 from fsdc.errors import DataError, SpecError
 from fsdc.features_io import Dataset, SplitManifest, SyntheticSpec, generate_synthetic
@@ -24,20 +24,25 @@ def table_from_means(means, covs=None):
 
 # ------------------------------------------------------------ neighbor search
 
+def nearest(x, table, k):
+    """The ids of the k base classes that ``calibrate`` borrows from."""
+    return list(calibrate(x, table, CalibrationParams(k=k)).neighbor_class_ids)
+
+
 def test_nearest_exact_match():
     t = table_from_means([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]])
-    assert nearest_base_classes([5.0, 5.0], t, 1) == [1]
+    assert nearest([5.0, 5.0], t, 1) == [1]
 
 
 def test_nearest_ordering():
     t = table_from_means([[0.0], [1.0], [10.0]])
-    assert nearest_base_classes([2.0], t, 3) == [1, 0, 2]
+    assert nearest([2.0], t, 3) == [1, 0, 2]
 
 
 def test_nearest_tie_breaks_to_lower_id():
     t = table_from_means([[1.0, 0.0], [-1.0, 0.0], [0.0, 50.0]])
     # class 0 and 1 are equidistant from the origin
-    assert nearest_base_classes([0.0, 0.0], t, 2) == [0, 1]
+    assert nearest([0.0, 0.0], t, 2) == [0, 1]
 
 
 def test_nearest_matches_brute_force():
@@ -48,17 +53,17 @@ def test_nearest_matches_brute_force():
         x = rng.normal(size=6)
         d = ((means - x) ** 2).sum(axis=1)
         expected = sorted(range(20), key=lambda i: (d[i], i))[:4]
-        assert nearest_base_classes(x, t, 4) == expected
+        assert nearest(x, t, 4) == expected
 
 
 def test_nearest_rejects_bad_arguments():
     t = table_from_means([[0.0], [1.0]])
     with pytest.raises(SpecError):
-        nearest_base_classes([0.0], t, 3)
+        nearest([0.0], t, 3)
     with pytest.raises(SpecError):
-        nearest_base_classes([0.0], t, 0)
+        nearest([0.0], t, 0)
     with pytest.raises(DataError, match=r"feature has shape \(2,\)"):
-        nearest_base_classes([0.0, 1.0], t, 1)
+        nearest([0.0, 1.0], t, 1)
 
 
 # ---------------------------------------------------------------- calibration
@@ -139,7 +144,9 @@ def test_calibrate_covariance_equals_out_of_place_expression(k, alpha):
         assert t.packed_covariances.dtype == dtype
         kept = t.packed_covariances.copy()
         cov_sum = np.zeros((5, 5))
-        for cid in nearest_base_classes(x, t, k):
+        # the nearest means first; a stable sort breaks ties to the lower id
+        order = np.argsort(((means - x) ** 2).sum(axis=1), kind="stable")
+        for cid in order[:k]:
             cov_sum += stored[cid]
         for use_novel_feature in (True, False):
             d = calibrate(x, t, CalibrationParams(

@@ -18,7 +18,7 @@ def blobs(seed=0, n=40, spread=0.1):
     centers = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
     x = np.concatenate([c + spread * rng.normal(size=(n, 2)) for c in centers])
     y = np.repeat(np.arange(3), n)
-    return TrainSet(x, y, class_map=(10, 20, 30))
+    return TrainSet(x, y, 3)
 
 
 # ------------------------------------------------------------------- training
@@ -47,7 +47,7 @@ def test_training_is_deterministic():
 def test_symmetric_data_gives_symmetric_model():
     x = np.array([[1.0, 0.0], [-1.0, 0.0], [1.1, 0.0], [-1.1, 0.0]])
     y = np.array([0, 1, 0, 1])
-    ts = TrainSet(x, y, class_map=(0, 1))
+    ts = TrainSet(x, y, 2)
     model = train_logistic(ts, OptimizerConfig(epochs=100))
     # mirror-image classes produce mirror-image weights and equal biases
     assert np.allclose(model.weights[0], -model.weights[1], atol=1e-10)
@@ -68,7 +68,7 @@ def test_overflowing_curvature_is_reported_as_divergence(train):
     # finite rows whose curvature bound overflows; any numpy warning would
     # fail the test, as pytest turns it into an error
     ts = blobs(1)
-    huge = TrainSet(ts.features * 1e200, ts.labels, ts.class_map)
+    huge = TrainSet(ts.features * 1e200, ts.labels, ts.num_classes)
     with pytest.raises(DataError, match="overflow"):
         train(huge)
 
@@ -99,7 +99,7 @@ def wide_train_sets():
         x, class_ids, roles = collect_episode_features(ep, table, cfg)
         keep = np.array([role != "query" for role in roles])
         labels = [ep.class_ids.index(c) for c in class_ids[keep]]
-        sets.append(TrainSet(x[keep], labels, ep.class_ids))
+        sets.append(TrainSet(x[keep], labels, len(ep.class_ids)))
     return sets
 
 
@@ -120,7 +120,7 @@ def test_svm_loss_settles_at_the_papers_width(wide_train_sets):
 def test_l2_shrinks_weights_not_bias():
     x = np.array([[1.0, 0.0], [-1.0, 0.0]] * 10)
     y = np.array([0, 1] * 10)
-    ts = TrainSet(x, y, class_map=(0, 1))
+    ts = TrainSet(x, y, 2)
     loose = train_logistic(ts, OptimizerConfig(epochs=300, l2=0.0))
     tight = train_logistic(ts, OptimizerConfig(epochs=300, l2=1.0))
     assert np.abs(tight.weights).sum() < np.abs(loose.weights).sum()
@@ -275,13 +275,13 @@ def test_rescaled_features_do_not_flip_confident_predictions():
 
 def test_trainset_validation():
     with pytest.raises(SpecError):
-        TrainSet(np.zeros((2, 2)), [0, 0], class_map=(0,))
+        TrainSet(np.zeros((2, 2)), [0, 0], 1)
     with pytest.raises(SpecError):
-        TrainSet(np.zeros((2, 2)), [0, 2], class_map=(0, 1))
+        TrainSet(np.zeros((2, 2)), [0, 2], 2)
     with pytest.raises(SpecError):
-        TrainSet(np.zeros((2, 2)), [0, 0], class_map=(0, 1))
+        TrainSet(np.zeros((2, 2)), [0, 0], 2)
     with pytest.raises(DataError, match="labels must match features"):
-        TrainSet(np.zeros((2, 2)), [0], class_map=(0, 1))
+        TrainSet(np.zeros((2, 2)), [0], 2)
 
 
 def test_optimizer_config_validation():

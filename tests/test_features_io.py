@@ -342,9 +342,15 @@ def test_synthetic_split_layout():
     _, split, _ = generate_synthetic(spec)
     assert split.novel_classes == frozenset({4, 9, 14, 19, 24})
     assert len(split.base_classes) == 20
-    groups = spec.resolved_groups()
-    assert 4 in groups[0]
-    assert 24 in groups[4]
+    # a ragged last group still gives up its last class; a group of one
+    # gives none
+    for num_classes, novel in ((23, {4, 9, 14, 19, 22}),
+                               (21, {4, 9, 14, 19})):
+        _, split, _ = generate_synthetic(SyntheticSpec(
+            num_classes=num_classes, dim=8, samples_per_class=3,
+            group_size=5, seed=1))
+        assert split.novel_classes == frozenset(novel)
+        assert split.base_classes == frozenset(range(num_classes)) - novel
 
 
 def test_synthetic_features_are_skewed():

@@ -142,6 +142,9 @@ def test_retrieval_baseline_runs():
     cfg = quick_cfg(retrieve=5)
     acc = run_episode(ep, stats, cfg, base_data=ds)
     assert 0.0 <= acc <= 1.0
+    with pytest.raises(SpecError,
+                       match="episode 0: retrieval needs the base dataset"):
+        run_episode(ep, stats, cfg)
 
 
 @pytest.mark.parametrize("kw, k_shot", [
@@ -171,7 +174,8 @@ def test_classifier_trains_on_the_collected_rows(monkeypatch, kw, k_shot):
     trained = np.array([role != "query" for role in roles])
     (train,) = seen
     assert np.array_equal(train.features, features[trained])
-    assert np.array_equal(np.asarray(train.class_map)[train.labels],
+    assert train.num_classes == len(ep.class_ids)
+    assert np.array_equal(np.asarray(ep.class_ids)[train.labels],
                           class_ids[trained])
 
 
@@ -448,3 +452,9 @@ def test_project_2d_errors():
         project_2d(np.ones((10,)))
     with pytest.raises(SpecError):
         project_2d(np.ones((1, 3)))
+    with pytest.raises(DataError, match="at least 2 feature dimensions"):
+        project_2d(np.ones((10, 1)))
+    x = np.arange(12.0).reshape(4, 3)
+    x[2, 1] = np.nan
+    with pytest.raises(DataError, match="must be finite"):
+        project_2d(x)

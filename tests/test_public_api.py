@@ -44,7 +44,7 @@ def test_readme_names_the_submodule_only_helpers():
     text = " ".join(README.split())
     sentence = text.split("imported from their submodules only", 1)[1]
     names = re.findall(r"`fsdc\.([\w.]+)`", sentence.split(". ", 1)[0])
-    assert len(names) == 3
+    assert len(names) == 2
     for dotted in names:
         module, _, name = dotted.rpartition(".")
         assert callable(getattr(importlib.import_module(f"fsdc.{module}"), name))

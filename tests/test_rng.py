@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fsdc.errors import SpecError
 from fsdc.rng import LANES, PortableRng, _ndtri, derive_key, splitmix64
 
 M64 = (1 << 64) - 1
@@ -169,7 +170,7 @@ def test_randbelow_bounds_and_coverage():
     assert max(draws) == 5
     assert set(draws) == set(range(6))
     assert r.randbelow(1) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError):
         r.randbelow(0)
 
 
@@ -182,8 +183,13 @@ def test_permutation_prefix():
     assert len(set(part)) == 5
     assert all(0 <= i < 50 for i in part)
     assert r.permutation_prefix(4, 0) == []
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError):
         r.permutation_prefix(3, 4)
+
+
+def test_negative_word_count_is_a_spec_error():
+    with pytest.raises(SpecError, match="count must be non-negative"):
+        PortableRng(1).next_u64(-1)
 
 
 def test_permutation_prefix_is_uniform_enough():
