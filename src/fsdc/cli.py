@@ -201,10 +201,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_project(args) -> int:
     spec, cfg = _configs(_gather_settings(args))
-    ds, split, table = _load_world(args)
     if not 0 <= args.episode_index < spec.num_episodes:
         raise SpecError(f"episode index {args.episode_index} outside "
                         f"[0, {spec.num_episodes})")
+    ds, split, table = _load_world(args)
     ep = sample_episode(ds, split, spec, args.episode_index)
     features, class_ids, roles = collect_episode_features(
         ep, table, cfg, base_data=ds)

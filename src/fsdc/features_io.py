@@ -15,12 +15,19 @@ throughout)::
 
 Values are stored as float32.  Quantization to float32 happens once, at
 dataset construction, so save followed by load is bit-exact.
+
+A loaded regular file is mapped, not copied: the loaded dataset's values
+are a read-only view of the file's records, and its pages are read on
+demand from the page cache.  Such a file must not be rewritten in place
+while a dataset loaded from it is in use; :func:`save_dataset` replaces a
+file by renaming a new one over it, so the mapping keeps the old contents.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import secrets
 import stat
@@ -77,8 +84,15 @@ class Dataset:
     """Labeled feature vectors, one class id and one float32 row per record.
 
     All records share one dimensionality and all values are finite; both are
-    checked at construction.  ``values`` is float32, the storage precision.
+    checked at construction.  ``values`` is float32, the storage precision:
+    a contiguous array for a dataset built in memory, and a read-only view
+    of the file's records for one from :func:`load_dataset`.  A pickled
+    dataset unpickles as one built in memory.
     """
+
+    # a loaded dataset's records array and, for a regular file, its mapping
+    _records = None
+    _mapping = None
 
     def __init__(self, class_ids, values) -> None:
         ids = np.asarray(class_ids)
@@ -104,8 +118,58 @@ class Dataset:
         # a block of rows at a time: no mask of one byte per value
         step = max(1, _CHUNK_BYTES // self.values[0].nbytes)
         for lo in range(0, self.count, step):
-            if not np.isfinite(self.values[lo:lo + step]).all():
-                raise DataError("feature values must be finite in float32")
+            _check_finite(self.values[lo:lo + step])
+
+    @classmethod
+    def _of_records(cls, class_ids, records, mapping=None) -> Dataset:
+        """A dataset whose values are a read-only view of ``records``, FSDC
+        records already checked, without the constructor's copy."""
+        ds = cls.__new__(cls)
+        records.flags.writeable = False
+        ds.class_ids, ds.values = class_ids, records["values"]
+        ds._records, ds._mapping = records, mapping
+        return ds
+
+    def __reduce__(self):
+        # a mapping cannot be pickled; the copy holds its values in memory
+        return Dataset, (self.class_ids, self.values)
+
+    def _gather(self, rows):
+        """Yield the values of the records ``rows[0]``, ``rows[1]``, ... in
+        turn, each a non-empty sorted index array, copied into one buffer
+        that the next overwrites.
+
+        A loaded dataset's values are a strided view of its records, which
+        np.take would first copy whole, so whole records are taken instead.
+        The pages of a mapped file's taken records are then released, in
+        spans of at least a chunk: a release per index array costs more
+        than it frees on a small file.
+        """
+        source = self.values if self._records is None else self._records
+        most = max((r.size for r in rows), default=0)
+        buffer = np.empty((most,) + source.shape[1:], dtype=source.dtype)
+        span = max(1, _CHUNK_BYTES // source.strides[0])
+        first, last = self.count, 0
+        for r in rows:
+            taken = buffer[:r.size]
+            np.take(source, r, axis=0, out=taken, mode="clip")
+            first, last = min(first, int(r[0])), max(last, int(r[-1]) + 1)
+            if last - first >= span:
+                self._release(first, last)
+                first, last = self.count, 0
+            yield taken if self._records is None else taken["values"]
+        self._release(first, last)
+
+    def _release(self, start: int, stop: int) -> None:
+        """Drop the pages of records ``[start, stop)`` from the process if the
+        values are mapped from a file.  A later read maps them again from
+        the page cache, so no value changes."""
+        advice = getattr(mmap, "MADV_DONTNEED", None)
+        if self._mapping is None or advice is None or stop <= start:
+            return
+        size = self.values.strides[0]
+        lo = (_HEADER.size + start * size) // mmap.PAGESIZE * mmap.PAGESIZE
+        self._mapping.madvise(advice, lo, _HEADER.size + stop * size - lo)
 
     @property
     def count(self) -> int:
@@ -135,9 +199,19 @@ def _encode_binary(ds: Dataset) -> bytes:
     return header + records.tobytes()
 
 
+def _check_finite(values) -> None:
+    if not np.isfinite(values).all():
+        raise DataError("feature values must be finite in float32")
+
+
 def _read_binary(fh) -> Dataset:
-    """Decode an FSDC file from ``fh``, a chunk of records at a time, straight
-    into the dataset's arrays: no copy of the whole file is ever held."""
+    """Decode an FSDC file from ``fh``, a chunk of records at a time: no copy
+    of the whole file is ever held beside its records.
+
+    The pass keeps the class ids and checks the values.  A regular file is
+    then mapped, and the dataset's values are a view of the mapping; any
+    other file (a pipe) is held in memory as its records arrive.
+    """
     header = fh.read(_HEADER.size)
     if len(header) < _HEADER.size:
         raise FormatError("file too short for a dataset header")
@@ -157,27 +231,34 @@ def _read_binary(fh) -> Dataset:
         return FormatError(f"expected {expected} bytes for {count} records of "
                            f"dim {dim}, got {got}")
 
-    # a regular file's size is known before the arrays are allocated, so a
-    # header that overstates the records is refused without allocating them
+    # a regular file's size is known before anything is allocated, so a
+    # header that overstates the records is refused up front; a pipe's is
+    # not, so it is held as it arrives, never more than a chunk beyond it
     info = os.fstat(fh.fileno())
-    if stat.S_ISREG(info.st_mode) and info.st_size != expected:
+    regular = stat.S_ISREG(info.st_mode)
+    if regular and info.st_size != expected:
         raise wrong_size(str(info.st_size))
-    class_ids = np.empty(count, dtype=np.uint32)
-    values = np.empty((count, dim), dtype=np.float32)
+    held = None if regular else bytearray(header)
+    ids = []
     per_chunk = max(1, _CHUNK_BYTES // record.itemsize)
     buffer = np.empty(min(count, per_chunk) * record.itemsize, dtype=np.uint8)
     for start in range(0, count, per_chunk):
-        n = min(per_chunk, count - start)
-        chunk = buffer[:n * record.itemsize]
+        chunk = buffer[:min(per_chunk, count - start) * record.itemsize]
         got = fh.readinto(chunk)
         if got != chunk.size:
             raise wrong_size(str(_HEADER.size + start * record.itemsize + got))
         records = chunk.view(record)
-        class_ids[start:start + n] = records["class_id"]
-        values[start:start + n] = records["values"]
+        _check_finite(records["values"])
+        ids.append(records["class_id"].copy())
+        if held is not None:
+            held += memoryview(chunk)
     if fh.read(1):
         raise wrong_size("more")
-    return Dataset(class_ids, values)
+    mapping = (mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+               if regular else None)
+    records = np.frombuffer(held if mapping is None else mapping,
+                            dtype=record, count=count, offset=_HEADER.size)
+    return Dataset._of_records(np.concatenate(ids), records, mapping)
 
 
 def save_dataset(ds: Dataset, path) -> None:
@@ -186,6 +267,9 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """Load an FSDC file.  A regular file is mapped read-only, and the
+    dataset's values are a view of it: rewrite the file only by replacing
+    it, as :func:`save_dataset` does, while the dataset is in use."""
     with open(path, "rb") as fh:
         return _read_binary(fh)
 

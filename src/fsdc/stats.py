@@ -94,7 +94,8 @@ def build_base_stats(ds: Dataset, split: SplitManifest) -> BaseStatsTable:
     largest class: its rows are gathered, centered and multiplied once, and
     the product's lower triangle is packed, divided by n - 1 and rounded
     once into its float32 table row, so the build allocates nothing per
-    class.
+    class.  For a dataset mapped from a file, the pages of the gathered
+    records are then released from the process.
     """
     ids = sorted(split.base_classes)
     # one stable sort groups every class's rows, each in file order, where
@@ -132,17 +133,14 @@ def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
     # packed layout
     lower = np.flatnonzero(np.tri(d, dtype=bool))
     most = max((r.size for r in rows), default=0)
-    gathered = np.empty((most, d), dtype=ds.values.dtype)
     centered = np.empty((most, d))
     product = np.empty((d, d))
     # the float64 triangle, rounded once into the row; np.take with a
     # float32 ``out`` would read the row's old contents into a buffer of
     # its own on every call
     triangle = np.empty(lower.size)
-    for row, r in enumerate(rows):
-        n = r.size
-        rows32 = gathered[:n]
-        np.take(ds.values, r, axis=0, out=rows32, mode="clip")
+    for row, rows32 in enumerate(ds._gather(rows)):
+        n = rows32.shape[0]
         np.mean(rows32, axis=0, dtype=np.float64, out=means[row])
         x = centered[:n]
         np.subtract(rows32, means[row], out=x)

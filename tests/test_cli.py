@@ -529,3 +529,13 @@ def test_project_index_out_of_range(world, tmp_path, capsys):
                "--out", str(tmp_path / "p.csv")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_project_index_exits_before_reading_the_dataset(world, tmp_path,
+                                                        capsys):
+    # the dataset path does not exist: reading it would exit 1, not 2
+    rc = main(["project", "--dataset", str(world["root"] / "absent.fsdc"),
+               "--split", world["split"], "--episodes", "2",
+               "--episode-index", "5", "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: episode index 5 outside [0, 2)\n"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pickle
 import stat
 import struct
 import threading
@@ -205,6 +206,9 @@ def test_records_are_decoded_in_chunks(tmp_path, monkeypatch, through_pipe):
     back = load(data)
     assert np.array_equal(back.class_ids, ds.class_ids)
     assert back.values.tobytes() == ds.values.tobytes()
+    # the values are a view of the file's (or the pipe's) records
+    with pytest.raises(ValueError, match="read-only"):
+        back.values[0, 0] = 1.0
     for payload in (data[:-3], data[:60], data + b"\x00"):
         if through_pipe:
             os.unlink(tmp_path / "pipe.fsdc")
@@ -212,9 +216,49 @@ def test_records_are_decoded_in_chunks(tmp_path, monkeypatch, through_pipe):
             load(payload)
 
 
+def test_pipe_that_overstates_its_records_is_refused(tmp_path):
+    # 2**32 - 1 records of 2**24 values: the ids alone would take 16 GiB.
+    # A pipe's size is unknown, so what is held grows with what arrives.
+    header = struct.pack("<4sIII", b"FSDC", 1, 2 ** 32 - 1, 2 ** 24)
+    with pytest.raises(FormatError, match="got 4112$"):
+        _through_pipe(tmp_path, header + b"\x00" * 4096)
+
+
+def test_saving_over_a_loaded_file_keeps_its_values(tmp_path):
+    # save_dataset renames a new file over the old one, whose pages the
+    # loaded dataset still maps
+    ds = Dataset([0, 1, 1], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    p = tmp_path / "d.fsdc"
+    save_dataset(ds, p)
+    back = load_dataset(p)
+    save_dataset(Dataset([2, 2, 3], ds.values + 10), p)
+    assert back.values.tobytes() == ds.values.tobytes()
+    assert np.array_equal(back.class_ids, ds.class_ids)
+    assert load_dataset(p).values[0, 0] == 11.0
+
+
+def test_loaded_dataset_pickles_as_one_in_memory(tmp_path):
+    # worker processes receive the dataset pickled under spawn and
+    # forkserver; a mapping cannot be pickled
+    rng = np.random.default_rng(5)
+    ds = Dataset(rng.integers(0, 5, size=30),
+                 rng.normal(size=(30, 6)).astype(np.float32))
+    save_dataset(ds, tmp_path / "d.fsdc")
+    for source in (ds, load_dataset(tmp_path / "d.fsdc")):
+        copy = pickle.loads(pickle.dumps(source))
+        assert type(copy) is Dataset
+        assert copy.class_ids.dtype == np.uint32
+        assert np.array_equal(copy.class_ids, ds.class_ids)
+        assert copy.values.flags.c_contiguous
+        assert copy.values.tobytes() == ds.values.tobytes()
+
+
 def test_loading_holds_no_copy_of_the_file(tmp_path):
-    # the dataset's arrays are the file's size; a decode of the whole file
-    # held the raw bytes and a copy of each field besides (2.25x)
+    # the values stay in the file, mapped: loading holds the class ids
+    # (0.004x the file, twice while they are joined), one chunk's buffer
+    # and its finiteness mask, 0.17x in all.  Decoding into arrays held
+    # the whole file besides (1.16x), and a decode of the whole file the
+    # raw bytes and a copy of each field (2.25x)
     rng = np.random.default_rng(9)
     ds = Dataset(rng.integers(0, 10, size=8000),
                  rng.normal(size=(8000, 256)).astype(np.float32))
@@ -229,7 +273,7 @@ def test_loading_holds_no_copy_of_the_file(tmp_path):
         tracemalloc.stop()
     assert back.count == 8000
     size = p.stat().st_size
-    assert peak < 1.5 * size, f"peak {peak / size:.2f}x the file"
+    assert peak < 0.25 * size, f"peak {peak / size:.3f}x the file"
 
 
 @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))

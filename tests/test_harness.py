@@ -1,3 +1,4 @@
+import multiprocessing
 import tracemalloc
 import weakref
 
@@ -7,7 +8,8 @@ import pytest
 from fsdc.calibration import CalibrationParams, calibrate_support_set
 from fsdc.classifiers import OptimizerConfig, train_logistic
 from fsdc.errors import DataError, SpecError
-from fsdc.features_io import Dataset, SplitManifest, SyntheticSpec, generate_synthetic
+from fsdc.features_io import (Dataset, SplitManifest, SyntheticSpec,
+                              generate_synthetic, load_dataset, save_dataset)
 from fsdc.harness import (_DOM_GEN, _DOM_SAMPLE, Episode, EpisodeSpec,
                           EvalReport, PipelineConfig, collect_episode_features,
                           evaluate, project_2d, run_episode, sample_episode)
@@ -349,6 +351,28 @@ def test_evaluate_parallel_matches_serial():
     cfg = quick_cfg()
     serial = evaluate(ds, split, stats, spec, cfg, workers=1)
     parallel = evaluate(ds, split, stats, spec, cfg, workers=2)
+    assert serial.to_json() == parallel.to_json()
+
+
+@pytest.mark.parametrize("method", ["fork", "forkserver"])
+def test_evaluate_parallel_on_a_loaded_dataset_matches_serial(
+        tmp_path, monkeypatch, method):
+    # a loaded dataset's values are a view of the mapped file; fork shares
+    # the mapping, forkserver (Linux's default from Python 3.14) pickles it
+    # into each worker as a dataset in memory
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    ds, split, stats = make_world()
+    spec = EpisodeSpec(n_way=2, k_shot=1, q_queries=5, num_episodes=6, seed=5)
+    cfg = quick_cfg()
+    serial = evaluate(ds, split, stats, spec, cfg, workers=1)
+    save_dataset(ds, tmp_path / "w.fsdc")
+    loaded = load_dataset(tmp_path / "w.fsdc")
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method=None: context)
+    parallel = evaluate(loaded, split, build_base_stats(loaded, split), spec,
+                        cfg, workers=2)
     assert serial.to_json() == parallel.to_json()
 
 

@@ -1,10 +1,13 @@
+import mmap
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from fsdc import features_io
 from fsdc.errors import DataError
-from fsdc.features_io import Dataset, SplitManifest, SyntheticSpec, generate_synthetic
+from fsdc.features_io import (Dataset, SplitManifest, SyntheticSpec,
+                              generate_synthetic, load_dataset, save_dataset)
 from fsdc.stats import BaseStatsTable, build_base_stats, class_similarity
 from synthetic_moments import feature_moments
 
@@ -21,6 +24,13 @@ def table_of(*classes):
     ids = np.concatenate([np.full(len(rows), i) for i, rows in enumerate(classes)])
     ds = Dataset(ids, np.concatenate(classes))
     return build_base_stats(ds, SplitManifest(base=range(len(classes))))
+
+
+def through_file(ds, tmp_path):
+    """``ds`` saved and loaded again: its values a view of the file."""
+    path = tmp_path / "through.fsdc"
+    save_dataset(ds, path)
+    return load_dataset(path)
 
 
 def covariance(table, row=0):
@@ -72,11 +82,13 @@ def test_covariance_permutation_invariant():
     # for the mean in several buffered chunks
     pytest.param(600, 640, False, id="600-640"),
 ])
-def test_covariance_rounds_as_the_out_of_place_expression(n, d, interleaved):
+def test_covariance_rounds_as_the_out_of_place_expression(n, d, interleaved,
+                                                         tmp_path):
     # the build divides in place; every element must round as
     # (c / (n - 1) + (c / (n - 1)).T) / 2 does in float64, rounded once to
     # float32.  A larger class goes first, so its rows are left in the
-    # scratch the build reuses.
+    # scratch the build reuses.  A loaded dataset's rows are gathered from
+    # the file's records and must round the same.
     rng = np.random.default_rng(d + n)
     x = rng.normal(size=(n, d)).astype(np.float32)
     values = np.concatenate([rng.normal(size=(n + 3, d)), x])
@@ -85,14 +97,16 @@ def test_covariance_rounds_as_the_out_of_place_expression(n, d, interleaved):
         order = np.argsort(np.r_[np.arange(n + 3), np.arange(n) + 0.5],
                            kind="stable")
         values, ids = values[order], ids[order]
-    table = build_base_stats(Dataset(ids, values), SplitManifest(base=[0, 1]))
     x = x.astype(np.float64)
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / (n - 1)
-    assert np.array_equal(table.mean_matrix[1], mean)
-    assert np.array_equal(covariance(table, 1),
-                          ((cov + cov.T) / 2.0).astype(np.float32))
+    ds = Dataset(ids, values)
+    for source in (ds, through_file(ds, tmp_path)):
+        table = build_base_stats(source, SplitManifest(base=[0, 1]))
+        assert np.array_equal(table.mean_matrix[1], mean)
+        assert np.array_equal(covariance(table, 1),
+                              ((cov + cov.T) / 2.0).astype(np.float32))
 
 
 def test_covariance_monte_carlo():
@@ -221,24 +235,65 @@ def test_variance_cosine_is_that_of_the_covariance_diagonals():
             assert class_similarity(table, a, b)[1] == expected
 
 
-def test_build_base_stats_holds_one_full_covariance_at_a_time():
+def test_build_base_stats_holds_one_full_covariance_at_a_time(tmp_path):
     # 12 base classes at d=256: the packed float32 table takes 1.58 MB, all
     # 12 full float64 covariances 6.29 MB; the bound allows the table plus
     # three full float64 matrices (the product of the class being computed
     # is one; the gather map, briefly two while the table builds it, comes
     # after the fill).  The build peaked at 3.00 MB: the table plus 2.71.
+    # From a loaded dataset too, whose strided values np.take would first
+    # copy whole (0.98 MB more).
     ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=15, dim=256, samples_per_class=64, group_size=5, seed=4))
     n, d = len(split.base_classes), ds.dim
     bound = n * d * (d + 1) // 2 * 4 + 3 * d * d * 8
-    tracemalloc.start()
-    try:
-        table = build_base_stats(ds, split)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(table) == 12
-    assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
+    for source in (ds, through_file(ds, tmp_path)):
+        tracemalloc.start()
+        try:
+            table = build_base_stats(source, split)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 12
+        assert peak < bound, (f"peak {peak / 1e6:.2f} MB, "
+                              f"bound {bound / 1e6:.2f} MB")
+
+
+@pytest.mark.parametrize("dontneed", [True, False],
+                         ids=["release", "no-madvise"])
+def test_loaded_dataset_builds_the_same_table(tmp_path, monkeypatch,
+                                              dontneed):
+    # the records are shuffled, so each class's rows are spread over the
+    # file and a released span holds rows of classes still to come; with
+    # spans of at least 4 KB the build releases many times.  A platform
+    # without MADV_DONTNEED maps the file and releases nothing.
+    ds, split, _ = generate_synthetic(SyntheticSpec(
+        num_classes=12, dim=32, samples_per_class=50, group_size=4, seed=6))
+    order = np.random.default_rng(6).permutation(ds.count)
+    ds = Dataset(ds.class_ids[order], ds.values[order])
+    expected = build_base_stats(ds, split)
+    monkeypatch.setattr(features_io, "_CHUNK_BYTES", 4096)
+    if not dontneed:
+        monkeypatch.delattr(mmap, "MADV_DONTNEED")
+    spans = []
+    release = Dataset._release
+    monkeypatch.setattr(Dataset, "_release", lambda self, start, stop: (
+        spans.append((start, stop)), release(self, start, stop)))
+    loaded = through_file(ds, tmp_path)
+    assert isinstance(loaded._mapping, mmap.mmap)
+    table = build_base_stats(loaded, split)
+    for name in ("id_array", "mean_matrix", "counts", "packed_covariances"):
+        assert np.array_equal(getattr(table, name), getattr(expected, name))
+    assert loaded.values.tobytes() == ds.values.tobytes()
+    # every gathered record lies in a released span, and every span but
+    # the last is at least 4 KB of records
+    released = np.zeros(ds.count, dtype=bool)
+    for start, stop in spans:
+        released[start:stop] = True
+    base = np.isin(ds.class_ids, sorted(split.base_classes))
+    assert released[base].all()
+    assert all((stop - start) * (4 + 4 * 32) >= 4096
+               for start, stop in spans[:-1])
 
 
 def test_build_base_stats_missing_class():
