@@ -149,4 +149,4 @@ def retrieve_nearest_class_features(x, ds: Dataset, table: BaseStatsTable,
         raise DataError(
             f"class {nearest} has {rows.size} records, cannot retrieve {m}")
     picked = rng.permutation_prefix(rows.size, m)
-    return ds.values[rows[np.asarray(picked)]].astype(np.float64)
+    return ds._rows(rows[np.asarray(picked)])

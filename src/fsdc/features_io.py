@@ -18,9 +18,12 @@ dataset construction, so save followed by load is bit-exact.
 
 A loaded regular file is mapped, not copied: the loaded dataset's values
 are a read-only view of the file's records, and its pages are read on
-demand from the page cache.  Such a file must not be rewritten in place
-while a dataset loaded from it is in use; :func:`save_dataset` replaces a
-file by renaming a new one over it, so the mapping keeps the old contents.
+demand from the page cache.  The statistics build releases the records
+it read, and every episode read releases the whole mapping, so between
+episode reads the process holds none of the file.  Such a file must not
+be rewritten in place while a dataset loaded from it is in use;
+:func:`save_dataset` replaces a file by renaming a new one over it, so the
+mapping keeps the old contents.
 """
 
 from __future__ import annotations
@@ -86,8 +89,9 @@ class Dataset:
     All records share one dimensionality and all values are finite; both are
     checked at construction.  ``values`` is float32, the storage precision:
     a contiguous array for a dataset built in memory, and a read-only view
-    of the file's records for one from :func:`load_dataset`.  A pickled
-    dataset unpickles as one built in memory.
+    of the file's records for one from :func:`load_dataset`, whose pages
+    are released after each episode read.  A pickled dataset unpickles as
+    one built in memory.
     """
 
     # a loaded dataset's records array and, for a regular file, its mapping
@@ -159,6 +163,21 @@ class Dataset:
                 first, last = self.count, 0
             yield taken if self._records is None else taken["values"]
         self._release(first, last)
+
+    def _rows(self, idx) -> np.ndarray:
+        """The values of the records ``idx``, an index array, as a new
+        float64 array.
+
+        A mapped file's pages are then released, all of them: a read can
+        map a whole large folio around each record, reaching past
+        ``[min(idx), max(idx) + 1)``, so releasing only that span can leave
+        pages held.  So a loaded dataset holds no file pages between reads.
+        An empty ``idx`` gives a ``(0, dim)`` array and releases nothing.
+        """
+        rows = self.values[idx].astype(np.float64)
+        if idx.size:
+            self._release(0, self.count)
+        return rows
 
     def _release(self, start: int, stop: int) -> None:
         """Drop the pages of records ``[start, stop)`` from the process if the
@@ -269,7 +288,12 @@ def save_dataset(ds: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     """Load an FSDC file.  A regular file is mapped read-only, and the
     dataset's values are a view of it: rewrite the file only by replacing
-    it, as :func:`save_dataset` does, while the dataset is in use."""
+    it, as :func:`save_dataset` does, while the dataset is in use.
+
+    The mapping holds a duplicate of the file's descriptor until the
+    dataset is garbage-collected, so a process keeps one descriptor open
+    per loaded dataset alive; Python's ``mmap`` can drop it only from 3.13
+    (``trackfd=False``)."""
     with open(path, "rb") as fh:
         return _read_binary(fh)
 

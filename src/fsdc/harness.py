@@ -119,7 +119,11 @@ class EvalReport:
 def sample_episode(ds: Dataset, split: SplitManifest, spec: EpisodeSpec,
                    index: int) -> Episode:
     """Draw episode ``index``: n_way novel classes, k_shot support and
-    q_queries query rows each, all without replacement."""
+    q_queries query rows each, all without replacement.
+
+    Each class's rows are read in one call, which releases the pages of a
+    loaded dataset's file before the next class is read, and are then
+    split into support and query rows."""
     novel = sorted(split.novel_classes)
     if len(novel) < spec.n_way:
         raise DataError(
@@ -127,25 +131,24 @@ def sample_episode(ds: Dataset, split: SplitManifest, spec: EpisodeSpec,
     rng = PortableRng(derive_key(spec.seed, _DOM_EPISODE, index))
     chosen = [novel[i] for i in rng.permutation_prefix(len(novel), spec.n_way)]
     need = spec.k_shot + spec.q_queries
-    support_rows = []
-    query_rows = []
+    support_x = []
+    query_x = []
     for cid in chosen:
         rows = ds.rows_for(cid)
         if rows.size < need:
             raise DataError(
                 f"class {cid} has {rows.size} records, episode needs {need}")
         picked = rng.permutation_prefix(rows.size, need)
-        support_rows.append(rows[np.asarray(picked[:spec.k_shot])])
-        query_rows.append(rows[np.asarray(picked[spec.k_shot:])])
-    support_idx = np.concatenate(support_rows)
-    query_idx = np.concatenate(query_rows)
+        x = ds._rows(rows[np.asarray(picked)])
+        support_x.append(x[:spec.k_shot])
+        query_x.append(x[spec.k_shot:])
     support_y = np.repeat(np.arange(spec.n_way, dtype=np.int64), spec.k_shot)
     query_y = np.repeat(np.arange(spec.n_way, dtype=np.int64), spec.q_queries)
     return Episode(index=index,
                    class_ids=tuple(int(c) for c in chosen),
-                   support_x=ds.values[support_idx].astype(np.float64),
+                   support_x=np.concatenate(support_x),
                    support_y=support_y,
-                   query_x=ds.values[query_idx].astype(np.float64),
+                   query_x=np.concatenate(query_x),
                    query_y=query_y)
 
 

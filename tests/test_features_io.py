@@ -253,6 +253,33 @@ def test_loaded_dataset_pickles_as_one_in_memory(tmp_path):
         assert copy.values.tobytes() == ds.values.tobytes()
 
 
+def test_rows_reads_float64_copies_and_releases_the_file(tmp_path,
+                                                        monkeypatch):
+    # an episode's reads: a new float64 array of the records asked for,
+    # after which a loaded dataset's mapped pages are released; an empty
+    # index reads (0, dim) and releases nothing
+    rng = np.random.default_rng(8)
+    ds = Dataset(rng.integers(0, 4, size=40),
+                 rng.normal(size=(40, 5)).astype(np.float32))
+    save_dataset(ds, tmp_path / "d.fsdc")
+    spans = []
+    release = Dataset._release
+    monkeypatch.setattr(Dataset, "_release", lambda self, start, stop: (
+        spans.append((start, stop)), release(self, start, stop)))
+    idx = np.array([31, 2, 17])
+    for source in (ds, load_dataset(tmp_path / "d.fsdc")):
+        spans.clear()
+        rows = source._rows(idx)
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous
+        assert np.array_equal(rows, ds.values[idx].astype(np.float64))
+        assert all(start <= 2 and stop >= 32 for start, stop in spans)
+        assert len(spans) == 1
+        spans.clear()
+        none = source._rows(np.array([], dtype=np.intp))
+        assert none.shape == (0, 5) and none.dtype == np.float64
+        assert spans == []
+
+
 def test_loading_holds_no_copy_of_the_file(tmp_path):
     # the values stay in the file, mapped: loading holds the class ids
     # (0.004x the file, twice while they are joined), one chunk's buffer

@@ -1,10 +1,13 @@
+import mmap
 import multiprocessing
+import os
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from fsdc import features_io, harness
 from fsdc.calibration import CalibrationParams, calibrate_support_set
 from fsdc.classifiers import OptimizerConfig, train_logistic
 from fsdc.errors import DataError, SpecError
@@ -374,6 +377,130 @@ def test_evaluate_parallel_on_a_loaded_dataset_matches_serial(
     parallel = evaluate(loaded, split, build_base_stats(loaded, split), spec,
                         cfg, workers=2)
     assert serial.to_json() == parallel.to_json()
+
+
+def shuffled_world(tmp_path, **kw):
+    """A world whose records are shuffled, in memory and saved and loaded
+    again, so each class's rows are spread over the file."""
+    ds, split, _ = make_world(**kw)
+    order = np.random.default_rng(6).permutation(ds.count)
+    ds = Dataset(ds.class_ids[order], ds.values[order])
+    save_dataset(ds, tmp_path / "w.fsdc")
+    return ds, load_dataset(tmp_path / "w.fsdc"), split
+
+
+def record_releases(monkeypatch):
+    """The ``(start, stop)`` of every ``Dataset._release`` call from now on."""
+    spans = []
+    release = Dataset._release
+    monkeypatch.setattr(Dataset, "_release", lambda self, start, stop: (
+        spans.append((start, stop)), release(self, start, stop)))
+    return spans
+
+
+def records_of(ds, rows):
+    """The record index of each float64 row of ``rows``; every record of
+    ``ds`` must be distinct."""
+    where = {v.tobytes(): i for i, v in enumerate(ds.values)}
+    assert len(where) == ds.count
+    return [where[r.astype(np.float32).tobytes()] for r in rows]
+
+
+def all_released(spans, records):
+    return all(any(start <= r < stop for start, stop in spans)
+               for r in records)
+
+
+@pytest.mark.parametrize("dontneed", [True, False],
+                         ids=["release", "no-madvise"])
+def test_loaded_dataset_samples_the_same_episodes(tmp_path, monkeypatch,
+                                                  dontneed):
+    # each class's rows are read in one call and their pages released
+    # before the next class is read; a platform without MADV_DONTNEED
+    # releases nothing and reads the same rows
+    monkeypatch.setattr(features_io, "_CHUNK_BYTES", 4096)
+    if not dontneed:
+        monkeypatch.delattr(mmap, "MADV_DONTNEED")
+    ds, loaded, split = shuffled_world(tmp_path, num_classes=20, dim=16,
+                                       per_class=30, group_size=4)
+    assert isinstance(loaded._mapping, mmap.mmap)
+    spec = EpisodeSpec(n_way=4, k_shot=2, q_queries=5, num_episodes=5, seed=8)
+    spans = record_releases(monkeypatch)
+    for index in range(5):
+        expected = sample_episode(ds, split, spec, index)
+        spans.clear()
+        ep = sample_episode(loaded, split, spec, index)
+        assert ep.class_ids == expected.class_ids
+        for name in ("support_x", "support_y", "query_x", "query_y"):
+            got, want = getattr(ep, name), getattr(expected, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        if dontneed:
+            read = records_of(ds, np.concatenate([ep.support_x, ep.query_x]))
+            assert all_released(spans, read)
+
+
+def test_loaded_dataset_retrieves_the_same_rows(tmp_path, monkeypatch):
+    # retrieval reads base rows from the mapping and releases them
+    ds, loaded, split = shuffled_world(tmp_path)
+    spec = EpisodeSpec(n_way=2, k_shot=2, q_queries=5, num_episodes=4, seed=2)
+    cfg = quick_cfg(retrieve=3)
+    expected = evaluate(ds, split, build_base_stats(ds, split), spec, cfg)
+    stats = build_base_stats(loaded, split)
+    retrieved = []
+    retrieve = harness.retrieve_nearest_class_features
+
+    def capture(*args):
+        retrieved.append(retrieve(*args))
+        return retrieved[-1]
+
+    monkeypatch.setattr(harness, "retrieve_nearest_class_features", capture)
+    spans = record_releases(monkeypatch)
+    assert evaluate(loaded, split, stats, spec, cfg).to_json() \
+        == expected.to_json()
+    read = records_of(ds, np.concatenate(retrieved))
+    assert len(retrieved) == 4 * 2 * 2
+    assert all(int(ds.class_ids[r]) in split.base_classes for r in read)
+    assert all_released(spans, read)
+
+
+def mapped_rss_kb(path) -> list[int]:
+    """The ``Rss`` of each mapping of ``path`` in ``/proc/self/smaps``."""
+    path = os.path.realpath(path)
+    sizes, current = [], False
+    with open("/proc/self/smaps", encoding="utf-8") as fh:
+        for line in fh:
+            fields = line.split(maxsplit=5)
+            if not fields[0].endswith(":"):   # a mapping's first line
+                current = len(fields) == 6 and fields[5].rstrip("\n") == path
+            elif current and fields[0] == "Rss:":
+                sizes.append(int(fields[1]))
+    return sizes
+
+
+def test_evaluate_leaves_no_file_pages_mapped(tmp_path):
+    # a page fault can map a whole large folio of the file around the row
+    # read (2 MiB on Linux 6.18 with ext4), so the file is bigger than two
+    # of them; after the episodes the mapping holds no page
+    if not hasattr(mmap, "MADV_DONTNEED"):
+        pytest.skip("no MADV_DONTNEED here")
+    if not os.access("/proc/self/smaps", os.R_OK):
+        pytest.skip("no /proc/self/smaps here")
+    ds, split, _ = generate_synthetic(SyntheticSpec(
+        num_classes=20, dim=256, samples_per_class=300, group_size=5, seed=3))
+    path = tmp_path / "w.fsdc"
+    save_dataset(ds, path)
+    assert path.stat().st_size > 4 << 20
+    loaded = load_dataset(path)
+    stats = build_base_stats(loaded, split)
+    spec = EpisodeSpec(n_way=3, k_shot=1, q_queries=5, num_episodes=3, seed=1)
+    for cfg in (quick_cfg(optimizer=OptimizerConfig(epochs=5)),
+                quick_cfg(optimizer=OptimizerConfig(epochs=5), retrieve=2)):
+        evaluate(loaded, split, stats, spec, cfg)
+        assert mapped_rss_kb(path) == [0]
+    # the file's mapping is the one measured: reading a row maps pages
+    loaded.values[ds.count // 2].copy()
+    assert mapped_rss_kb(path)[0] > 0
 
 
 def test_evaluate_signal_free_data_is_random_guess():
