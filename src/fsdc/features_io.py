@@ -18,12 +18,12 @@ dataset construction, so save followed by load is bit-exact.
 
 A loaded regular file is mapped, not copied: the loaded dataset's values
 are a read-only view of the file's records, and its pages are read on
-demand from the page cache.  The statistics build releases the records
-it read, and every episode read releases the whole mapping, so between
-episode reads the process holds none of the file.  Such a file must not
-be rewritten in place while a dataset loaded from it is in use;
-:func:`save_dataset` replaces a file by renaming a new one over it, so the
-mapping keeps the old contents.
+demand from the page cache.  Every read, the statistics build's and each
+episode's, copies the records it needs and then releases the whole
+mapping, so between reads the process holds none of the file.  Such a
+file must not be rewritten in place while a dataset loaded from it is in
+use; :func:`save_dataset` replaces a file by renaming a new one over it,
+so the mapping keeps the old contents.
 """
 
 from __future__ import annotations
@@ -90,12 +90,11 @@ class Dataset:
     checked at construction.  ``values`` is float32, the storage precision:
     a contiguous array for a dataset built in memory, and a read-only view
     of the file's records for one from :func:`load_dataset`, whose pages
-    are released after each episode read.  A pickled dataset unpickles as
-    one built in memory.
+    are released after each read.  A pickled dataset unpickles as one
+    built in memory.
     """
 
-    # a loaded dataset's records array and, for a regular file, its mapping
-    _records = None
+    # a loaded regular file's mapping
     _mapping = None
 
     def __init__(self, class_ids, values) -> None:
@@ -125,48 +124,23 @@ class Dataset:
             _check_finite(self.values[lo:lo + step])
 
     @classmethod
-    def _of_records(cls, class_ids, records, mapping=None) -> Dataset:
+    def _view_of(cls, class_ids, records, mapping=None) -> Dataset:
         """A dataset whose values are a read-only view of ``records``, FSDC
         records already checked, without the constructor's copy."""
         ds = cls.__new__(cls)
         records.flags.writeable = False
         ds.class_ids, ds.values = class_ids, records["values"]
-        ds._records, ds._mapping = records, mapping
+        ds._mapping = mapping
         return ds
 
     def __reduce__(self):
         # a mapping cannot be pickled; the copy holds its values in memory
         return Dataset, (self.class_ids, self.values)
 
-    def _gather(self, rows):
-        """Yield the values of the records ``rows[0]``, ``rows[1]``, ... in
-        turn, each a non-empty sorted index array, copied into one buffer
-        that the next overwrites.
-
-        A loaded dataset's values are a strided view of its records, which
-        np.take would first copy whole, so whole records are taken instead.
-        The pages of a mapped file's taken records are then released, in
-        spans of at least a chunk: a release per index array costs more
-        than it frees on a small file.
-        """
-        source = self.values if self._records is None else self._records
-        most = max((r.size for r in rows), default=0)
-        buffer = np.empty((most,) + source.shape[1:], dtype=source.dtype)
-        span = max(1, _CHUNK_BYTES // source.strides[0])
-        first, last = self.count, 0
-        for r in rows:
-            taken = buffer[:r.size]
-            np.take(source, r, axis=0, out=taken, mode="clip")
-            first, last = min(first, int(r[0])), max(last, int(r[-1]) + 1)
-            if last - first >= span:
-                self._release(first, last)
-                first, last = self.count, 0
-            yield taken if self._records is None else taken["values"]
-        self._release(first, last)
-
     def _rows(self, idx) -> np.ndarray:
         """The values of the records ``idx``, an index array, as a new
-        float64 array.
+        float64 array: the one way records are read, by the statistics
+        build and by every episode.
 
         A mapped file's pages are then released, all of them: a read can
         map a whole large folio around each record, reaching past
@@ -176,19 +150,16 @@ class Dataset:
         """
         rows = self.values[idx].astype(np.float64)
         if idx.size:
-            self._release(0, self.count)
+            self._release()
         return rows
 
-    def _release(self, start: int, stop: int) -> None:
-        """Drop the pages of records ``[start, stop)`` from the process if the
-        values are mapped from a file.  A later read maps them again from
-        the page cache, so no value changes."""
+    def _release(self) -> None:
+        """Drop the mapped file's pages from the process, if the values are
+        mapped from a file.  A later read maps them again from the page
+        cache, so no value changes."""
         advice = getattr(mmap, "MADV_DONTNEED", None)
-        if self._mapping is None or advice is None or stop <= start:
-            return
-        size = self.values.strides[0]
-        lo = (_HEADER.size + start * size) // mmap.PAGESIZE * mmap.PAGESIZE
-        self._mapping.madvise(advice, lo, _HEADER.size + stop * size - lo)
+        if self._mapping is not None and advice is not None:
+            self._mapping.madvise(advice)
 
     @property
     def count(self) -> int:
@@ -277,7 +248,7 @@ def _read_binary(fh) -> Dataset:
                if regular else None)
     records = np.frombuffer(held if mapping is None else mapping,
                             dtype=record, count=count, offset=_HEADER.size)
-    return Dataset._of_records(np.concatenate(ids), records, mapping)
+    return Dataset._view_of(np.concatenate(ids), records, mapping)
 
 
 def save_dataset(ds: Dataset, path) -> None:

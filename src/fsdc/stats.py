@@ -29,6 +29,12 @@ import numpy as np
 from .errors import DataError
 from .features_io import Dataset, SplitManifest
 
+# a read of a mapped file releases its pages, and the release and the page
+# faults that follow cost about as much for a few rows as for many, so
+# consecutive classes are read together while their float64 copy stays
+# within this many bytes
+_READ_BYTES = 1 << 18
+
 
 def _gather_map(d: int) -> np.ndarray:
     """(d, d) intp: the packed index of every element of a (d, d) matrix."""
@@ -90,12 +96,13 @@ def build_base_stats(ds: Dataset, split: SplitManifest) -> BaseStatsTable:
     """Compute mean, covariance and record count for every base class in
     ``split``, from its untransformed features in ``ds``.
 
-    Each class takes one pass through one set of buffers sized for the
-    largest class: its rows are gathered, centered and multiplied once, and
-    the product's lower triangle is packed, divided by n - 1 and rounded
-    once into its float32 table row, so the build allocates nothing per
-    class.  For a dataset mapped from a file, the pages of the gathered
-    records are then released from the process.
+    Each class takes one pass: its rows are read as a float64 copy, which
+    is centered in place and multiplied once into a shared (d, d) product,
+    and the product's lower triangle is packed, divided by n - 1 and
+    rounded once into its float32 table row.  A read covers one class, or
+    consecutive small classes together, and only one read's copy is alive
+    at a time.  For a dataset mapped from a file, each read then releases
+    the file's pages from the process.
     """
     ids = sorted(split.base_classes)
     # one stable sort groups every class's rows, each in file order, where
@@ -123,34 +130,52 @@ def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
     """Write the statistics of the records ``rows[i]`` of ``ds`` into row i
     of ``means``, ``counts`` and ``packed``.
 
-    The mean is taken from the stored float32 rows in float64; the packed
-    row gets the lower triangle of x^T x for the class's centered rows x,
-    row-major, divided by n - 1 in float64 and then rounded once to the
-    row's dtype.
+    Each class's rows are read as a float64 copy x, exact from the stored
+    float32, whose mean is taken and then subtracted in place; the packed
+    row gets the lower triangle of x^T x, row-major, divided by n - 1 in
+    float64 and then rounded once to the row's dtype.
     """
     d = ds.dim
     # flat indices of a (d, d) matrix's lower triangle, row-major: the
     # packed layout
     lower = np.flatnonzero(np.tri(d, dtype=bool))
-    most = max((r.size for r in rows), default=0)
-    centered = np.empty((most, d))
     product = np.empty((d, d))
     # the float64 triangle, rounded once into the row; np.take with a
     # float32 ``out`` would read the row's old contents into a buffer of
     # its own on every call
     triangle = np.empty(lower.size)
-    for row, rows32 in enumerate(ds._gather(rows)):
-        n = rows32.shape[0]
-        np.mean(rows32, axis=0, dtype=np.float64, out=means[row])
-        x = centered[:n]
-        np.subtract(rows32, means[row], out=x)
-        np.matmul(x.T, x, out=product)
-        # mode="clip" writes straight into ``triangle`` ("raise" would
-        # buffer it); the indices are in range
-        np.take(product.reshape(-1), lower, out=triangle, mode="clip")
-        triangle /= n - 1
-        packed[row] = triangle
-        counts[row] = n
+    row = 0
+    for run in _runs(rows, max(1, _READ_BYTES // (8 * d))):
+        block = ds._rows(np.concatenate(run))
+        for x in np.split(block, np.cumsum([r.size for r in run[:-1]])):
+            n = x.shape[0]
+            np.mean(x, axis=0, out=means[row])
+            x -= means[row]
+            np.matmul(x.T, x, out=product)
+            # mode="clip" writes straight into ``triangle`` ("raise" would
+            # buffer it); the indices are in range
+            np.take(product.reshape(-1), lower, out=triangle, mode="clip")
+            triangle /= n - 1
+            packed[row] = triangle
+            counts[row] = n
+            row += 1
+        # drop this read's copy before the next is made
+        del block, x
+
+
+def _runs(rows, most: int):
+    """Split the list of index arrays ``rows`` into runs of consecutive
+    arrays of at most ``most`` indices in all; a longer array is a run of
+    its own."""
+    run, size = [], 0
+    for r in rows:
+        if run and size + r.size > most:
+            yield run
+            run, size = [], 0
+        run.append(r)
+        size += r.size
+    if run:
+        yield run
 
 
 def _cosine(u: np.ndarray, v: np.ndarray) -> float:

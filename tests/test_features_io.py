@@ -262,22 +262,21 @@ def test_rows_reads_float64_copies_and_releases_the_file(tmp_path,
     ds = Dataset(rng.integers(0, 4, size=40),
                  rng.normal(size=(40, 5)).astype(np.float32))
     save_dataset(ds, tmp_path / "d.fsdc")
-    spans = []
+    released = []
     release = Dataset._release
-    monkeypatch.setattr(Dataset, "_release", lambda self, start, stop: (
-        spans.append((start, stop)), release(self, start, stop)))
+    monkeypatch.setattr(Dataset, "_release", lambda self: (
+        released.append(self), release(self)))
     idx = np.array([31, 2, 17])
     for source in (ds, load_dataset(tmp_path / "d.fsdc")):
-        spans.clear()
+        released.clear()
         rows = source._rows(idx)
         assert rows.dtype == np.float64 and rows.flags.c_contiguous
         assert np.array_equal(rows, ds.values[idx].astype(np.float64))
-        assert all(start <= 2 and stop >= 32 for start, stop in spans)
-        assert len(spans) == 1
-        spans.clear()
+        assert released == [source]
+        released.clear()
         none = source._rows(np.array([], dtype=np.intp))
         assert none.shape == (0, 5) and none.dtype == np.float64
-        assert spans == []
+        assert released == []
 
 
 def test_loading_holds_no_copy_of_the_file(tmp_path):

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from fsdc import features_io, harness
+from fsdc import harness
 from fsdc.calibration import CalibrationParams, calibrate_support_set
 from fsdc.classifiers import OptimizerConfig, train_logistic
 from fsdc.errors import DataError, SpecError
@@ -390,12 +390,12 @@ def shuffled_world(tmp_path, **kw):
 
 
 def record_releases(monkeypatch):
-    """The ``(start, stop)`` of every ``Dataset._release`` call from now on."""
-    spans = []
+    """The dataset of every ``Dataset._release`` call from now on."""
+    released = []
     release = Dataset._release
-    monkeypatch.setattr(Dataset, "_release", lambda self, start, stop: (
-        spans.append((start, stop)), release(self, start, stop)))
-    return spans
+    monkeypatch.setattr(Dataset, "_release", lambda self: (
+        released.append(self), release(self)))
+    return released
 
 
 def records_of(ds, rows):
@@ -406,11 +406,6 @@ def records_of(ds, rows):
     return [where[r.astype(np.float32).tobytes()] for r in rows]
 
 
-def all_released(spans, records):
-    return all(any(start <= r < stop for start, stop in spans)
-               for r in records)
-
-
 @pytest.mark.parametrize("dontneed", [True, False],
                          ids=["release", "no-madvise"])
 def test_loaded_dataset_samples_the_same_episodes(tmp_path, monkeypatch,
@@ -418,26 +413,23 @@ def test_loaded_dataset_samples_the_same_episodes(tmp_path, monkeypatch,
     # each class's rows are read in one call and their pages released
     # before the next class is read; a platform without MADV_DONTNEED
     # releases nothing and reads the same rows
-    monkeypatch.setattr(features_io, "_CHUNK_BYTES", 4096)
     if not dontneed:
         monkeypatch.delattr(mmap, "MADV_DONTNEED")
     ds, loaded, split = shuffled_world(tmp_path, num_classes=20, dim=16,
                                        per_class=30, group_size=4)
     assert isinstance(loaded._mapping, mmap.mmap)
     spec = EpisodeSpec(n_way=4, k_shot=2, q_queries=5, num_episodes=5, seed=8)
-    spans = record_releases(monkeypatch)
+    released = record_releases(monkeypatch)
     for index in range(5):
         expected = sample_episode(ds, split, spec, index)
-        spans.clear()
+        released.clear()
         ep = sample_episode(loaded, split, spec, index)
         assert ep.class_ids == expected.class_ids
         for name in ("support_x", "support_y", "query_x", "query_y"):
             got, want = getattr(ep, name), getattr(expected, name)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
-        if dontneed:
-            read = records_of(ds, np.concatenate([ep.support_x, ep.query_x]))
-            assert all_released(spans, read)
+        assert released == [loaded] * spec.n_way
 
 
 def test_loaded_dataset_retrieves_the_same_rows(tmp_path, monkeypatch):
@@ -455,13 +447,14 @@ def test_loaded_dataset_retrieves_the_same_rows(tmp_path, monkeypatch):
         return retrieved[-1]
 
     monkeypatch.setattr(harness, "retrieve_nearest_class_features", capture)
-    spans = record_releases(monkeypatch)
+    released = record_releases(monkeypatch)
     assert evaluate(loaded, split, stats, spec, cfg).to_json() \
         == expected.to_json()
     read = records_of(ds, np.concatenate(retrieved))
     assert len(retrieved) == 4 * 2 * 2
     assert all(int(ds.class_ids[r]) in split.base_classes for r in read)
-    assert all_released(spans, read)
+    # one release per episode class read and per retrieval
+    assert released == [loaded] * (4 * 2 + len(retrieved))
 
 
 def mapped_rss_kb(path) -> list[int]:
@@ -493,6 +486,7 @@ def test_evaluate_leaves_no_file_pages_mapped(tmp_path):
     assert path.stat().st_size > 4 << 20
     loaded = load_dataset(path)
     stats = build_base_stats(loaded, split)
+    assert mapped_rss_kb(path) == [0]
     spec = EpisodeSpec(n_way=3, k_shot=1, q_queries=5, num_episodes=3, seed=1)
     for cfg in (quick_cfg(optimizer=OptimizerConfig(epochs=5)),
                 quick_cfg(optimizer=OptimizerConfig(epochs=5), retrieve=2)):

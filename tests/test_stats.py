@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fsdc import features_io
+from fsdc import stats
 from fsdc.errors import DataError
 from fsdc.features_io import (Dataset, SplitManifest, SyntheticSpec,
                               generate_synthetic, load_dataset, save_dataset)
@@ -240,9 +240,9 @@ def test_build_base_stats_holds_one_full_covariance_at_a_time(tmp_path):
     # 12 full float64 covariances 6.29 MB; the bound allows the table plus
     # three full float64 matrices (the product of the class being computed
     # is one; the gather map, briefly two while the table builds it, comes
-    # after the fill).  The build peaked at 3.00 MB: the table plus 2.71.
-    # From a loaded dataset too, whose strided values np.take would first
-    # copy whole (0.98 MB more).
+    # after the fill).  The build peaked at 3.07 MB: the table plus 1.49,
+    # reading two classes at a time.  From a loaded dataset too, whose
+    # rows are read out of the strided records into the same float64 copy.
     ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=15, dim=256, samples_per_class=64, group_size=5, seed=4))
     n, d = len(split.base_classes), ds.dim
@@ -264,36 +264,30 @@ def test_build_base_stats_holds_one_full_covariance_at_a_time(tmp_path):
 def test_loaded_dataset_builds_the_same_table(tmp_path, monkeypatch,
                                               dontneed):
     # the records are shuffled, so each class's rows are spread over the
-    # file and a released span holds rows of classes still to come; with
-    # spans of at least 4 KB the build releases many times.  A platform
-    # without MADV_DONTNEED maps the file and releases nothing.
+    # file, and a release after each read drops pages that classes still
+    # to come read again; reads of two classes each release five times for
+    # the nine base classes.  A platform without MADV_DONTNEED maps the
+    # file and releases nothing.
     ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=12, dim=32, samples_per_class=50, group_size=4, seed=6))
     order = np.random.default_rng(6).permutation(ds.count)
     ds = Dataset(ds.class_ids[order], ds.values[order])
     expected = build_base_stats(ds, split)
-    monkeypatch.setattr(features_io, "_CHUNK_BYTES", 4096)
+    monkeypatch.setattr(stats, "_READ_BYTES", 2 * 50 * 8 * 32)
     if not dontneed:
         monkeypatch.delattr(mmap, "MADV_DONTNEED")
-    spans = []
+    released = []
     release = Dataset._release
-    monkeypatch.setattr(Dataset, "_release", lambda self, start, stop: (
-        spans.append((start, stop)), release(self, start, stop)))
+    monkeypatch.setattr(Dataset, "_release", lambda self: (
+        released.append(self), release(self)))
     loaded = through_file(ds, tmp_path)
     assert isinstance(loaded._mapping, mmap.mmap)
     table = build_base_stats(loaded, split)
     for name in ("id_array", "mean_matrix", "counts", "packed_covariances"):
         assert np.array_equal(getattr(table, name), getattr(expected, name))
     assert loaded.values.tobytes() == ds.values.tobytes()
-    # every gathered record lies in a released span, and every span but
-    # the last is at least 4 KB of records
-    released = np.zeros(ds.count, dtype=bool)
-    for start, stop in spans:
-        released[start:stop] = True
-    base = np.isin(ds.class_ids, sorted(split.base_classes))
-    assert released[base].all()
-    assert all((stop - start) * (4 + 4 * 32) >= 4096
-               for start, stop in spans[:-1])
+    assert len(split.base_classes) == 9
+    assert released == [loaded] * 5
 
 
 def test_build_base_stats_missing_class():
