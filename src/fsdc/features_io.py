@@ -32,7 +32,6 @@ import json
 import math
 import mmap
 import os
-import secrets
 import stat
 import struct
 from dataclasses import dataclass
@@ -48,6 +47,7 @@ _VERSION: Final = 1
 _HEADER: Final = struct.Struct("<4sIII")
 _MAX_CLASS_ID: Final = 2 ** 32 - 1   # class ids are stored as u32
 _CHUNK_BYTES: Final = 1 << 20   # records are decoded through a buffer this big
+_COPY_BYTES: Final = 1 << 16    # reads gather float32 rows in blocks this big
 
 _DOM_GROUP_DIR: Final = 0x47
 _DOM_CLASS_OFFSET: Final = 0x4F
@@ -59,7 +59,7 @@ def atomic_write_bytes(path, data: bytes) -> None:
     observe a partial file."""
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path),
-                       f".fsdc-tmp-{secrets.token_hex(8)}")
+                       f".fsdc-tmp-{os.urandom(8).hex()}")
     # open() gives the new file 0666 less the umask, as a file written in
     # place would get; tempfile.mkstemp would make it 0600, owner-only
     try:
@@ -147,8 +147,15 @@ class Dataset:
         ``[min(idx), max(idx) + 1)``, so releasing only that span can leave
         pages held.  So a loaded dataset holds no file pages between reads.
         An empty ``idx`` gives a ``(0, dim)`` array and releases nothing.
+
+        The rows are gathered a block of at most ``_COPY_BYTES`` of float32
+        at a time and widened into the result, so a read holds its result
+        and one block, not a float32 copy of the whole read beside it.
         """
-        rows = self.values[idx].astype(np.float64)
+        rows = np.empty((idx.size, self.dim))
+        step = max(1, _COPY_BYTES // self.values[0].nbytes)
+        for lo in range(0, idx.size, step):
+            rows[lo:lo + step] = self.values[idx[lo:lo + step]]
         if idx.size:
             self._release()
         return rows

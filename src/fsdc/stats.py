@@ -20,9 +20,17 @@ d=640.  A shared ``(d, d)`` gather map expands a packed row, or a sum of
 packed rows, back into the full matrix, which is therefore exactly
 symmetric, and :func:`class_similarity` reads the variances straight off
 the packed rows.
+
+:func:`build_base_stats` reads large classes on two threads when OpenBLAS
+has two or more, and holds every loaded OpenBLAS at one thread while they
+run: each class's product is then computed on one core, with the same
+bits as at any thread count.
 """
 
 from __future__ import annotations
+
+import contextlib
+import functools
 
 import numpy as np
 
@@ -97,12 +105,33 @@ def build_base_stats(ds: Dataset, split: SplitManifest) -> BaseStatsTable:
     ``split``, from its untransformed features in ``ds``.
 
     Each class takes one pass: its rows are read as a float64 copy, which
-    is centered in place and multiplied once into a shared (d, d) product,
-    and the product's lower triangle is packed, divided by n - 1 and
-    rounded once into its float32 table row.  A read covers one class, or
-    consecutive small classes together, and only one read's copy is alive
-    at a time.  For a dataset mapped from a file, each read then releases
-    the file's pages from the process.
+    is centered in place and multiplied once into a (d, d) product, and
+    the product's lower triangle is packed, divided by n - 1 and rounded
+    once into its float32 table row.  A read covers one class, or
+    consecutive small classes together.  For a dataset mapped from a file,
+    each read then releases the file's pages from the process.
+
+    When there are two reads or more, each one class whose float64 rows
+    exceed 256 KiB, and OpenBLAS had two threads or more before the build,
+    the reads are split between two threads, the calling one and one
+    helper, and every loaded OpenBLAS is held at one thread until the
+    helper is joined.  On a 2-vCPU VM one product of 600 x 640 rows took
+    3.4 ms at two BLAS threads and 4.7 ms at one, and the paper world's
+    set-up (load and build, 64 such classes) fell from 0.338 to 0.252 s
+    (perfbench medians of 10 pairs).  Two threads is the one count that
+    was measured, so the build starts no more on a larger machine.  The
+    helper holds its own product, triangle and read, 8.0 MB for 600 rows
+    at d=640, while the build runs, and OpenBLAS keeps the buffer it gave
+    the helper resident for the rest of the process (about 2.3 MB).  A
+    product's bits do not depend on the BLAS thread count, so the table is
+    the same either way; a Cholesky factor's do, so the helper is joined
+    and the count given back before this returns, also when a read raises.
+    Meanwhile BLAS calls from any other thread of the process run at one
+    thread too.  Otherwise the reads run one after another on the calling
+    thread, one read's copy alive at a time: for small classes, where a
+    helper cost more than it saved, and where no OpenBLAS setter is found
+    (another BLAS, or a platform without ``/proc/self/maps``) or OpenBLAS
+    has one thread.
     """
     ids = sorted(split.base_classes)
     # one stable sort groups every class's rows, each in file order, where
@@ -128,7 +157,8 @@ def build_base_stats(ds: Dataset, split: SplitManifest) -> BaseStatsTable:
 
 def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
     """Write the statistics of the records ``rows[i]`` of ``ds`` into row i
-    of ``means``, ``counts`` and ``packed``.
+    of ``means``, ``counts`` and ``packed``, on the calling thread and,
+    where :func:`_two_threads` allows, one helper.
 
     Each class's rows are read as a float64 copy x, exact from the stored
     float32, whose mean is taken and then subtracted in place; the packed
@@ -139,28 +169,112 @@ def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
     # flat indices of a (d, d) matrix's lower triangle, row-major: the
     # packed layout
     lower = np.flatnonzero(np.tri(d, dtype=bool))
-    product = np.empty((d, d))
-    # the float64 triangle, rounded once into the row; np.take with a
-    # float32 ``out`` would read the row's old contents into a buffer of
-    # its own on every call
-    triangle = np.empty(lower.size)
-    row = 0
-    for run in _runs(rows, max(1, _READ_BYTES // (8 * d))):
-        block = ds._rows(np.concatenate(run))
-        for x in np.split(block, np.cumsum([r.size for r in run[:-1]])):
-            n = x.shape[0]
-            np.mean(x, axis=0, out=means[row])
-            x -= means[row]
-            np.matmul(x.T, x, out=product)
-            # mode="clip" writes straight into ``triangle`` ("raise" would
-            # buffer it); the indices are in range
-            np.take(product.reshape(-1), lower, out=triangle, mode="clip")
-            triangle /= n - 1
-            packed[row] = triangle
-            counts[row] = n
-            row += 1
-        # drop this read's copy before the next is made
-        del block, x
+    most = max(1, _READ_BYTES // (8 * d))
+    # each read with the table row of its first class
+    reads, row = [], 0
+    for run in _runs(rows, most):
+        reads.append((row, run))
+        row += len(run)
+
+    def fill(taken) -> None:
+        """Fill the classes' rows of each read of ``taken``, with scratch
+        of its own."""
+        product = np.empty((d, d))
+        # the float64 triangle, rounded once into the row; np.take with a
+        # float32 ``out`` would read the row's old contents into a buffer
+        # of its own on every call
+        triangle = np.empty(lower.size)
+        for row, run in taken:
+            block = ds._rows(np.concatenate(run))
+            for x in np.split(block, np.cumsum([r.size for r in run[:-1]])):
+                n = x.shape[0]
+                np.mean(x, axis=0, out=means[row])
+                x -= means[row]
+                np.matmul(x.T, x, out=product)
+                # mode="clip" writes straight into ``triangle`` ("raise"
+                # would buffer it); the indices are in range
+                np.take(product.reshape(-1), lower, out=triangle, mode="clip")
+                triangle /= n - 1
+                packed[row] = triangle
+                counts[row] = n
+                row += 1
+            # drop this read's copy before the next is made
+            del block, x
+
+    if not _two_threads(rows, most, len(reads)):
+        fill(reads)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    # this thread takes the even reads and one helper the odd ones; the
+    # helper is joined before BLAS gets its threads back
+    with (_one_blas_thread(_openblas()),
+          ThreadPoolExecutor(1) as pool):
+        helper = pool.submit(fill, reads[1::2])
+        fill(reads[0::2])
+        helper.result()
+
+
+def _two_threads(rows, most: int, reads: int) -> bool:
+    """Whether the build's ``reads`` reads run on two threads: when every
+    class of ``rows`` is read alone (more than ``most`` rows), there are
+    two reads or more and some loaded OpenBLAS has two threads or more.
+
+    Small classes stay on the calling thread: a helper thread made the
+    acceptance world's build slower (0.91 -> 1.22 ms, in-process
+    medians), the pool's start costing more than the reads it shared.
+    More than two threads were never measured, and each costs a read and
+    scratch of its own and a resident OpenBLAS buffer."""
+    if reads < 2 or any(r.size <= most for r in rows):
+        return False
+    return max((get() for get, _ in _openblas()), default=1) >= 2
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """The ``(get, set)`` thread-count functions of every OpenBLAS loaded
+    in this process, found once per process through ctypes: numpy's wheels
+    export ``scipy_openblas_set_num_threads64_``, other builds
+    ``openblas_set_num_threads``.  Empty where none is found: a process
+    without ``/proc/self/maps`` (outside Linux), or another BLAS."""
+    import ctypes
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh
+                     if "openblas" in line}
+    except OSError:
+        return ()
+    found = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+                break
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def _one_blas_thread(libs):
+    """Run the body with each OpenBLAS of ``libs``, as :func:`_openblas`
+    gives them, at one thread, and give each its own count back after."""
+    before = [get() for get, _ in libs]
+    for _, put in libs:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(libs, before):
+            put(count)
 
 
 def _runs(rows, most: int):

@@ -50,13 +50,15 @@ def test_import_leaves_scipy_out():
     # numpy is the only runtime dependency: loading scipy.special alone
     # costs about 24 MB of resident memory and 0.24 s.  The process pool is
     # imported only when an evaluation asks for workers; multiprocessing
-    # adds about 1.3 MB.
+    # adds about 1.3 MB.  OpenSSL (``_hashlib``, which ``secrets`` loads)
+    # added 3.8 MB beside numpy.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
     code = ("import sys\nimport fsdc\n"
             "print(sorted(m for m in sys.modules if m.partition('.')[0] in "
-            "('scipy', 'multiprocessing') or m == 'concurrent.futures.process'))")
+            "('scipy', 'multiprocessing') "
+            "or m in ('concurrent.futures.process', '_hashlib')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

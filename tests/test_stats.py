@@ -1,4 +1,8 @@
+import concurrent.futures
+import itertools
 import mmap
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +12,7 @@ from fsdc import stats
 from fsdc.errors import DataError
 from fsdc.features_io import (Dataset, SplitManifest, SyntheticSpec,
                               generate_synthetic, load_dataset, save_dataset)
+from fsdc.harness import EpisodeSpec, PipelineConfig, evaluate
 from fsdc.stats import BaseStatsTable, build_base_stats, class_similarity
 from synthetic_moments import feature_moments
 
@@ -259,6 +264,40 @@ def test_build_base_stats_holds_one_full_covariance_at_a_time(tmp_path):
                               f"bound {bound / 1e6:.2f} MB")
 
 
+TABLE_ARRAYS = ("id_array", "mean_matrix", "counts", "packed_covariances")
+
+
+def shuffled_world():
+    """Nine base classes of 50 rows at d=32 whose records are shuffled, so
+    each class's rows are spread over the whole file."""
+    ds, split, _ = generate_synthetic(SyntheticSpec(
+        num_classes=12, dim=32, samples_per_class=50, group_size=4, seed=6))
+    order = np.random.default_rng(6).permutation(ds.count)
+    return Dataset(ds.class_ids[order], ds.values[order]), split
+
+
+def force_threads(monkeypatch):
+    """Split the build's reads between two threads, whatever the classes'
+    sizes and the BLAS."""
+    monkeypatch.setattr(stats, "_two_threads", lambda rows, most, reads: True)
+
+
+def read_threads(monkeypatch):
+    """The ids of the threads that read rows of a dataset, one per read."""
+    seen = []
+    read = Dataset._rows
+    monkeypatch.setattr(Dataset, "_rows", lambda self, idx: (
+        seen.append(threading.get_ident()), read(self, idx))[1])
+    return seen
+
+
+def fake_openblas(count):
+    """A stand-in for one loaded OpenBLAS at ``count`` threads, and the list
+    of every count set on it."""
+    counts = [count]
+    return ((lambda: counts[-1], counts.append),), counts
+
+
 @pytest.mark.parametrize("dontneed", [True, False],
                          ids=["release", "no-madvise"])
 def test_loaded_dataset_builds_the_same_table(tmp_path, monkeypatch,
@@ -268,10 +307,7 @@ def test_loaded_dataset_builds_the_same_table(tmp_path, monkeypatch,
     # to come read again; reads of two classes each release five times for
     # the nine base classes.  A platform without MADV_DONTNEED maps the
     # file and releases nothing.
-    ds, split, _ = generate_synthetic(SyntheticSpec(
-        num_classes=12, dim=32, samples_per_class=50, group_size=4, seed=6))
-    order = np.random.default_rng(6).permutation(ds.count)
-    ds = Dataset(ds.class_ids[order], ds.values[order])
+    ds, split = shuffled_world()
     expected = build_base_stats(ds, split)
     monkeypatch.setattr(stats, "_READ_BYTES", 2 * 50 * 8 * 32)
     if not dontneed:
@@ -283,11 +319,164 @@ def test_loaded_dataset_builds_the_same_table(tmp_path, monkeypatch,
     loaded = through_file(ds, tmp_path)
     assert isinstance(loaded._mapping, mmap.mmap)
     table = build_base_stats(loaded, split)
-    for name in ("id_array", "mean_matrix", "counts", "packed_covariances"):
+    for name in TABLE_ARRAYS:
         assert np.array_equal(getattr(table, name), getattr(expected, name))
     assert loaded.values.tobytes() == ds.values.tobytes()
     assert len(split.base_classes) == 9
     assert released == [loaded] * 5
+
+
+def test_threaded_build_gives_the_serial_table(tmp_path, monkeypatch):
+    # each class's 50 rows exceed a read's bytes, so each is read alone,
+    # and each thread's release of the mapping drops pages the other is
+    # reading; the two threads, switching often, interleave
+    ds, split = shuffled_world()
+    expected = build_base_stats(ds, split)
+    loaded = through_file(ds, tmp_path)
+    monkeypatch.setattr(stats, "_READ_BYTES", 49 * 8 * 32)
+    force_threads(monkeypatch)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for source in (ds, loaded):
+            table = build_base_stats(source, split)
+            for name in TABLE_ARRAYS:
+                assert np.array_equal(getattr(table, name),
+                                      getattr(expected, name)), name
+    finally:
+        sys.setswitchinterval(switch)
+    assert loaded.values.tobytes() == ds.values.tobytes()
+
+
+def test_threads_only_for_two_or_more_reads_of_one_large_class_each(
+        monkeypatch):
+    large = [np.arange(11)] * 4
+    libs, _ = fake_openblas(2)
+    monkeypatch.setattr(stats, "_openblas", lambda: libs)
+    assert stats._two_threads(large, 10, 4)
+    # a class small enough to share a read, or a single read
+    assert not stats._two_threads(large + [np.arange(10)], 10, 5)
+    assert not stats._two_threads(large[:1], 10, 1)
+    # two threads also beside more BLAS threads, none beside a single one
+    libs, _ = fake_openblas(8)
+    monkeypatch.setattr(stats, "_openblas", lambda: libs)
+    assert stats._two_threads(large, 10, 4)
+    for count in (1, 0):
+        libs, _ = fake_openblas(count)
+        monkeypatch.setattr(stats, "_openblas", lambda: libs)
+        assert not stats._two_threads(large, 10, 4)
+    # no OpenBLAS setter found
+    monkeypatch.setattr(stats, "_openblas", lambda: ())
+    assert not stats._two_threads(large, 10, 4)
+
+
+def test_build_pins_blas_to_one_thread_while_its_threads_run(monkeypatch):
+    # the real condition, with every class read alone: the count is set to
+    # 1 for the build and given back after it, also when a read raises
+    ds, split = shuffled_world()
+    monkeypatch.setattr(stats, "_READ_BYTES", 49 * 8 * 32)
+    libs, counts = fake_openblas(2)
+    monkeypatch.setattr(stats, "_openblas", lambda: libs)
+    seen = read_threads(monkeypatch)
+    table = build_base_stats(ds, split)
+    assert counts == [2, 1, 2]
+    assert len(seen) == 9 and len(set(seen)) == 2 and len(table) == 9
+    calls = itertools.count()
+    read = Dataset._rows
+
+    def failing(self, idx):
+        if next(calls) == 4:
+            raise DataError("unreadable rows")
+        return read(self, idx)
+
+    monkeypatch.setattr(Dataset, "_rows", failing)
+    with pytest.raises(DataError, match="unreadable rows"):
+        build_base_stats(ds, split)
+    assert counts == [2, 1, 2, 1, 2]
+
+
+def test_build_gives_back_the_openblas_thread_count(monkeypatch):
+    libs = stats._openblas()
+    if not libs:
+        pytest.skip("no OpenBLAS thread setter found in this process")
+    before = [get() for get, _ in libs]
+    ds, split = shuffled_world()
+    force_threads(monkeypatch)
+    during = []
+    read = Dataset._rows
+    monkeypatch.setattr(Dataset, "_rows", lambda self, idx: (
+        during.append([get() for get, _ in libs]), read(self, idx))[1])
+    build_base_stats(ds, split)
+    assert during and all(c == [1] * len(libs) for c in during)
+    assert [get() for get, _ in libs] == before
+
+    def failing(self, idx):
+        raise DataError("unreadable rows")
+
+    monkeypatch.setattr(Dataset, "_rows", failing)
+    with pytest.raises(DataError, match="unreadable rows"):
+        build_base_stats(ds, split)
+    assert [get() for get, _ in libs] == before
+
+
+def test_build_without_an_openblas_setter_runs_serially(monkeypatch):
+    ds, split = shuffled_world()
+    expected = build_base_stats(ds, split)
+    monkeypatch.setattr(stats, "_READ_BYTES", 49 * 8 * 32)
+    monkeypatch.setattr(stats, "_openblas", lambda: ())
+    # no pool can start: every read runs on the calling thread
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
+    seen = read_threads(monkeypatch)
+    table = build_base_stats(ds, split)
+    assert seen == [threading.get_ident()] * 9
+    for name in TABLE_ARRAYS:
+        assert np.array_equal(getattr(table, name), getattr(expected, name))
+
+
+def test_threaded_build_holds_one_read_and_scratch_per_thread(tmp_path,
+                                                              monkeypatch):
+    # 12 base classes of 160 rows at d=256, each read alone (328 kB): the
+    # packed table takes 1.58 MB and the packed layout's indices, shared,
+    # 0.26 MB; each thread holds its product (0.52 MB), its float64
+    # triangle (0.26 MB) and its read, with one 64 KiB block of float32
+    # rows while the read is gathered.  256 KiB more, less than a read,
+    # covers the means, the sort order and the pool.  The build peaked at
+    # 4.22-4.29 MB against a 4.46 MB bound.
+    ds, split, _ = generate_synthetic(SyntheticSpec(
+        num_classes=15, dim=256, samples_per_class=160, group_size=5,
+        seed=4))
+    n, d, threads = len(split.base_classes), ds.dim, 2
+    force_threads(monkeypatch)
+    triangle = d * (d + 1) // 2
+    scratch = (d * d + triangle + 160 * d) * 8 + (1 << 16)
+    bound = n * triangle * 4 + triangle * 8 + threads * scratch + (1 << 18)
+    for source in (ds, through_file(ds, tmp_path)):
+        tracemalloc.start()
+        try:
+            table = build_base_stats(source, split)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 12
+        assert peak < bound, (f"peak {peak / 1e6:.2f} MB, "
+                              f"bound {bound / 1e6:.2f} MB")
+
+
+def test_threaded_build_then_parallel_evaluate_gives_the_serial_report(
+        monkeypatch):
+    # the build's threads are joined before it returns, so the workers
+    # evaluate forks copy no live helper thread
+    ds, split, _ = generate_synthetic(SyntheticSpec(
+        num_classes=10, dim=8, samples_per_class=40, group_size=5, seed=17))
+    spec = EpisodeSpec(n_way=2, k_shot=1, q_queries=5, num_episodes=6, seed=5)
+    cfg = PipelineConfig()
+    serial = evaluate(ds, split, build_base_stats(ds, split), spec, cfg)
+    force_threads(monkeypatch)
+    alive = threading.active_count()
+    table = build_base_stats(ds, split)
+    assert threading.active_count() == alive
+    parallel = evaluate(ds, split, table, spec, cfg, workers=2)
+    assert parallel.to_json() == serial.to_json()
 
 
 def test_build_base_stats_missing_class():
