@@ -229,26 +229,35 @@ def _two_threads(rows, most: int, reads: int) -> bool:
     return max((get() for get, _ in _openblas()), default=1) >= 2
 
 
-@functools.cache
-def _openblas() -> tuple:
-    """The ``(get, set)`` thread-count functions of every OpenBLAS loaded
-    in this process, found once per process through ctypes: numpy's wheels
-    export ``scipy_openblas_set_num_threads64_``, other builds
-    ``openblas_set_num_threads``.  Empty where none is found: a process
-    without ``/proc/self/maps`` (outside Linux), or another BLAS."""
+def _openblas_libraries() -> list:
+    """Every OpenBLAS loaded in this process, opened through ctypes from
+    the paths ``/proc/self/maps`` names.  Empty where none is found: a
+    process without ``/proc/self/maps`` (outside Linux), or another BLAS."""
     import ctypes
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = {line.split(maxsplit=5)[-1].strip() for line in fh
                      if "openblas" in line}
     except OSError:
-        return ()
-    found = []
+        return []
+    libs = []
     for path in sorted(paths):
         try:
-            lib = ctypes.CDLL(path)
+            libs.append(ctypes.CDLL(path))
         except OSError:
             continue
+    return libs
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """The ``(get, set)`` thread-count functions of every OpenBLAS loaded
+    in this process (:func:`_openblas_libraries`), found once per process:
+    numpy's wheels export ``scipy_openblas_set_num_threads64_``, other
+    builds ``openblas_set_num_threads``."""
+    import ctypes
+    found = []
+    for lib in _openblas_libraries():
         for name in ("scipy_openblas_{}_num_threads64_",
                      "scipy_openblas_{}_num_threads",
                      "openblas_{}_num_threads64_",

@@ -7,6 +7,8 @@ Each test prints a single PASS/FAIL line with the measured numbers; run with
 every comparison sees exactly the same tasks and the reported gaps are paired.
 """
 
+import ctypes
+import hashlib
 import time
 
 import numpy as np
@@ -21,7 +23,7 @@ from fsdc.features_io import (Dataset, SplitManifest, SyntheticSpec,
 from fsdc.harness import EpisodeSpec, PipelineConfig, evaluate
 from fsdc.rng import PortableRng, derive_key
 from fsdc.sampling import SamplerConfig, cholesky_psd, sample_features
-from fsdc.stats import BaseStatsTable, build_base_stats
+from fsdc.stats import BaseStatsTable, _openblas_libraries, build_base_stats
 from fsdc.transform import TukeyParams, tukey_transform
 from skewness import sample_skewness
 
@@ -33,6 +35,33 @@ BENCH_EPISODES = EpisodeSpec(n_way=5, k_shot=1, q_queries=15,
 # finish in minutes; every comparison uses the same settings on both sides.
 BENCH_SAMPLER = SamplerConfig(total_per_class=250, seed=0)
 BENCH_OPTIMIZER = OptimizerConfig(epochs=150)
+
+# SHA-256 of each cell's ``report.to_json()`` and of the determinism test's
+# ``eval --out`` report; see test_reports_are_pinned for when they change
+REPORT_SHA256 = {
+    "plain":
+        "22ffeae5eca0ad08f4bef834dc8bbea1d6ac93a1f747f62089d6cadba474d7fd",
+    "transform_only":
+        "9338c9f7b5a32ecbd56d168d0fa699862d51599abbc48c48091a9d1b98ce796c",
+    "generate_only":
+        "fdb7f2aa4c0e354c2dd625e585fbb208dd42de480508ca8dcf85a1f24dc8fea1",
+    "full":
+        "aad782fb3b6348fc03ba4869cbe85303ac6741eb0669054ecc06488ada3c3c95",
+    "lam02":
+        "acf2a77f152e5344fcd4fb798d55edac76ac8922e169d9c7af42a0221e1ebc1f",
+    "lam15":
+        "582250af8eb782a0fab40dfda38a90b8655ed142eefcd82a3690977a5c2a186a",
+    "no_novel":
+        "96b43c9383f64f02c5b2bce3b6bef4178ad43b1708ae4cb74c2b85ee26b2d349",
+    "retrieval_1":
+        "6b53a81b4f2e7577b574460cc14b6df54913178e4502539cceddad9686cb3123",
+    "retrieval_100":
+        "077c179faf5e1e0ebf40ee13fb195f86a3e1f6bb8d044eda3dea6ac84272f56f",
+    "generated_100":
+        "ec252d2579c916080932be13413e9f2a8800b98632d65197a48d2e8190e1c6c3",
+}
+EVAL_OUT_SHA256 = (
+    "0c4150fe36986ba87e4a7afa9cf3b2cec42a5e4f238f8bf571c8864b7f1becf3")
 
 
 def _verdict(label: str, ok: bool, detail: str) -> None:
@@ -49,6 +78,24 @@ def _ci_pts(accuracies) -> float:
     return float(1.96 * a.std(ddof=1) / np.sqrt(a.size)) * 100.0
 
 
+def _platform() -> str:
+    """numpy's version and the core OpenBLAS dispatches to, which the
+    pinned digests depend on."""
+    core = "not found"
+    for lib in _openblas_libraries():
+        get = (getattr(lib, "scipy_openblas_get_corename64_", None)
+               or getattr(lib, "openblas_get_corename", None))
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            core = get().decode()
+            break
+    return f"numpy {np.__version__}, OpenBLAS core {core}"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _paired_gap(a, b):
     """Mean difference in accuracy points and its 95% interval."""
     d = np.asarray(a) - np.asarray(b)
@@ -63,7 +110,8 @@ def bench_world():
 
 @pytest.fixture(scope="session")
 def bench_cells(bench_world):
-    """Episode accuracies and wall time for every pipeline variant.
+    """Episode accuracies, wall time and report digest for every pipeline
+    variant.
 
     Each cell runs on two worker processes; episodes are seeded one by one,
     so the reports equal the serial run's, and the wall time is that of the
@@ -92,7 +140,8 @@ def bench_cells(bench_world):
         report = evaluate(ds, split, stats, BENCH_EPISODES,
                           PipelineConfig(**cfg), workers=2)
         elapsed = time.perf_counter() - start
-        cells[name] = (np.asarray(report.episode_accuracies), elapsed)
+        cells[name] = (np.asarray(report.episode_accuracies), elapsed,
+                       _sha256(report.to_json()))
         print(f"  cell {name}: {_pts(cells[name][0]):.2f}% "
               f"± {_ci_pts(cells[name][0]):.2f} ({elapsed:.0f}s)")
     return cells
@@ -243,10 +292,10 @@ def test_gradients_match_finite_differences():
 def test_transform_plus_generation_margins(bench_cells):
     """Transform plus generation beats the untreated pipeline by at least 3
     points with non-overlapping intervals, and beats either treatment alone."""
-    full, t_full = bench_cells["full"]
-    plain, t_plain = bench_cells["plain"]
-    transform_only, t_transform = bench_cells["transform_only"]
-    generate_only, t_generate = bench_cells["generate_only"]
+    full, t_full = bench_cells["full"][:2]
+    plain, t_plain = bench_cells["plain"][:2]
+    transform_only, t_transform = bench_cells["transform_only"][:2]
+    generate_only, t_generate = bench_cells["generate_only"][:2]
     gap, gap_ci = _paired_gap(full, plain)
     lo_full = _pts(full) - _ci_pts(full)
     hi_plain = _pts(plain) + _ci_pts(plain)
@@ -306,6 +355,23 @@ def test_support_feature_in_calibrated_mean(bench_cells):
              f"{_pts(no_novel):.2f}, gap {gap:+.2f}±{ci:.2f} (≥ 2)")
 
 
+def test_reports_are_pinned(bench_cells):
+    """Every cell's report is byte-identical to the pinned one.
+
+    The digests were taken on x86-64 Linux with numpy 2.4.6 and OpenBLAS
+    0.3.31 dispatching to its SkylakeX core; another numpy, BLAS or core
+    may round a product differently, so a mismatch names them.  A change
+    that moves a report's bytes updates its digest here, in the same
+    commit, and lists the paired deltas it caused (per cell, queries
+    gained and lost over the same episodes) in CHANGES.md.
+    """
+    moved = {name: cell[2] for name, cell in bench_cells.items()
+             if cell[2] != REPORT_SHA256[name]}
+    _verdict("pinned reports", not moved,
+             f"{len(REPORT_SHA256) - len(moved)} of {len(REPORT_SHA256)} "
+             f"cells match on {_platform()}; moved: {moved}")
+
+
 def test_transform_reduces_skewness():
     """The 0.5-exponent transform lowers mean per-dimension skewness of the
     novel features on every seed of a ten-seed suite."""
@@ -334,7 +400,8 @@ def test_transform_reduces_skewness():
 
 def test_repeat_runs_are_identical(tmp_path):
     """The command line produces byte-identical reports on identical flags,
-    and the binary dataset format round-trips bit-exactly."""
+    equal to the pinned report (see test_reports_are_pinned), and the
+    binary dataset format round-trips bit-exactly."""
     prefix = tmp_path / "world"
     rc = cli_main(["synth", "--classes", "25", "--dim", "8",
                    "--per-class", "60", "--seed", "3",
@@ -352,13 +419,16 @@ def test_repeat_runs_are_identical(tmp_path):
         assert rc == 0
         reports.append(out.read_bytes())
     identical = reports[0] == reports[1]
+    digest = hashlib.sha256(reports[0]).hexdigest()
+    pinned = digest == EVAL_OUT_SHA256
 
     ds = load_dataset(data)
     copy = tmp_path / "copy.fsdc"
     save_dataset(ds, copy)
     round_trip = copy.read_bytes() == open(data, "rb").read()
 
-    ok = identical and round_trip
+    ok = identical and pinned and round_trip
     _verdict("determinism", ok,
-             f"reports byte-identical: {identical}, "
+             f"reports byte-identical: {identical}, pinned: {pinned} "
+             f"({digest} on {_platform()}), "
              f"binary round-trip bit-exact: {round_trip}")
