@@ -5,17 +5,20 @@ The covariance is the standard unbiased estimator
 
     cov = (1 / (n - 1)) * sum_j (x_j - mean) (x_j - mean)^T
 
-computed in float64 and rounded once to float32, the precision of the
-features it is estimated from: its sampling error from a few hundred rows
-(about 1/sqrt(n)) is far above float32's rounding.  The base table is built
+computed in float64 and rounded once to float16.  Its sampling error from
+a few hundred rows (about 1/sqrt(n), 4% at 600) is far above float16's
+relative rounding of 4.9e-4, and calibration adds its spread constant
+alpha (0.21 by default) to every element on top.  float16's largest value
+is 65504, so a base class whose largest variance exceeds it is refused;
+no covariance entry exceeds the largest variance.  The base table is built
 from the untransformed base features of the dataset being evaluated, every
 time it is needed; it is never stored, so it cannot come from another
 dataset or feature space.
 
 :class:`BaseStatsTable` is the one form in which class statistics are kept:
 a row per class of mean, record count and covariance.  It keeps only each
-covariance's lower triangle, packed row by row: ``d(d+1)/2`` float32 values
-per class instead of ``d*d`` float64 ones, 0.8 MB instead of 3.3 MB at
+covariance's lower triangle, packed row by row: ``d(d+1)/2`` float16 values
+per class instead of ``d*d`` float64 ones, 0.4 MB instead of 3.3 MB at
 d=640.  A shared ``(d, d)`` gather map expands a packed row, or a sum of
 packed rows, back into the full matrix, which is therefore exactly
 symmetric, and :func:`class_similarity` reads the variances straight off
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import mmap
 
 import numpy as np
 
@@ -42,6 +46,9 @@ from .features_io import Dataset, SplitManifest
 # consecutive classes are read together while their float64 copy stays
 # within this many bytes
 _READ_BYTES = 1 << 18
+
+# the largest finite float16; a larger variance would round to inf
+_FLOAT16_MAX = float(np.finfo(np.float16).max)
 
 
 def _gather_map(d: int) -> np.ndarray:
@@ -61,9 +68,9 @@ class BaseStatsTable:
     The attributes are the arrays as given, without a copy: ``id_array``
     (n,) int64, strictly ascending; ``mean_matrix`` (n, d) float64, stacked
     for vectorized distances; ``counts`` (n,) int64, at least 2 each; and
-    ``packed_covariances`` (n, d(d+1)/2), float32 from
-    :func:`build_base_stats` (a table built by hand keeps float32 or float64
-    and converts any other dtype to float64).  Row ``r`` holds the lower
+    ``packed_covariances`` (n, d(d+1)/2), float16 from
+    :func:`build_base_stats` (a table built by hand keeps float16, float32
+    or float64 and converts any other dtype to float64).  Row ``r`` holds the lower
     triangle of class ``r``'s covariance, row-major (``(0,0), (1,0), (1,1),
     (2,0), ...``), and ``np.take(packed, gather_map)`` expands it into the
     full symmetric matrix; ``gather_map`` is (d, d) intp.
@@ -74,7 +81,7 @@ class BaseStatsTable:
         means = np.asarray(means, dtype=np.float64)
         counts = np.asarray(counts, dtype=np.int64)
         packed = np.asarray(packed_covariances)
-        if packed.dtype not in (np.float32, np.float64):
+        if packed.dtype not in (np.float16, np.float32, np.float64):
             packed = packed.astype(np.float64)
         if means.ndim != 2:
             raise DataError("means must be a 2-D array (classes x dim)")
@@ -107,9 +114,18 @@ def build_base_stats(ds: Dataset, split: SplitManifest) -> BaseStatsTable:
     Each class takes one pass: its rows are read as a float64 copy, which
     is centered in place and multiplied once into a (d, d) product, and
     the product's lower triangle is packed, divided by n - 1 and rounded
-    once into its float32 table row.  A read covers one class, or
-    consecutive small classes together.  For a dataset mapped from a file,
-    each read then releases the file's pages from the process.
+    once into its float16 table row.  A class whose largest variance
+    exceeds 65504, float16's largest value, raises DataError naming it.
+    A read covers one class, or consecutive small classes together.  For
+    a dataset mapped from a file, each read then releases the file's
+    pages from the process.
+
+    The table (26.3 MB for 64 classes at d=640) lives in an anonymous
+    private mapping of its own, not on the heap.  glibc maps a large
+    allocation by itself only up to its dynamic threshold, which each
+    freed mapped block raises, to at most 32 MiB; a table under that cap,
+    once freed, would leave later allocations of its size (an episode's
+    19 MB training matrix) on the heap, which is not given back.
 
     When there are two reads or more, each one class whose float64 rows
     exceed 256 KiB, and OpenBLAS had two threads or more before the build,
@@ -148,11 +164,25 @@ def build_base_stats(ds: Dataset, split: SplitManifest) -> BaseStatsTable:
     d = ds.dim
     means = np.empty((len(ids), d))
     counts = np.empty(len(ids), dtype=np.int64)
-    packed = np.empty((len(ids), d * (d + 1) // 2), dtype=np.float32)
+    packed = _private_float16((len(ids), d * (d + 1) // 2))
     _fill_class_rows(ds, rows, means, counts, packed)
     # the table builds its gather map, briefly two (d, d) arrays, once the
     # fill's scratch is freed
     return BaseStatsTable(ids, means, counts, packed)
+
+
+def _private_float16(shape) -> np.ndarray:
+    """An array of float16 zeros of ``shape`` (two dimensions) in an
+    anonymous private mapping of exactly its size (on the heap when it is
+    empty or the platform has no anonymous mappings).  Python's default
+    for an anonymous mapping is a shared one, which Linux backs with shmem,
+    so the flags are given."""
+    nbytes = shape[0] * shape[1] * 2
+    anonymous = getattr(mmap, "MAP_ANONYMOUS", None)
+    if not nbytes or anonymous is None:
+        return np.zeros(shape, dtype=np.float16)
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | anonymous)
+    return np.frombuffer(buf, dtype=np.float16).reshape(shape)
 
 
 def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
@@ -163,12 +193,23 @@ def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
     Each class's rows are read as a float64 copy x, exact from the stored
     float32, whose mean is taken and then subtracted in place; the packed
     row gets the lower triangle of x^T x, row-major, divided by n - 1 in
-    float64 and then rounded once to the row's dtype.
+    float64 and rounded once to float16 as it is written.  Before that a
+    class is refused if a diagonal entry, a variance, would exceed 65504:
+    by Cauchy-Schwarz no other entry exceeds the largest variance, so the
+    cast cannot overflow.  Checking the d variances costs about 2 us.
+
+    The cast from float64 to float16 is scalar and holds the GIL: dividing
+    a row at d=640 into float16 takes 0.67 ms, against 0.21 ms into
+    float32.  On two threads it overlaps only with the other thread's
+    product.
     """
     d = ds.dim
     # flat indices of a (d, d) matrix's lower triangle, row-major: the
     # packed layout
     lower = np.flatnonzero(np.tri(d, dtype=bool))
+    # packed index of each diagonal entry (i, i): i(i+1)/2 + i
+    steps = np.arange(d)
+    diagonal = steps * (steps + 3) // 2
     most = max(1, _READ_BYTES // (8 * d))
     # each read with the table row of its first class
     reads, row = [], 0
@@ -181,12 +222,13 @@ def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
         of its own."""
         product = np.empty((d, d))
         # the float64 triangle, rounded once into the row; np.take with a
-        # float32 ``out`` would read the row's old contents into a buffer
+        # float16 ``out`` would read the row's old contents into a buffer
         # of its own on every call
         triangle = np.empty(lower.size)
         for row, run in taken:
             block = ds._rows(np.concatenate(run))
-            for x in np.split(block, np.cumsum([r.size for r in run[:-1]])):
+            splits = np.cumsum([r.size for r in run[:-1]])
+            for r, x in zip(run, np.split(block, splits)):
                 n = x.shape[0]
                 np.mean(x, axis=0, out=means[row])
                 x -= means[row]
@@ -194,8 +236,14 @@ def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
                 # mode="clip" writes straight into ``triangle`` ("raise"
                 # would buffer it); the indices are in range
                 np.take(product.reshape(-1), lower, out=triangle, mode="clip")
-                triangle /= n - 1
-                packed[row] = triangle
+                # dividing the largest entry is the largest quotient:
+                # rounding is monotone
+                if triangle[diagonal].max() / (n - 1) > _FLOAT16_MAX:
+                    raise DataError(
+                        f"base class {ds.class_ids[r[0]]} has a variance "
+                        f"above {_FLOAT16_MAX:g}, the largest float16 value")
+                np.divide(triangle, n - 1, out=packed[row],
+                          casting="same_kind")
                 counts[row] = n
                 row += 1
             # drop this read's copy before the next is made

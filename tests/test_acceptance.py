@@ -44,15 +44,15 @@ REPORT_SHA256 = {
     "transform_only":
         "9338c9f7b5a32ecbd56d168d0fa699862d51599abbc48c48091a9d1b98ce796c",
     "generate_only":
-        "fdb7f2aa4c0e354c2dd625e585fbb208dd42de480508ca8dcf85a1f24dc8fea1",
+        "a24aa4035afe04cdabef4e2145031021ba54f918812040c92fe2d12a21a54be3",
     "full":
         "aad782fb3b6348fc03ba4869cbe85303ac6741eb0669054ecc06488ada3c3c95",
     "lam02":
-        "acf2a77f152e5344fcd4fb798d55edac76ac8922e169d9c7af42a0221e1ebc1f",
+        "486d7e60b948ecc088a0f6a4ab2441e5cfb5fa8355ed5569827290256d073177",
     "lam15":
-        "582250af8eb782a0fab40dfda38a90b8655ed142eefcd82a3690977a5c2a186a",
+        "6d3d9ea830977a446f63d4354151391eadd671c111ac14490ffb535c0f70579d",
     "no_novel":
-        "96b43c9383f64f02c5b2bce3b6bef4178ad43b1708ae4cb74c2b85ee26b2d349",
+        "2aa6dc94a84acf28bf03e0f11d5a76e38bf8ce420821ebffe2bce841c4aec51e",
     "retrieval_1":
         "6b53a81b4f2e7577b574460cc14b6df54913178e4502539cceddad9686cb3123",
     "retrieval_100":

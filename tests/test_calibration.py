@@ -130,7 +130,8 @@ def test_calibrate_covariance_equals_out_of_place_expression(k, alpha):
     # calibrate sums packed lower triangles in place and expands the sum;
     # each element must round exactly as the full-matrix expression
     # (0 + cov_n1 + ... + cov_nk) / k + alpha does, in neighbor order and
-    # in float64, from a float64 table or a float32 one as built
+    # in float64, from a float64, float32 or float16 table (the last as
+    # built), whose elements float64 holds exactly
     rng = np.random.default_rng(12)
     covs = []
     for _ in range(3):
@@ -138,7 +139,7 @@ def test_calibrate_covariance_equals_out_of_place_expression(k, alpha):
         covs.append(a.T @ a / 8)
     means = rng.normal(size=(3, 5))
     x = rng.normal(size=5)
-    for dtype in (np.float64, np.float32):
+    for dtype in (np.float64, np.float32, np.float16):
         stored = [cov.astype(dtype) for cov in covs]
         t = table_from_means(means, stored)
         assert t.packed_covariances.dtype == dtype

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 import fsdc.sampling
-from fsdc.calibration import CalibratedDistribution
+from fsdc.calibration import (CalibratedDistribution, CalibrationParams,
+                              calibrate)
 from fsdc.errors import DataError, SpecError
-from fsdc.rng import PortableRng
+from fsdc.features_io import SyntheticSpec, generate_synthetic
+from fsdc.rng import PortableRng, derive_key
 from fsdc.sampling import SamplerConfig, cholesky_psd, sample_features
+from fsdc.stats import build_base_stats
 
 
 def dist(mean, cov):
@@ -200,3 +203,23 @@ def test_sample_rejects_mixed_dimensions():
 def test_sampler_config_validation():
     with pytest.raises(SpecError):
         SamplerConfig(total_per_class=-1)
+
+
+def test_rank_deficient_float16_table_factors_inside_the_jitter_ladder():
+    # five rows per class at d=16: every base covariance has rank 4 at
+    # most, and with k=1 and alpha=0 a calibrated covariance is one of them
+    # as rounded to float16, which can leave it slightly indefinite.  Every
+    # one needs a shift, and each factors at least two steps below the
+    # ladder's top of 1.0
+    ds, split, _ = generate_synthetic(SyntheticSpec(
+        num_classes=12, dim=16, samples_per_class=5, group_size=4, seed=0))
+    table = build_base_stats(ds, split)
+    assert table.packed_covariances.dtype == np.float16
+    params = CalibrationParams(k=1, alpha=0.0)
+    for cid in sorted(split.novel_classes):
+        for row in ds.rows_for(cid):
+            dist = calibrate(ds.values[row], table, params)
+            feats, shift = sample_features(
+                dist, 20, PortableRng(derive_key(0, cid, int(row))))
+            assert 0.0 < shift <= 1e-2
+            assert np.isfinite(feats).all()

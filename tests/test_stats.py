@@ -89,9 +89,9 @@ def test_covariance_permutation_invariant():
 ])
 def test_covariance_rounds_as_the_out_of_place_expression(n, d, interleaved,
                                                          tmp_path):
-    # the build divides in place; every element must round as
+    # the build divides as it rounds; every element must round as
     # (c / (n - 1) + (c / (n - 1)).T) / 2 does in float64, rounded once to
-    # float32.  A larger class goes first, so its rows are left in the
+    # float16.  A larger class goes first, so its rows are left in the
     # scratch the build reuses.  A loaded dataset's rows are gathered from
     # the file's records and must round the same.
     rng = np.random.default_rng(d + n)
@@ -111,7 +111,7 @@ def test_covariance_rounds_as_the_out_of_place_expression(n, d, interleaved,
         table = build_base_stats(source, SplitManifest(base=[0, 1]))
         assert np.array_equal(table.mean_matrix[1], mean)
         assert np.array_equal(covariance(table, 1),
-                              ((cov + cov.T) / 2.0).astype(np.float32))
+                              ((cov + cov.T) / 2.0).astype(np.float16))
 
 
 def test_covariance_monte_carlo():
@@ -167,15 +167,18 @@ def test_table_keeps_its_arrays_without_a_copy():
         assert table.packed_covariances is covs
 
 
-def test_built_table_is_float32_and_a_float64_one_keeps_its_bits():
+def test_built_table_is_float16_and_a_hand_built_one_keeps_its_bits():
     ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=6, dim=5, samples_per_class=30, group_size=3, seed=2))
-    assert build_base_stats(ds, split).packed_covariances.dtype == np.float32
-    # 1/3 and 0.1 have no float32 form: a rounded table would change them
+    assert build_base_stats(ds, split).packed_covariances.dtype == np.float16
+    # 1/3 and 0.1 have no float32 or float16 form: a table rounded to a
+    # narrower dtype would change them
     covs = np.array([packed([[1 / 3, 0.1], [0.1, 2 / 3]])])
-    table = BaseStatsTable([0], [[0.0, 0.0]], [5], covs)
-    assert table.packed_covariances.dtype == np.float64
-    assert np.array_equal(table.packed_covariances, covs)
+    for dtype in (np.float64, np.float32, np.float16):
+        given = covs.astype(dtype)
+        table = BaseStatsTable([0], [[0.0, 0.0]], [5], given)
+        assert table.packed_covariances.dtype == dtype
+        assert table.packed_covariances is given
     # other dtypes, such as integers, become float64
     ints = BaseStatsTable([0], [[0.0, 0.0]], [5], [[2, 1, 3]])
     assert ints.packed_covariances.dtype == np.float64
@@ -194,7 +197,7 @@ def test_build_base_stats_matches_per_class_calls():
         cov = centered.T @ centered / (len(feats) - 1)
         assert np.array_equal(table.mean_matrix[row], mean)
         assert np.array_equal(covariance(table, row),
-                              ((cov + cov.T) / 2.0).astype(np.float32))
+                              ((cov + cov.T) / 2.0).astype(np.float16))
         assert table.counts[row] == 30
 
 
@@ -227,7 +230,7 @@ def test_variance_cosine_is_that_of_the_covariance_diagonals():
     ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=20, dim=33, samples_per_class=40, group_size=5, seed=6))
     table = build_base_stats(ds, split)
-    # contiguous float64 copies of the stored float32 variances: BLAS may
+    # contiguous float64 copies of the stored float16 variances: BLAS may
     # round a dot product over strided elements differently
     diagonals = [covariance(table, row).diagonal().astype(np.float64)
                  for row in range(len(table))]
@@ -240,18 +243,43 @@ def test_variance_cosine_is_that_of_the_covariance_diagonals():
             assert class_similarity(table, a, b)[1] == expected
 
 
+def private_mapping_of_its_own(array) -> bool:
+    """Whether ``array`` fills an anonymous private mapping of exactly its
+    size from the mapping's start."""
+    buf = array.base
+    while isinstance(buf, np.ndarray):
+        buf = buf.base
+    # np.frombuffer keeps a memoryview of the buffer it was given
+    if isinstance(buf, memoryview):
+        buf = buf.obj
+    start = array.__array_interface__["data"][0]
+    if not (isinstance(buf, mmap.mmap) and len(buf) == array.nbytes
+            and start % mmap.PAGESIZE == 0):
+        return False
+    # the kernel may merge the mapping's entry with a neighbouring one's,
+    # so only the entry holding it is checked: private ("p"), of no file
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        for line in fh:
+            span, perms, _, _, inode = line.split()[:5]
+            low, high = (int(v, 16) for v in span.split("-"))
+            if low <= start < high:
+                return perms == "rw-p" and inode == "0"
+    return False
+
+
 def test_build_base_stats_holds_one_full_covariance_at_a_time(tmp_path):
-    # 12 base classes at d=256: the packed float32 table takes 1.58 MB, all
-    # 12 full float64 covariances 6.29 MB; the bound allows the table plus
+    # 12 base classes at d=256: all 12 full float64 covariances take 6.29
+    # MB.  The packed float16 table (0.79 MB) is a mapping of its own,
+    # which tracemalloc does not see, so the bound is the scratch alone:
     # three full float64 matrices (the product of the class being computed
     # is one; the gather map, briefly two while the table builds it, comes
-    # after the fill).  The build peaked at 3.07 MB: the table plus 1.49,
-    # reading two classes at a time.  From a loaded dataset too, whose
-    # rows are read out of the strided records into the same float64 copy.
+    # after the fill).  The build peaked at 1.43 MB against 1.57, reading
+    # two classes at a time.  From a loaded dataset too, whose rows are
+    # read out of the strided records into the same float64 copy.
     ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=15, dim=256, samples_per_class=64, group_size=5, seed=4))
-    n, d = len(split.base_classes), ds.dim
-    bound = n * d * (d + 1) // 2 * 4 + 3 * d * d * 8
+    d = ds.dim
+    bound = 3 * d * d * 8
     for source in (ds, through_file(ds, tmp_path)):
         tracemalloc.start()
         try:
@@ -262,6 +290,7 @@ def test_build_base_stats_holds_one_full_covariance_at_a_time(tmp_path):
         assert len(table) == 12
         assert peak < bound, (f"peak {peak / 1e6:.2f} MB, "
                               f"bound {bound / 1e6:.2f} MB")
+        assert private_mapping_of_its_own(table.packed_covariances)
 
 
 TABLE_ARRAYS = ("id_array", "mean_matrix", "counts", "packed_covariances")
@@ -436,12 +465,12 @@ def test_build_without_an_openblas_setter_runs_serially(monkeypatch):
 def test_threaded_build_holds_one_read_and_scratch_per_thread(tmp_path,
                                                               monkeypatch):
     # 12 base classes of 160 rows at d=256, each read alone (328 kB): the
-    # packed table takes 1.58 MB and the packed layout's indices, shared,
-    # 0.26 MB; each thread holds its product (0.52 MB), its float64
-    # triangle (0.26 MB) and its read, with one 64 KiB block of float32
-    # rows while the read is gathered.  256 KiB more, less than a read,
-    # covers the means, the sort order and the pool.  The build peaked at
-    # 4.22-4.29 MB against a 4.46 MB bound.
+    # packed layout's indices, shared, take 0.26 MB; each thread holds its
+    # product (0.52 MB), its float64 triangle (0.26 MB) and its read, with
+    # one 64 KiB block of float32 rows while the read is gathered.  256 KiB
+    # more, less than a read, covers the means, the sort order and the
+    # pool.  The packed table is a mapping of its own, which tracemalloc
+    # does not see.  The build peaked at 2.70 MB against a 2.89 MB bound.
     ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=15, dim=256, samples_per_class=160, group_size=5,
         seed=4))
@@ -449,7 +478,7 @@ def test_threaded_build_holds_one_read_and_scratch_per_thread(tmp_path,
     force_threads(monkeypatch)
     triangle = d * (d + 1) // 2
     scratch = (d * d + triangle + 160 * d) * 8 + (1 << 16)
-    bound = n * triangle * 4 + triangle * 8 + threads * scratch + (1 << 18)
+    bound = triangle * 8 + threads * scratch + (1 << 18)
     for source in (ds, through_file(ds, tmp_path)):
         tracemalloc.start()
         try:
@@ -489,6 +518,22 @@ def test_build_base_stats_single_record_class():
     ds = Dataset([0, 0, 1], [[1.0], [2.0], [3.0]])
     with pytest.raises(DataError, match="class 1"):
         build_base_stats(ds, SplitManifest(base=[0, 1]))
+
+
+def test_variance_at_float16_max_is_kept_and_one_above_it_refused():
+    # four rows whose first feature deviates from its mean of 0 by 4, 136,
+    # 220 and -360: their squares sum to 3 x 65504, so the variance is
+    # float16's largest value exactly, and is kept
+    edge = np.array([[4.0, 1.0], [136.0, -1.0], [220.0, 1.0], [-360.0, -1.0]])
+    table = table_of(edge)
+    assert covariance(table)[0, 0] == 65504.0
+    assert np.isfinite(covariance(table)).all()
+    # a second feature of variance 362^2 / 2 = 65522, which float16 would
+    # round to inf (pytest makes the cast's overflow warning an error)
+    wide = np.array([[0.0, 0.0], [0.0, 362.0]])
+    with pytest.raises(DataError, match="base class 1 has a variance above "
+                                        "65504, the largest float16 value"):
+        table_of(edge, wide)
 
 
 def test_stats_accuracy_on_synthetic_truth():
