@@ -50,6 +50,10 @@ _READ_BYTES = 1 << 18
 # the largest finite float16; a larger variance would round to inf
 _FLOAT16_MAX = float(np.finfo(np.float16).max)
 
+# glibc's default mmap threshold: a smaller table comes from the heap, and
+# freeing it does not move the threshold
+_MAP_BYTES = 1 << 17
+
 
 def _gather_map(d: int) -> np.ndarray:
     """(d, d) intp: the packed index of every element of a (d, d) matrix."""
@@ -70,10 +74,11 @@ class BaseStatsTable:
     for vectorized distances; ``counts`` (n,) int64, at least 2 each; and
     ``packed_covariances`` (n, d(d+1)/2), float16 from
     :func:`build_base_stats` (a table built by hand keeps float16, float32
-    or float64 and converts any other dtype to float64).  Row ``r`` holds the lower
-    triangle of class ``r``'s covariance, row-major (``(0,0), (1,0), (1,1),
-    (2,0), ...``), and ``np.take(packed, gather_map)`` expands it into the
-    full symmetric matrix; ``gather_map`` is (d, d) intp.
+    or float64 and converts any other dtype to float64).  Row ``r`` holds
+    the lower triangle of class ``r``'s covariance, row-major (``(0,0),
+    (1,0), (1,1), (2,0), ...``), and ``np.take(packed, gather_map)``
+    expands it into the full symmetric matrix; ``gather_map`` is (d, d)
+    intp.
     """
 
     def __init__(self, class_ids, means, counts, packed_covariances) -> None:
@@ -121,11 +126,13 @@ def build_base_stats(ds: Dataset, split: SplitManifest) -> BaseStatsTable:
     pages from the process.
 
     The table (26.3 MB for 64 classes at d=640) lives in an anonymous
-    private mapping of its own, not on the heap.  glibc maps a large
-    allocation by itself only up to its dynamic threshold, which each
-    freed mapped block raises, to at most 32 MiB; a table under that cap,
-    once freed, would leave later allocations of its size (an episode's
-    19 MB training matrix) on the heap, which is not given back.
+    private mapping of its own, not on the heap.  glibc serves an
+    allocation above its mmap threshold with a mapping of its own, and
+    freeing such a block raises the threshold to its size, up to 32 MiB.
+    A table allocated that way, once freed (a process that builds tables
+    repeatedly frees each one), would raise the threshold above an
+    episode's 19 MB training matrix, which would then come from the heap
+    and stay resident.
 
     When there are two reads or more, each one class whose float64 rows
     exceed 256 KiB, and OpenBLAS had two threads or more before the build,
@@ -173,13 +180,15 @@ def build_base_stats(ds: Dataset, split: SplitManifest) -> BaseStatsTable:
 
 def _private_float16(shape) -> np.ndarray:
     """An array of float16 zeros of ``shape`` (two dimensions) in an
-    anonymous private mapping of exactly its size (on the heap when it is
-    empty or the platform has no anonymous mappings).  Python's default
-    for an anonymous mapping is a shared one, which Linux backs with shmem,
-    so the flags are given."""
+    anonymous private mapping of exactly its size; on the heap when it is
+    smaller than ``_MAP_BYTES`` (the acceptance world's 5 kB table, where
+    the mapping made its load and build about 5% slower) or the platform
+    has no anonymous mappings.  Python's default for an anonymous mapping
+    is a shared one, which Linux backs with shmem, so the flags are
+    given."""
     nbytes = shape[0] * shape[1] * 2
     anonymous = getattr(mmap, "MAP_ANONYMOUS", None)
-    if not nbytes or anonymous is None:
+    if nbytes < _MAP_BYTES or anonymous is None:
         return np.zeros(shape, dtype=np.float16)
     buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | anonymous)
     return np.frombuffer(buf, dtype=np.float16).reshape(shape)
@@ -193,15 +202,17 @@ def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
     Each class's rows are read as a float64 copy x, exact from the stored
     float32, whose mean is taken and then subtracted in place; the packed
     row gets the lower triangle of x^T x, row-major, divided by n - 1 in
-    float64 and rounded once to float16 as it is written.  Before that a
+    float64 and then rounded once to float16.  Before that a
     class is refused if a diagonal entry, a variance, would exceed 65504:
     by Cauchy-Schwarz no other entry exceeds the largest variance, so the
     cast cannot overflow.  Checking the d variances costs about 2 us.
 
     The cast from float64 to float16 is scalar and holds the GIL: dividing
-    a row at d=640 into float16 takes 0.67 ms, against 0.21 ms into
-    float32.  On two threads it overlaps only with the other thread's
-    product.
+    a row at d=640 and storing it takes about 0.7 ms into float16, against
+    0.25 ms into float32.  On two threads it overlaps only with the other
+    thread's product.  One ``np.divide`` with the float16 row as ``out``
+    gives the same bits at the same speed at d=640, but costs 1.9 us a
+    row at d=16 against 1.2 us.
     """
     d = ds.dim
     # flat indices of a (d, d) matrix's lower triangle, row-major: the
@@ -242,8 +253,8 @@ def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
                     raise DataError(
                         f"base class {ds.class_ids[r[0]]} has a variance "
                         f"above {_FLOAT16_MAX:g}, the largest float16 value")
-                np.divide(triangle, n - 1, out=packed[row],
-                          casting="same_kind")
+                triangle /= n - 1
+                packed[row] = triangle
                 counts[row] = n
                 row += 1
             # drop this read's copy before the next is made
