@@ -247,13 +247,11 @@ def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
                 # mode="clip" writes straight into ``triangle`` ("raise"
                 # would buffer it); the indices are in range
                 np.take(product.reshape(-1), lower, out=triangle, mode="clip")
-                # dividing the largest entry is the largest quotient:
-                # rounding is monotone
-                if triangle[diagonal].max() / (n - 1) > _FLOAT16_MAX:
+                triangle /= n - 1
+                if triangle[diagonal].max() > _FLOAT16_MAX:
                     raise DataError(
                         f"base class {ds.class_ids[r[0]]} has a variance "
                         f"above {_FLOAT16_MAX:g}, the largest float16 value")
-                triangle /= n - 1
                 packed[row] = triangle
                 counts[row] = n
                 row += 1
