@@ -137,10 +137,10 @@ class Dataset:
         # a mapping cannot be pickled; the copy holds its values in memory
         return Dataset, (self.class_ids, self.values)
 
-    def _rows(self, idx) -> np.ndarray:
+    def _rows(self, idx, dtype=np.float64) -> np.ndarray:
         """The values of the records ``idx``, an index array, as a new
-        float64 array: the one way records are read, by the statistics
-        build and by every episode.
+        array of ``dtype``: the one way records are read, float32 by the
+        statistics build and float64 by every episode.
 
         A mapped file's pages are then released, all of them: a read can
         map a whole large folio around each record, reaching past
@@ -149,10 +149,11 @@ class Dataset:
         An empty ``idx`` gives a ``(0, dim)`` array and releases nothing.
 
         The rows are gathered a block of at most ``_COPY_BYTES`` of float32
-        at a time and widened into the result, so a read holds its result
-        and one block, not a float32 copy of the whole read beside it.
+        at a time and copied, or widened, into the result, so a read holds
+        its result and one block, not a float32 copy of the whole read
+        beside it.
         """
-        rows = np.empty((idx.size, self.dim))
+        rows = np.empty((idx.size, self.dim), dtype=dtype)
         step = max(1, _COPY_BYTES // self.values[0].nbytes)
         for lo in range(0, idx.size, step):
             rows[lo:lo + step] = self.values[idx[lo:lo + step]]

@@ -5,15 +5,19 @@ The covariance is the standard unbiased estimator
 
     cov = (1 / (n - 1)) * sum_j (x_j - mean) (x_j - mean)^T
 
-computed in float64 and rounded once to float16.  Its sampling error from
-a few hundred rows (about 1/sqrt(n), 4% at 600) is far above float16's
-relative rounding of 4.9e-4, and calibration adds its spread constant
-alpha (0.21 by default) to every element on top.  float16's largest value
-is 65504, so a base class whose largest variance exceeds it is refused;
-no covariance entry exceeds the largest variance.  The base table is built
-from the untransformed base features of the dataset being evaluated, every
-time it is needed; it is never stored, so it cannot come from another
-dataset or feature space.
+stored in float16.  The rows are centered about their float64 mean and
+multiplied in float32; the product is divided by n - 1 in float64 and
+rounded once to float16.  The float32 sums' rounding error, about
+sqrt(n) * 2**-24 relative (1.5e-6 at n=600), is far below float16's
+relative rounding of 4.9e-4: an entry lands at most one float16 step from
+where a float64 product puts it.  Both are far below the sampling error
+from a few hundred rows (about 1/sqrt(n), 4% at 600), and calibration adds
+its spread constant alpha (0.21 by default) to every element on top.
+float16's largest value is 65504, so a base class whose largest variance
+exceeds it is refused; no covariance entry exceeds the largest variance.
+The base table is built from the untransformed base features of the
+dataset being evaluated, every time it is needed; it is never stored, so
+it cannot come from another dataset or feature space.
 
 :class:`BaseStatsTable` is the one form in which class statistics are kept:
 a row per class of mean, record count and covariance.  It keeps only each
@@ -43,9 +47,9 @@ from .features_io import Dataset, SplitManifest
 
 # a read of a mapped file releases its pages, and the release and the page
 # faults that follow cost about as much for a few rows as for many, so
-# consecutive classes are read together while their float64 copy stays
+# consecutive classes are read together while their float32 copy stays
 # within this many bytes
-_READ_BYTES = 1 << 18
+_READ_BYTES = 1 << 17
 
 # the largest finite float16; a larger variance would round to inf
 _FLOAT16_MAX = float(np.finfo(np.float16).max)
@@ -222,7 +226,7 @@ def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
     # packed index of each diagonal entry (i, i): i(i+1)/2 + i
     steps = np.arange(d)
     diagonal = steps * (steps + 3) // 2
-    most = max(1, _READ_BYTES // (8 * d))
+    most = max(1, _READ_BYTES // (4 * d))
     # each read with the table row of its first class
     reads, row = [], 0
     for run in _runs(rows, most):
@@ -232,23 +236,20 @@ def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
     def fill(taken) -> None:
         """Fill the classes' rows of each read of ``taken``, with scratch
         of its own."""
-        product = np.empty((d, d))
-        # the float64 triangle, rounded once into the row; np.take with a
-        # float16 ``out`` would read the row's old contents into a buffer
-        # of its own on every call
+        product = np.empty((d, d), dtype=np.float32)
+        # the float64 triangle, rounded once into the row
         triangle = np.empty(lower.size)
         for row, run in taken:
-            block = ds._rows(np.concatenate(run))
+            block = ds._rows(np.concatenate(run), np.float32)
             splits = np.cumsum([r.size for r in run[:-1]])
             for r, x in zip(run, np.split(block, splits)):
                 n = x.shape[0]
-                np.mean(x, axis=0, out=means[row])
-                x -= means[row]
+                np.mean(x, axis=0, dtype=np.float64, out=means[row])
+                np.subtract(x, means[row], out=x, casting="same_kind")
                 np.matmul(x.T, x, out=product)
-                # mode="clip" writes straight into ``triangle`` ("raise"
-                # would buffer it); the indices are in range
-                np.take(product.reshape(-1), lower, out=triangle, mode="clip")
-                triangle /= n - 1
+                # the float32 entries widen exactly, and divide in float64
+                np.divide(product.reshape(-1)[lower], n - 1, out=triangle,
+                          dtype=np.float64)
                 if triangle[diagonal].max() > _FLOAT16_MAX:
                     raise DataError(
                         f"base class {ds.class_ids[r[0]]} has a variance "

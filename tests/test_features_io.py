@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import pickle
@@ -279,23 +280,34 @@ def test_rows_reads_float64_copies_and_releases_the_file(tmp_path,
         assert released == []
 
 
-def test_a_read_holds_its_result_and_one_block(tmp_path):
+def test_a_read_holds_its_result_and_one_block(tmp_path, monkeypatch):
     # a paper-world class, 600 scattered rows of d=640: the float64 result
     # takes 3.07 MB.  Widening a float32 copy of the whole read held 1.5
-    # times that (4.61 MB); rows are gathered a block at a time instead
+    # times that (4.61 MB); rows are gathered a block at a time instead.
+    # The statistics build reads float32 (1.54 MB), the stored values bit
+    # for bit, through the same blocks, and releases the file the same way
     rng = np.random.default_rng(9)
     ds = Dataset(np.zeros(1800, dtype=np.int64),
                  rng.normal(size=(1800, 640)).astype(np.float32))
     save_dataset(ds, tmp_path / "d.fsdc")
+    released = []
+    release = Dataset._release
+    monkeypatch.setattr(Dataset, "_release", lambda self: (
+        released.append(self), release(self)))
     idx = np.sort(rng.choice(1800, size=600, replace=False))
-    for source in (ds, load_dataset(tmp_path / "d.fsdc")):
+    loaded = load_dataset(tmp_path / "d.fsdc")
+    for source, dtype in itertools.product((ds, loaded),
+                                           (np.float64, np.float32)):
+        released.clear()
         tracemalloc.start()
         try:
-            rows = source._rows(idx)
+            rows = source._rows(idx, dtype)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.array_equal(rows, ds.values[idx].astype(np.float64))
+        assert rows.dtype == dtype and rows.flags.c_contiguous
+        assert rows.tobytes() == ds.values[idx].astype(dtype).tobytes()
+        assert released == [source]
         # and 4 KiB for the loop's small objects (2 KiB measured)
         bound = rows.nbytes + features_io._COPY_BYTES + 4096
         assert peak <= bound, f"peak {peak} B, bound {bound} B"

@@ -43,6 +43,16 @@ def covariance(table, row=0):
     return np.take(table.packed_covariances[row], table.gather_map)
 
 
+def rounded_covariance(x, mean):
+    """The covariance of the float32 rows ``x`` about their float64 ``mean``
+    as the build rounds it, out of place: the rows centered in float64 and
+    rounded to float32, their float32 product divided by n - 1 in float64,
+    mirrored, and rounded once to float16."""
+    centered = (x.astype(np.float64) - mean).astype(np.float32)
+    cov = (centered.T @ centered).astype(np.float64) / (len(x) - 1)
+    return ((cov + cov.T) / 2.0).astype(np.float16)
+
+
 def test_class_mean_basic():
     table = table_of(np.array([[0.0, 2.0], [2.0, 4.0]]))
     assert np.array_equal(table.mean_matrix[0], [1.0, 3.0])
@@ -89,11 +99,13 @@ def test_covariance_permutation_invariant():
 ])
 def test_covariance_rounds_as_the_out_of_place_expression(n, d, interleaved,
                                                          tmp_path):
-    # the build divides as it rounds; every element must round as
-    # (c / (n - 1) + (c / (n - 1)).T) / 2 does in float64, rounded once to
-    # float16.  A larger class goes first, so its rows are left in the
-    # scratch the build reuses.  A loaded dataset's rows are gathered from
-    # the file's records and must round the same.
+    # the build centers and multiplies in place; every element must round
+    # as the float32 product c of the centered rows does in
+    # (c / (n - 1) + (c / (n - 1)).T) / 2, in float64, rounded once to
+    # float16, and the mean must be the float64 mean of the rows.  A
+    # larger class goes first, so its rows are left in the scratch the
+    # build reuses.  A loaded dataset's rows are gathered from the file's
+    # records and must round the same.
     rng = np.random.default_rng(d + n)
     x = rng.normal(size=(n, d)).astype(np.float32)
     values = np.concatenate([rng.normal(size=(n + 3, d)), x])
@@ -102,16 +114,32 @@ def test_covariance_rounds_as_the_out_of_place_expression(n, d, interleaved,
         order = np.argsort(np.r_[np.arange(n + 3), np.arange(n) + 0.5],
                            kind="stable")
         values, ids = values[order], ids[order]
-    x = x.astype(np.float64)
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / (n - 1)
+    mean = x.astype(np.float64).mean(axis=0)
     ds = Dataset(ids, values)
     for source in (ds, through_file(ds, tmp_path)):
         table = build_base_stats(source, SplitManifest(base=[0, 1]))
         assert np.array_equal(table.mean_matrix[1], mean)
         assert np.array_equal(covariance(table, 1),
-                              ((cov + cov.T) / 2.0).astype(np.float16))
+                              rounded_covariance(x, mean))
+
+
+def test_float32_product_is_within_one_float16_step_of_a_float64_one():
+    # a paper-world class, 600 skewed rows at d=640: the float32 product's
+    # accumulation error, about sqrt(n) 2^-24 = 1.5e-6 relative, is far
+    # below float16's step of 2^-11 = 4.9e-4, so an entry rounds at most to
+    # the neighbour of the float16 value a float64 product rounds to (600
+    # of the 409,600 entries did, by one step each)
+    ds, _, _ = generate_synthetic(SyntheticSpec(
+        num_classes=2, dim=640, samples_per_class=600, group_size=1, seed=3))
+    table = build_base_stats(ds, SplitManifest(base=[0]))
+    x = ds.values[ds.rows_for(0)].astype(np.float64)
+    assert np.array_equal(table.mean_matrix[0], x.mean(axis=0))
+    centered = x - x.mean(axis=0)
+    cov = centered.T @ centered / (len(x) - 1)
+    wide = ((cov + cov.T) / 2.0).astype(np.float16)
+    got = covariance(table)
+    step = np.spacing(np.maximum(np.abs(got), np.abs(wide)))
+    assert np.all(np.abs(got.astype(np.float64) - wide) <= step)
 
 
 def test_covariance_monte_carlo():
@@ -190,14 +218,12 @@ def test_build_base_stats_matches_per_class_calls():
     table = build_base_stats(ds, split)
     assert set(table.id_array.tolist()) == split.base_classes
     for row, cid in enumerate(table.id_array.tolist()):
-        # the class's rows alone, in float64, out of place
-        feats = ds.values[ds.rows_for(cid)].astype(np.float64)
-        mean = feats.mean(axis=0)
-        centered = feats - mean
-        cov = centered.T @ centered / (len(feats) - 1)
+        # the class's rows alone, out of place
+        feats = ds.values[ds.rows_for(cid)]
+        mean = feats.astype(np.float64).mean(axis=0)
         assert np.array_equal(table.mean_matrix[row], mean)
         assert np.array_equal(covariance(table, row),
-                              ((cov + cov.T) / 2.0).astype(np.float16))
+                              rounded_covariance(feats, mean))
         assert table.counts[row] == 30
 
 
@@ -271,15 +297,22 @@ def test_build_base_stats_holds_one_full_covariance_at_a_time(tmp_path):
     # 12 base classes at d=256: all 12 full float64 covariances take 6.29
     # MB.  The packed float16 table (0.79 MB) is a mapping of its own,
     # which tracemalloc does not see, so the bound is the scratch alone:
-    # three full float64 matrices (the product of the class being computed
-    # is one; the gather map, briefly two while the table builds it, comes
-    # after the fill).  The build peaked at 1.43 MB against 1.57, reading
-    # two classes at a time.  From a loaded dataset too, whose rows are
-    # read out of the strided records into the same float64 copy.
+    # the float32 product of the class being computed (0.26 MB), the
+    # float64 triangle and its indices (0.26 MB each), the triangle's
+    # float32 entries while they are divided (0.13 MB), one read of
+    # float32 rows and one 64 KiB block, numpy's 64 KiB cast buffer and
+    # 64 KiB more, 1.25 MB in all.  The gather map, briefly two (d, d)
+    # intp arrays (1.05 MB) while the table builds it, comes after the
+    # fill.  The build peaked at 1.17 MB, reading two classes at a time;
+    # a float64 read peaked at 1.62 MB and a float64 product at 1.49 MB.
+    # From a loaded dataset too, whose rows are read out of the strided
+    # records into the same float32 copy.
     ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=15, dim=256, samples_per_class=64, group_size=5, seed=4))
     d = ds.dim
-    bound = 3 * d * d * 8
+    triangle = d * (d + 1) // 2
+    bound = (4 * d * d + (8 + 8 + 4) * triangle + stats._READ_BYTES
+             + 3 * (1 << 16))
     for source in (ds, through_file(ds, tmp_path)):
         tracemalloc.start()
         try:
@@ -315,8 +348,12 @@ def read_threads(monkeypatch):
     """The ids of the threads that read rows of a dataset, one per read."""
     seen = []
     read = Dataset._rows
-    monkeypatch.setattr(Dataset, "_rows", lambda self, idx: (
-        seen.append(threading.get_ident()), read(self, idx))[1])
+
+    def reading(self, idx, dtype=np.float64):
+        seen.append(threading.get_ident())
+        return read(self, idx, dtype)
+
+    monkeypatch.setattr(Dataset, "_rows", reading)
     return seen
 
 
@@ -338,7 +375,7 @@ def test_loaded_dataset_builds_the_same_table(tmp_path, monkeypatch,
     # file and releases nothing.
     ds, split = shuffled_world()
     expected = build_base_stats(ds, split)
-    monkeypatch.setattr(stats, "_READ_BYTES", 2 * 50 * 8 * 32)
+    monkeypatch.setattr(stats, "_READ_BYTES", 2 * 50 * 4 * 32)
     if not dontneed:
         monkeypatch.delattr(mmap, "MADV_DONTNEED")
     released = []
@@ -362,7 +399,7 @@ def test_threaded_build_gives_the_serial_table(tmp_path, monkeypatch):
     ds, split = shuffled_world()
     expected = build_base_stats(ds, split)
     loaded = through_file(ds, tmp_path)
-    monkeypatch.setattr(stats, "_READ_BYTES", 49 * 8 * 32)
+    monkeypatch.setattr(stats, "_READ_BYTES", 49 * 4 * 32)
     force_threads(monkeypatch)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -403,7 +440,7 @@ def test_build_pins_blas_to_one_thread_while_its_threads_run(monkeypatch):
     # the real condition, with every class read alone: the count is set to
     # 1 for the build and given back after it, also when a read raises
     ds, split = shuffled_world()
-    monkeypatch.setattr(stats, "_READ_BYTES", 49 * 8 * 32)
+    monkeypatch.setattr(stats, "_READ_BYTES", 49 * 4 * 32)
     libs, counts = fake_openblas(2)
     monkeypatch.setattr(stats, "_openblas", lambda: libs)
     seen = read_threads(monkeypatch)
@@ -413,10 +450,10 @@ def test_build_pins_blas_to_one_thread_while_its_threads_run(monkeypatch):
     calls = itertools.count()
     read = Dataset._rows
 
-    def failing(self, idx):
+    def failing(self, idx, dtype=np.float64):
         if next(calls) == 4:
             raise DataError("unreadable rows")
-        return read(self, idx)
+        return read(self, idx, dtype)
 
     monkeypatch.setattr(Dataset, "_rows", failing)
     with pytest.raises(DataError, match="unreadable rows"):
@@ -433,13 +470,17 @@ def test_build_gives_back_the_openblas_thread_count(monkeypatch):
     force_threads(monkeypatch)
     during = []
     read = Dataset._rows
-    monkeypatch.setattr(Dataset, "_rows", lambda self, idx: (
-        during.append([get() for get, _ in libs]), read(self, idx))[1])
+
+    def reading(self, idx, dtype=np.float64):
+        during.append([get() for get, _ in libs])
+        return read(self, idx, dtype)
+
+    monkeypatch.setattr(Dataset, "_rows", reading)
     build_base_stats(ds, split)
     assert during and all(c == [1] * len(libs) for c in during)
     assert [get() for get, _ in libs] == before
 
-    def failing(self, idx):
+    def failing(self, idx, dtype=np.float64):
         raise DataError("unreadable rows")
 
     monkeypatch.setattr(Dataset, "_rows", failing)
@@ -451,7 +492,7 @@ def test_build_gives_back_the_openblas_thread_count(monkeypatch):
 def test_build_without_an_openblas_setter_runs_serially(monkeypatch):
     ds, split = shuffled_world()
     expected = build_base_stats(ds, split)
-    monkeypatch.setattr(stats, "_READ_BYTES", 49 * 8 * 32)
+    monkeypatch.setattr(stats, "_READ_BYTES", 49 * 4 * 32)
     monkeypatch.setattr(stats, "_openblas", lambda: ())
     # no pool can start: every read runs on the calling thread
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
@@ -464,20 +505,24 @@ def test_build_without_an_openblas_setter_runs_serially(monkeypatch):
 
 def test_threaded_build_holds_one_read_and_scratch_per_thread(tmp_path,
                                                               monkeypatch):
-    # 12 base classes of 160 rows at d=256, each read alone (328 kB): the
+    # 12 base classes of 160 rows at d=256, each read alone (164 kB): the
     # packed layout's indices, shared, take 0.26 MB; each thread holds its
-    # product (0.52 MB), its float64 triangle (0.26 MB) and its read, with
-    # one 64 KiB block of float32 rows while the read is gathered.  256 KiB
-    # more, less than a read, covers the means, the sort order and the
-    # pool.  The packed table is a mapping of its own, which tracemalloc
-    # does not see.  The build peaked at 2.70 MB against a 2.89 MB bound.
+    # float32 product (0.26 MB), its float64 triangle (0.26 MB) and its
+    # float32 read, with one 64 KiB block of rows while the read is
+    # gathered, the triangle's float32 entries while they are divided
+    # (0.13 MB) and numpy's 64 KiB cast buffer.  256 KiB more covers the
+    # means, the sort order and the pool.  The packed table is a mapping
+    # of its own, which tracemalloc does not see.  The build peaked at
+    # 1.91-2.11 MB against a 2.43 MB bound; a float64 read peaked at 3.09
+    # MB and a float64 product at 3.55 MB.
     ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=15, dim=256, samples_per_class=160, group_size=5,
         seed=4))
     n, d, threads = len(split.base_classes), ds.dim, 2
     force_threads(monkeypatch)
     triangle = d * (d + 1) // 2
-    scratch = (d * d + triangle + 160 * d) * 8 + (1 << 16)
+    scratch = ((d * d + 160 * d) * 4 + triangle * (8 + 4)
+               + 2 * (1 << 16))
     bound = triangle * 8 + threads * scratch + (1 << 18)
     for source in (ds, through_file(ds, tmp_path)):
         tracemalloc.start()
