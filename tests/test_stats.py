@@ -297,22 +297,22 @@ def test_build_base_stats_holds_one_full_covariance_at_a_time(tmp_path):
     # 12 base classes at d=256: all 12 full float64 covariances take 6.29
     # MB.  The packed float16 table (0.79 MB) is a mapping of its own,
     # which tracemalloc does not see, so the bound is the scratch alone:
-    # the float32 product of the class being computed (0.26 MB), the
-    # float64 triangle and its indices (0.26 MB each), the triangle's
-    # float32 entries while they are divided (0.13 MB), one read of
-    # float32 rows and one 64 KiB block, numpy's 64 KiB cast buffer and
-    # 64 KiB more, 1.25 MB in all.  The gather map, briefly two (d, d)
-    # intp arrays (1.05 MB) while the table builds it, comes after the
-    # fill.  The build peaked at 1.17 MB, reading two classes at a time;
-    # a float64 read peaked at 1.62 MB and a float64 product at 1.49 MB.
-    # From a loaded dataset too, whose rows are read out of the strided
-    # records into the same float32 copy.
+    # the float32 product of the class being computed (0.26 MB), its
+    # lower triangle in float32 (0.13 MB), and in float64 with the
+    # triangle's indices (0.26 MB each), one read of float32 rows and one
+    # 64 KiB block, numpy's three 64 KiB buffers while the float64 mean is
+    # subtracted from the float32 rows, and 64 KiB more, 1.38 MB in all.
+    # The gather map, briefly two (d, d) intp arrays (1.05 MB) while the
+    # table builds it, comes after the fill.  The build peaked at 1.30 MB,
+    # reading two classes at a time; a float64 read or a float64 product
+    # peaked at 1.76 MB.  From a loaded dataset too, whose rows are
+    # read out of the strided records into the same float32 copy.
     ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=15, dim=256, samples_per_class=64, group_size=5, seed=4))
     d = ds.dim
     triangle = d * (d + 1) // 2
-    bound = (4 * d * d + (8 + 8 + 4) * triangle + stats._READ_BYTES
-             + 3 * (1 << 16))
+    bound = (4 * d * d + (4 + 8 + 8) * triangle + stats._READ_BYTES
+             + 5 * (1 << 16))
     for source in (ds, through_file(ds, tmp_path)):
         tracemalloc.start()
         try:
@@ -507,22 +507,21 @@ def test_threaded_build_holds_one_read_and_scratch_per_thread(tmp_path,
                                                               monkeypatch):
     # 12 base classes of 160 rows at d=256, each read alone (164 kB): the
     # packed layout's indices, shared, take 0.26 MB; each thread holds its
-    # float32 product (0.26 MB), its float64 triangle (0.26 MB) and its
-    # float32 read, with one 64 KiB block of rows while the read is
-    # gathered, the triangle's float32 entries while they are divided
-    # (0.13 MB) and numpy's 64 KiB cast buffer.  256 KiB more covers the
-    # means, the sort order and the pool.  The packed table is a mapping
-    # of its own, which tracemalloc does not see.  The build peaked at
-    # 1.91-2.11 MB against a 2.43 MB bound; a float64 read peaked at 3.09
-    # MB and a float64 product at 3.55 MB.
+    # float32 product (0.26 MB), its lower triangle in float32 (0.13 MB)
+    # and float64 (0.26 MB) and its float32 read, with one 64 KiB block of
+    # rows while the read is gathered and numpy's three 64 KiB buffers
+    # while the mean is subtracted.  256 KiB more covers the means, the
+    # sort order and the pool.  The packed table is a mapping of its own,
+    # which tracemalloc does not see.  The build peaked at 2.18-2.37 MB
+    # against a 2.56 MB bound; a float64 read peaked at 3.43 MB and a
+    # float64 product at 3.57-4.16 MB.
     ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=15, dim=256, samples_per_class=160, group_size=5,
         seed=4))
     n, d, threads = len(split.base_classes), ds.dim, 2
     force_threads(monkeypatch)
     triangle = d * (d + 1) // 2
-    scratch = ((d * d + 160 * d) * 4 + triangle * (8 + 4)
-               + 2 * (1 << 16))
+    scratch = (d * d + 160 * d) * 4 + triangle * (4 + 8) + 3 * (1 << 16)
     bound = triangle * 8 + threads * scratch + (1 << 18)
     for source in (ds, through_file(ds, tmp_path)):
         tracemalloc.start()
