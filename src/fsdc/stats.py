@@ -142,27 +142,28 @@ def build_base_stats(ds: Dataset, split: SplitManifest) -> BaseStatsTable:
     episode's 19 MB training matrix, which would then come from the heap
     and stay resident.
 
-    When there are two reads or more, each one class whose float64 rows
-    exceed 256 KiB, and OpenBLAS had two threads or more before the build,
+    When there are two reads or more, each one class whose float32 rows
+    exceed 128 KiB, and OpenBLAS had two threads or more before the build,
     the reads are split between two threads, the calling one and one
     helper, and every loaded OpenBLAS is held at one thread until the
-    helper is joined.  On a 2-vCPU VM one product of 600 x 640 rows took
-    3.4 ms at two BLAS threads and 4.7 ms at one, and the paper world's
-    set-up (load and build, 64 such classes) fell from 0.338 to 0.252 s
-    (perfbench medians of 10 pairs).  Two threads is the one count that
-    was measured, so the build starts no more on a larger machine.  The
-    helper holds its own product, triangle and read, 8.0 MB for 600 rows
-    at d=640, while the build runs, and OpenBLAS keeps the buffer it gave
-    the helper resident for the rest of the process (about 2.3 MB).  A
-    product's bits do not depend on the BLAS thread count, so the table is
-    the same either way; a Cholesky factor's do, so the helper is joined
-    and the count given back before this returns, also when a read raises.
-    Meanwhile BLAS calls from any other thread of the process run at one
-    thread too.  Otherwise the reads run one after another on the calling
-    thread, one read's copy alive at a time: for small classes, where a
-    helper cost more than it saved, and where no OpenBLAS setter is found
-    (another BLAS, or a platform without ``/proc/self/maps``) or OpenBLAS
-    has one thread.
+    helper is joined.  On a 2-vCPU VM one float32 product of 600 x 640
+    rows took 2.5 ms at two BLAS threads and 3.3 ms at one (a float64 one
+    3.3 and 6.0 ms), and the paper world's set-up (load and build, 64 such
+    classes) took 0.273 s (perfbench median of 10 runs; 0.349 s with
+    float64 products).  Two threads is the one count that was measured,
+    so the build starts no more on a larger machine.  The helper's
+    product, triangles and read, 5.7 MB for 600 rows at d=640
+    (tracemalloc), live while the build runs, and OpenBLAS keeps the
+    buffer it gave the helper resident for the rest of the process (about
+    2.3 MB).  A product's bits do not depend on the BLAS thread count, so
+    the table is the same either way; a Cholesky factor's do, so the
+    helper is joined and the count given back before this returns, also
+    when a read raises.  Meanwhile BLAS calls from any other thread of the
+    process run at one thread too.  Otherwise the reads run one after
+    another on the calling thread, one read's copy alive at a time: for
+    small classes, where a helper cost more than it saved, and where no
+    OpenBLAS setter is found (another BLAS, or a platform without
+    ``/proc/self/maps``) or OpenBLAS has one thread.
     """
     ids = sorted(split.base_classes)
     # one stable sort groups every class's rows, each in file order, where
@@ -219,8 +220,10 @@ def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
 
     The cast from float64 to float16 is scalar and holds the GIL: dividing
     a row at d=640 and storing it takes about 0.7 ms into float16, against
-    0.25 ms into float32.  On two threads it overlaps only with the other
-    thread's product.  One ``np.divide`` with the float16 row as ``out``
+    0.25 ms into float32; numpy's cast from float32 is no faster (0.63
+    against 0.52 ms a row), so the triangle is divided in float64 and cast
+    from there.  On two threads it overlaps only with the other thread's
+    product.  One ``np.divide`` with the float16 row as ``out``
     gives the same bits at the same speed at d=640, but costs 1.9 us a
     row at d=16 against 1.2 us.
     """
