@@ -139,7 +139,7 @@ def retrieve_nearest_class_features(x, ds: Dataset, table: BaseStatsTable,
 
     The class is chosen by the same nearest-mean rule as calibration; the
     rows are sampled without replacement using ``rng``.  Returns (m, dim)
-    float64.
+    float32, the stored values bit for bit.
     """
     if m < 1:
         raise SpecError("m must be at least 1")

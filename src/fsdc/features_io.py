@@ -47,7 +47,6 @@ _VERSION: Final = 1
 _HEADER: Final = struct.Struct("<4sIII")
 _MAX_CLASS_ID: Final = 2 ** 32 - 1   # class ids are stored as u32
 _CHUNK_BYTES: Final = 1 << 20   # records are decoded through a buffer this big
-_COPY_BYTES: Final = 1 << 16    # reads gather float32 rows in blocks this big
 
 _DOM_GROUP_DIR: Final = 0x47
 _DOM_CLASS_OFFSET: Final = 0x4F
@@ -137,26 +136,19 @@ class Dataset:
         # a mapping cannot be pickled; the copy holds its values in memory
         return Dataset, (self.class_ids, self.values)
 
-    def _rows(self, idx, dtype=np.float64) -> np.ndarray:
+    def _rows(self, idx) -> np.ndarray:
         """The values of the records ``idx``, an index array, as a new
-        array of ``dtype``: the one way records are read, float32 by the
-        statistics build and float64 by every episode.
+        float32 array, the stored values bit for bit: the one way records
+        are read, by the statistics build and by every episode.  Callers
+        widen at their first arithmetic, which is exact.
 
         A mapped file's pages are then released, all of them: a read can
         map a whole large folio around each record, reaching past
         ``[min(idx), max(idx) + 1)``, so releasing only that span can leave
         pages held.  So a loaded dataset holds no file pages between reads.
         An empty ``idx`` gives a ``(0, dim)`` array and releases nothing.
-
-        The rows are gathered a block of at most ``_COPY_BYTES`` of float32
-        at a time and copied, or widened, into the result, so a read holds
-        its result and one block, not a float32 copy of the whole read
-        beside it.
         """
-        rows = np.empty((idx.size, self.dim), dtype=dtype)
-        step = max(1, _COPY_BYTES // self.values[0].nbytes)
-        for lo in range(0, idx.size, step):
-            rows[lo:lo + step] = self.values[idx[lo:lo + step]]
+        rows = self.values[idx]
         if idx.size:
             self._release()
         return rows
@@ -222,6 +214,9 @@ def _read_binary(fh) -> Dataset:
         raise FormatError("dataset declares zero records")
     if dim == 0:
         raise FormatError("dataset declares zero feature dimension")
+    if 4 + 4 * dim >= 2 ** 31:   # numpy's limit on one record's bytes
+        raise FormatError(f"dataset declares feature dimension {dim}, "
+                          f"too large for a record")
     record = _record_dtype(dim)
     expected = _HEADER.size + count * record.itemsize
 

@@ -82,7 +82,8 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class Episode:
-    """One sampled N-way K-shot task; features are raw float64."""
+    """One sampled N-way K-shot task; features are raw, the stored float32
+    values bit for bit."""
 
     index: int
     class_ids: tuple[int, ...]
@@ -161,7 +162,12 @@ def run_episode(ep: Episode, stats: BaseStatsTable, cfg: PipelineConfig,
     index attached.
     """
     try:
-        return _run_episode(ep, stats, cfg, base_data)
+        support_x, query_x = _transformed(ep, cfg)
+        train_x, train_y = _train_rows(ep, support_x, stats, cfg, base_data)
+        train = TrainSet(train_x, train_y, len(ep.class_ids))
+        fit = train_logistic if cfg.classifier == "logistic" else train_svm
+        predicted = predict(fit(train, cfg.optimizer), query_x)
+        return float((predicted == ep.query_y).mean())
     except FsdcError as exc:
         raise type(exc)(f"episode {ep.index}: {exc}") from exc
 
@@ -233,16 +239,6 @@ def _train_rows(ep: Episode, support_x, stats: BaseStatsTable,
                     f"class {label}, distribution {j}: {exc}") from exc
             start += count
     return train_x, np.concatenate([ep.support_y, np.repeat(labels, total)])
-
-
-def _run_episode(ep: Episode, stats: BaseStatsTable, cfg: PipelineConfig,
-                 base_data: Dataset | None) -> float:
-    support_x, query_x = _transformed(ep, cfg)
-    train_x, train_y = _train_rows(ep, support_x, stats, cfg, base_data)
-    train = TrainSet(train_x, train_y, len(ep.class_ids))
-    fit = train_logistic if cfg.classifier == "logistic" else train_svm
-    predicted = predict(fit(train, cfg.optimizer), query_x)
-    return float((predicted == ep.query_y).mean())
 
 
 _WORKER_STATE: dict = {}

@@ -258,7 +258,7 @@ def _fill_class_rows(ds: Dataset, rows, means, counts, packed) -> None:
         """Fill the classes' rows of each read of ``taken``, with the
         scratch of one thread."""
         for row, run in taken:
-            block = ds._rows(np.concatenate(run), np.float32)
+            block = ds._rows(np.concatenate(run))
             splits = np.cumsum([r.size for r in run[:-1]])
             for r, x in zip(run, np.split(block, splits)):
                 n = x.shape[0]

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import os
 import pickle
@@ -225,6 +224,27 @@ def test_pipe_that_overstates_its_records_is_refused(tmp_path):
         _through_pipe(tmp_path, header + b"\x00" * 4096)
 
 
+@pytest.mark.parametrize("through_pipe", [False, True], ids=["file", "pipe"])
+@pytest.mark.parametrize("dim", [2 ** 29 - 1, 2 ** 31])
+def test_header_whose_record_numpy_cannot_hold_is_refused(tmp_path, dim,
+                                                          through_pipe):
+    # a record of 4 + 4 * dim bytes: numpy refuses a dtype of 2**31 bytes
+    # or more, with a bare ValueError, before the size is checked
+    data = struct.pack("<4sIII", b"FSDC", 1, 4, dim) + b"\x00" * 64
+    p = tmp_path / "d.fsdc"
+    p.write_bytes(data)
+    with pytest.raises(FormatError, match=f"feature dimension {dim}, too"):
+        _through_pipe(tmp_path, data) if through_pipe else load_dataset(p)
+
+
+def test_largest_record_reaches_the_size_check(tmp_path):
+    # 4 + 4 * dim = 2**31 - 4 bytes, the largest record numpy holds
+    p = tmp_path / "d.fsdc"
+    p.write_bytes(struct.pack("<4sIII", b"FSDC", 1, 1, 2 ** 29 - 2))
+    with pytest.raises(FormatError, match=f"expected {16 + 2 ** 31 - 4} "):
+        load_dataset(p)
+
+
 def test_saving_over_a_loaded_file_keeps_its_values(tmp_path):
     # save_dataset renames a new file over the old one, whose pages the
     # loaded dataset still maps
@@ -254,11 +274,12 @@ def test_loaded_dataset_pickles_as_one_in_memory(tmp_path):
         assert copy.values.tobytes() == ds.values.tobytes()
 
 
-def test_rows_reads_float64_copies_and_releases_the_file(tmp_path,
+def test_rows_reads_float32_copies_and_releases_the_file(tmp_path,
                                                         monkeypatch):
-    # an episode's reads: a new float64 array of the records asked for,
-    # after which a loaded dataset's mapped pages are released; an empty
-    # index reads (0, dim) and releases nothing
+    # every read, the build's and each episode's: a new float32 array of
+    # the records asked for, the stored values bit for bit, after which a
+    # loaded dataset's mapped pages are released; an empty index reads
+    # (0, dim) and releases nothing
     rng = np.random.default_rng(8)
     ds = Dataset(rng.integers(0, 4, size=40),
                  rng.normal(size=(40, 5)).astype(np.float32))
@@ -271,21 +292,20 @@ def test_rows_reads_float64_copies_and_releases_the_file(tmp_path,
     for source in (ds, load_dataset(tmp_path / "d.fsdc")):
         released.clear()
         rows = source._rows(idx)
-        assert rows.dtype == np.float64 and rows.flags.c_contiguous
-        assert np.array_equal(rows, ds.values[idx].astype(np.float64))
+        assert rows.dtype == np.float32 and rows.flags.c_contiguous
+        assert rows.flags.writeable
+        assert rows.tobytes() == ds.values[idx].tobytes()
         assert released == [source]
         released.clear()
         none = source._rows(np.array([], dtype=np.intp))
-        assert none.shape == (0, 5) and none.dtype == np.float64
+        assert none.shape == (0, 5) and none.dtype == np.float32
         assert released == []
 
 
-def test_a_read_holds_its_result_and_one_block(tmp_path, monkeypatch):
-    # a paper-world class, 600 scattered rows of d=640: the float64 result
-    # takes 3.07 MB.  Widening a float32 copy of the whole read held 1.5
-    # times that (4.61 MB); rows are gathered a block at a time instead.
-    # The statistics build reads float32 (1.54 MB), the stored values bit
-    # for bit, through the same blocks, and releases the file the same way
+def test_a_read_holds_only_its_result(tmp_path, monkeypatch):
+    # a paper-world class, 600 scattered rows of d=640: the float32 result
+    # takes 1.54 MB, and the rows are gathered straight into it, from the
+    # strided records of a loaded file too, with no block beside it
     rng = np.random.default_rng(9)
     ds = Dataset(np.zeros(1800, dtype=np.int64),
                  rng.normal(size=(1800, 640)).astype(np.float32))
@@ -295,21 +315,19 @@ def test_a_read_holds_its_result_and_one_block(tmp_path, monkeypatch):
     monkeypatch.setattr(Dataset, "_release", lambda self: (
         released.append(self), release(self)))
     idx = np.sort(rng.choice(1800, size=600, replace=False))
-    loaded = load_dataset(tmp_path / "d.fsdc")
-    for source, dtype in itertools.product((ds, loaded),
-                                           (np.float64, np.float32)):
+    for source in (ds, load_dataset(tmp_path / "d.fsdc")):
         released.clear()
         tracemalloc.start()
         try:
-            rows = source._rows(idx, dtype)
+            rows = source._rows(idx)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rows.dtype == dtype and rows.flags.c_contiguous
-        assert rows.tobytes() == ds.values[idx].astype(dtype).tobytes()
+        assert rows.dtype == np.float32 and rows.flags.c_contiguous
+        assert rows.tobytes() == ds.values[idx].tobytes()
         assert released == [source]
-        # and 4 KiB for the loop's small objects (2 KiB measured)
-        bound = rows.nbytes + features_io._COPY_BYTES + 4096
+        # and 4 KiB for small objects (3.3 kB measured)
+        bound = rows.nbytes + 4096
         assert peak <= bound, f"peak {peak} B, bound {bound} B"
 
 

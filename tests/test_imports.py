@@ -1,5 +1,6 @@
-"""What the package's modules import: every imported name is used, and
-importing the package stays light."""
+"""What the package's modules import and define: every imported name is
+used, every private name is read, and importing the package stays
+light."""
 
 import ast
 import os
@@ -44,6 +45,74 @@ def test_unused_imports_finds_each_kind():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _defined(body):
+    """The names a module or class body binds: assignments, functions and
+    classes."""
+    for node in body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            yield node.name, node
+            continue
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id, node
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private module-level and class-level names of ``sources``, a
+    module name to source map, that no module reads, in sorted order as
+    ``module.name`` or ``module.Class.name``.
+
+    A name is read where it is loaded, bare or as an attribute; binding it
+    or deleting it is not a read.  Dunder names are not private."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for name, node in _defined(tree.body):
+            defined.append((name, f"{module}.{name}"))
+            if isinstance(node, ast.ClassDef):
+                defined.extend((attr, f"{module}.{name}.{attr}")
+                               for attr, _ in _defined(node.body))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    return sorted(full for name, full in defined
+                  if name.startswith("_") and not name.endswith("__")
+                  and name not in read)
+
+
+def test_unread_private_names_finds_each_kind():
+    sources = {
+        "a": ("_LIMIT = 4\n_SIZE: int = 2\n_ONE, _TWO = 1, 2\n"
+              "def _helper():\n    return _LIMIT\n"
+              "def _unused():\n    _local = 1\n"
+              "class _Hidden:\n    pass\n"
+              "class Shown:\n    _slot = None\n    _kept = 1\n"
+              "    def __init__(self):\n        self._seen = self._kept\n"
+              "    def _method(self):\n        pass\n"),
+        "b": "from a import _helper, _ONE\n_helper()\nprint(_ONE)\n",
+    }
+    assert unread_private_names(sources) == [
+        "a.Shown._method", "a.Shown._slot", "a._Hidden", "a._SIZE", "a._TWO",
+        "a._unused"]
+
+
+def test_every_private_name_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in (SRC / "fsdc").glob("*.py")}
+    assert unread_private_names(sources) == []
 
 
 def test_import_leaves_scipy_out():

@@ -299,14 +299,15 @@ def test_build_base_stats_holds_one_full_covariance_at_a_time(tmp_path):
     # which tracemalloc does not see, so the bound is the scratch alone:
     # the float32 product of the class being computed (0.26 MB), its
     # lower triangle in float32 (0.13 MB), and in float64 with the
-    # triangle's indices (0.26 MB each), one read of float32 rows and one
-    # 64 KiB block, numpy's three 64 KiB buffers while the float64 mean is
-    # subtracted from the float32 rows, and 64 KiB more, 1.38 MB in all.
+    # triangle's indices (0.26 MB each), one read of float32 rows,
+    # numpy's three 64 KiB buffers while the float64 mean is subtracted
+    # from the float32 rows, and 128 KiB more, 1.38 MB in all.
     # The gather map, briefly two (d, d) intp arrays (1.05 MB) while the
     # table builds it, comes after the fill.  The build peaked at 1.30 MB,
     # reading two classes at a time; a float64 read or a float64 product
     # peaked at 1.76 MB.  From a loaded dataset too, whose rows are
-    # read out of the strided records into the same float32 copy.
+    # gathered out of the strided records straight into the same float32
+    # copy.
     ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=15, dim=256, samples_per_class=64, group_size=5, seed=4))
     d = ds.dim
@@ -349,9 +350,9 @@ def read_threads(monkeypatch):
     seen = []
     read = Dataset._rows
 
-    def reading(self, idx, dtype=np.float64):
+    def reading(self, idx):
         seen.append(threading.get_ident())
-        return read(self, idx, dtype)
+        return read(self, idx)
 
     monkeypatch.setattr(Dataset, "_rows", reading)
     return seen
@@ -450,10 +451,10 @@ def test_build_pins_blas_to_one_thread_while_its_threads_run(monkeypatch):
     calls = itertools.count()
     read = Dataset._rows
 
-    def failing(self, idx, dtype=np.float64):
+    def failing(self, idx):
         if next(calls) == 4:
             raise DataError("unreadable rows")
-        return read(self, idx, dtype)
+        return read(self, idx)
 
     monkeypatch.setattr(Dataset, "_rows", failing)
     with pytest.raises(DataError, match="unreadable rows"):
@@ -471,16 +472,16 @@ def test_build_gives_back_the_openblas_thread_count(monkeypatch):
     during = []
     read = Dataset._rows
 
-    def reading(self, idx, dtype=np.float64):
+    def reading(self, idx):
         during.append([get() for get, _ in libs])
-        return read(self, idx, dtype)
+        return read(self, idx)
 
     monkeypatch.setattr(Dataset, "_rows", reading)
     build_base_stats(ds, split)
     assert during and all(c == [1] * len(libs) for c in during)
     assert [get() for get, _ in libs] == before
 
-    def failing(self, idx, dtype=np.float64):
+    def failing(self, idx):
         raise DataError("unreadable rows")
 
     monkeypatch.setattr(Dataset, "_rows", failing)
@@ -508,13 +509,12 @@ def test_threaded_build_holds_one_read_and_scratch_per_thread(tmp_path,
     # 12 base classes of 160 rows at d=256, each read alone (164 kB): the
     # packed layout's indices, shared, take 0.26 MB; each thread holds its
     # float32 product (0.26 MB), its lower triangle in float32 (0.13 MB)
-    # and float64 (0.26 MB) and its float32 read, with one 64 KiB block of
-    # rows while the read is gathered and numpy's three 64 KiB buffers
-    # while the mean is subtracted.  256 KiB more covers the means, the
-    # sort order and the pool.  The packed table is a mapping of its own,
-    # which tracemalloc does not see.  The build peaked at 2.18-2.37 MB
-    # against a 2.56 MB bound; a float64 read peaked at 3.43 MB and a
-    # float64 product at 3.57-4.16 MB.
+    # and float64 (0.26 MB) and its float32 read, with numpy's three
+    # 64 KiB buffers while the mean is subtracted.  256 KiB more covers
+    # the means, the sort order and the pool.  The packed table is a
+    # mapping of its own, which tracemalloc does not see.  The build
+    # peaked at 2.18-2.37 MB against a 2.56 MB bound; a float64 read
+    # peaked at 3.43 MB and a float64 product at 3.57-4.16 MB.
     ds, split, _ = generate_synthetic(SyntheticSpec(
         num_classes=15, dim=256, samples_per_class=160, group_size=5,
         seed=4))
